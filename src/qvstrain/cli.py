@@ -51,6 +51,20 @@ def _beq_config(args) -> BEQConfig:
     return BEQConfig(verify_repeats=args.verify_repeats, max_rounds=args.max_rounds)
 
 
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _run_payloads(fn, payloads, workers: int) -> list:
+    """``fn`` over every payload in order, through one process pool when
+    ``workers > 1``."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, payloads))
+    return [fn(p) for p in payloads]
+
+
 def _add_search_flags(parser) -> None:
     parser.add_argument("--verify-repeats", type=int, default=15,
                         help="odd majority-vote width for candidate verification")
@@ -95,16 +109,13 @@ def cmd_train(args, out) -> int:
     if not (0.0 < args.epsilon < 1.0):
         print(f"train: epsilon must be in (0, 1), got {args.epsilon}", file=sys.stderr)
         return 2
+    _check_count("--trials", args.trials)
     payloads = [
         (t, args.seed + t, args.dataset, args.n, args.m, args.gamma,
          args.epsilon, args.c_constant, args.verify_repeats, args.max_rounds)
         for t in range(args.trials)
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_train_trial, payloads))
-    else:
-        rows = [_train_trial(p) for p in payloads]
+    rows = _run_payloads(_train_trial, payloads, args.workers)
     successes = 0
     for row in rows:
         successes += bool(row["in_version_space"])
@@ -277,25 +288,25 @@ def cmd_sweep(args, out) -> int:
     if not n_grid or not k_grid:
         print("sweep: empty grid", file=sys.stderr)
         return 2
+    if len(set(n_grid)) < len(n_grid) or len(set(k_grid)) < len(k_grid):
+        print("sweep: grid values must be distinct", file=sys.stderr)
+        return 2
+    _check_count("--trials", args.trials)
     cells = [(n, k) for n in n_grid for k in k_grid]
     writer = csv.writer(out)
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
+    payloads = [
+        (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t,
+         args.verify_repeats, args.max_rounds)
+        for idx, (n_points, n_planes) in enumerate(cells)
+        for t in range(args.trials)
+    ]
+    all_rows = _run_payloads(_sweep_trial, payloads, args.workers)
     results = {}
-    payload_groups = {}
-    for idx, (n_points, n_planes) in enumerate(cells):
-        payload_groups[(n_points, n_planes)] = [
-            (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t,
-             args.verify_repeats, args.max_rounds)
-            for t in range(args.trials)
-        ]
-    for cell, payloads in payload_groups.items():
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(_sweep_trial, payloads))
-        else:
-            rows = [_sweep_trial(p) for p in payloads]
+    for idx, cell in enumerate(cells):
+        rows = all_rows[idx * args.trials : (idx + 1) * args.trials]
         qmed = float(np.median([r["quantum_bits"] for r in rows]))
         cmed = float(np.median([r["classical"] for r in rows]))
         found = sum(r["found"] for r in rows) / len(rows)
@@ -342,6 +353,7 @@ def cmd_andor(args, out) -> int:
                     "index": outcome.result, "queries": outcome.queries})
         return 0
     n, k, count = (int(v) for v in args.random.split(","))
+    _check_count("--random COUNT", count)
     rng = np.random.default_rng(args.seed)
     agreements = 0
     for t in range(count):

@@ -6,6 +6,15 @@ The circuits here never measure; readouts are exact amplitude diagnostics.
 Implementation uses a structured dense path (sector views of the packed
 state, a mean-based diffusion update, FFT Fourier transforms) that is
 cross-checked in the tests against the generic gate-by-gate engine.
+
+Metering rule: the private ``_*_flat`` kernels only move amplitudes and
+never touch a ledger.  The ledger is charged where an algorithm logically
+runs a circuit: ``grover_operator[_inverse]`` once per step,
+``phase_estimate[_inverse]`` and ``sim_and`` once each by their closed-form
+cost (:func:`meter_phase_estimate`, :func:`meter_sim_and`), and
+``quantum_count`` once per shot.  The exact-amplitude diagnostics
+``sim_and_overlap``, ``g_tilde_readout`` and ``phase_register_distribution``
+charge nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import OracleHandle, QueryLedger
-from .statevec import RegisterLayout, StateVector, new_uniform
+from .statevec import RegisterLayout, StateVector
 
 
 def l_bits(n: int) -> int:
@@ -70,11 +79,12 @@ def _sector(amps: np.ndarray, dk: int, dn: int, control_offset: int | None):
     return amps.reshape(hi, 2, lo, dk, dn)[:, 1]
 
 
-def _diffuse_data(view: np.ndarray, dn: int) -> None:
-    """2|+><+| - I on the data axis: psi -> (2/dn) * sum - psi."""
-    total = view.sum(axis=-1, keepdims=True)
+def _diffuse_data(view: np.ndarray, d: int, axis: int = -1) -> None:
+    """2|+><+| - I along one register axis of size d (the data axis by
+    default): psi -> (2/d) * sum - psi."""
+    total = view.sum(axis=axis, keepdims=True)
     np.negative(view, out=view)
-    view += total * (2.0 / dn)
+    view += total * (2.0 / d)
 
 
 def _grover_flat(
@@ -82,7 +92,6 @@ def _grover_flat(
     n: int,
     k: int,
     signs: np.ndarray,
-    ledger: QueryLedger,
     control_offset: int | None = None,
     inverse: bool = False,
 ) -> None:
@@ -93,12 +102,6 @@ def _grover_flat(
     else:
         view *= signs
         _diffuse_data(view, 1 << n)
-    if control_offset is None:
-        ledger.record("phase_oracle")
-        ledger.record("bit_oracle")
-    else:
-        ledger.record("controlled_phase_oracle")
-        ledger.record("bit_oracle", 2)
 
 
 def _fourier_top(amps: np.ndarray, l: int, inverse: bool) -> None:
@@ -110,19 +113,19 @@ def _fourier_top(amps: np.ndarray, l: int, inverse: bool) -> None:
         block[:] = np.fft.ifft(block, axis=0) * math.sqrt(dl)
 
 
-def _ladder_flat(amps, n, k, l, signs, ledger, inverse: bool) -> None:
+def _ladder_flat(amps, n, k, l, signs, inverse: bool) -> None:
     order = range(l - 1, -1, -1) if inverse else range(l)
     for t in order:
         for _ in range(1 << t):
-            _grover_flat(amps, n, k, signs, ledger, control_offset=t, inverse=inverse)
+            _grover_flat(amps, n, k, signs, control_offset=t, inverse=inverse)
 
 
-def _sim_and_flat(amps, n, k, l, signs, ledger) -> None:
-    _ladder_flat(amps, n, k, l, signs, ledger, inverse=False)
+def _sim_and_flat(amps, n, k, l, signs) -> None:
+    _ladder_flat(amps, n, k, l, signs, inverse=False)
     _fourier_top(amps, l, inverse=True)
     amps.reshape(1 << l, -1)[1 << (l - 1)] *= -1.0  # flip the s = 10..0 readout
     _fourier_top(amps, l, inverse=False)
-    _ladder_flat(amps, n, k, l, signs, ledger, inverse=True)
+    _ladder_flat(amps, n, k, l, signs, inverse=True)
 
 
 # -- public operations ---------------------------------------------------------
@@ -137,6 +140,23 @@ def _check(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> 
         raise ValueError("counting circuits use scratch-free layouts")
 
 
+def _grover_step(state, layout, handle, control, inverse: bool) -> StateVector:
+    _check(state, layout, handle)
+    offset = None
+    if control is not None:
+        offset = int(control) - (layout.n + layout.k)
+        if offset < 0:
+            raise ValueError("control must lie above the data/plane registers")
+    _grover_flat(state.amps, layout.n, layout.k, handle.signs, offset, inverse)
+    if offset is None:
+        handle.ledger.record("phase_oracle")
+        handle.ledger.record("bit_oracle")
+    else:
+        handle.ledger.record("controlled_phase_oracle")
+        handle.ledger.record("bit_oracle", 2)
+    return state
+
+
 def grover_operator(
     state: StateVector, layout: RegisterLayout, handle: OracleHandle, control: int | None = None
 ) -> StateVector:
@@ -145,29 +165,14 @@ def grover_operator(
     every hyperplane component.  With ``control`` (a qubit above the
     data/plane registers) the whole step is applied on the control-1 sector
     and the oracle call costs two bit queries."""
-    _check(state, layout, handle)
-    offset = None
-    if control is not None:
-        offset = int(control) - (layout.n + layout.k)
-        if offset < 0:
-            raise ValueError("control must lie above the data/plane registers")
-    _grover_flat(state.amps, layout.n, layout.k, handle.signs, handle.ledger, offset)
-    return state
+    return _grover_step(state, layout, handle, control, inverse=False)
 
 
 def grover_operator_inverse(
     state: StateVector, layout: RegisterLayout, handle: OracleHandle, control: int | None = None
 ) -> StateVector:
-    _check(state, layout, handle)
-    offset = None
-    if control is not None:
-        offset = int(control) - (layout.n + layout.k)
-        if offset < 0:
-            raise ValueError("control must lie above the data/plane registers")
-    _grover_flat(
-        state.amps, layout.n, layout.k, handle.signs, handle.ledger, offset, inverse=True
-    )
-    return state
+    """Exact inverse of :func:`grover_operator` at the same query cost."""
+    return _grover_step(state, layout, handle, control, inverse=True)
 
 
 def phase_estimate(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
@@ -178,10 +183,9 @@ def phase_estimate(state: StateVector, layout: RegisterLayout, handle: OracleHan
     _check(state, layout, handle)
     if layout.l < 1:
         raise ValueError("phase estimation needs a phase register")
-    _ladder_flat(
-        state.amps, layout.n, layout.k, layout.l, handle.signs, handle.ledger, inverse=False
-    )
+    _ladder_flat(state.amps, layout.n, layout.k, layout.l, handle.signs, inverse=False)
     _fourier_top(state.amps, layout.l, inverse=True)
+    meter_phase_estimate(handle.ledger, layout.l)
     return state
 
 
@@ -193,9 +197,8 @@ def phase_estimate_inverse(
     if layout.l < 1:
         raise ValueError("phase estimation needs a phase register")
     _fourier_top(state.amps, layout.l, inverse=False)
-    _ladder_flat(
-        state.amps, layout.n, layout.k, layout.l, handle.signs, handle.ledger, inverse=True
-    )
+    _ladder_flat(state.amps, layout.n, layout.k, layout.l, handle.signs, inverse=True)
+    meter_phase_estimate(handle.ledger, layout.l)
     return state
 
 
@@ -212,9 +215,8 @@ def sim_and(state: StateVector, layout: RegisterLayout, handle: OracleHandle) ->
     _check(state, layout, handle)
     if layout.l < 1:
         raise ValueError("sim_and needs a phase register")
-    _sim_and_flat(
-        state.amps, layout.n, layout.k, layout.l, handle.signs, handle.ledger
-    )
+    _sim_and_flat(state.amps, layout.n, layout.k, layout.l, handle.signs)
+    meter_sim_and(handle.ledger, layout.l)
     return state
 
 
@@ -229,8 +231,8 @@ class GTildeReadout:
 
 def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
     """<input| SimAnd |input> for the basis hyperplane j, computed on the
-    single-column subspace (the circuit is block diagonal in j).  Executes
-    one full AND-simulation worth of metered queries."""
+    single-column subspace (the circuit is block diagonal in j).  An exact
+    amplitude diagnostic: charges nothing to the handle's ledger."""
     if not (0 <= j < (1 << handle.k)):
         raise ValueError(f"hyperplane index {j} out of range")
     if l is None:
@@ -239,13 +241,13 @@ def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> compl
     signs = handle.signs[j : j + 1]
     amps = np.full(dl * dn, 1.0 / math.sqrt(dl * dn), dtype=np.complex128)
     reference = amps.copy()
-    _sim_and_flat(amps, handle.n, 0, l, signs, handle.ledger)
+    _sim_and_flat(amps, handle.n, 0, l, signs)
     return complex(np.vdot(reference, amps))
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
     """Deterministic diagnostic of the AND-simulation on hyperplane j:
-    sign of Re <in|out> and |<in|out>|**2."""
+    sign of Re <in|out> and |<in|out>|**2.  Charges nothing."""
     eta = sim_and_overlap(j, handle, l)
     sign = -1 if eta.real < 0.0 else +1
     return GTildeReadout(sign=sign, fidelity=abs(eta) ** 2)
@@ -255,7 +257,7 @@ def phase_register_distribution(
     j: int, handle: OracleHandle, l: int | None = None
 ) -> np.ndarray:
     """Exact readout distribution of the phase register after phase
-    estimation on hyperplane j (unmetered helper)."""
+    estimation on hyperplane j.  Charges nothing."""
     if not (0 <= j < (1 << handle.k)):
         raise ValueError(f"hyperplane index {j} out of range")
     if l is None:
@@ -263,9 +265,8 @@ def phase_register_distribution(
     dn, dl = 1 << handle.n, 1 << l
     signs = handle.signs[j : j + 1]
     amps = np.full(dl * dn, 1.0 / math.sqrt(dl * dn), dtype=np.complex128)
-    with handle.ledger.muted():
-        _ladder_flat(amps, handle.n, 0, l, signs, handle.ledger, inverse=False)
-        _fourier_top(amps, l, inverse=True)
+    _ladder_flat(amps, handle.n, 0, l, signs, inverse=False)
+    _fourier_top(amps, l, inverse=True)
     return np.abs(amps.reshape(dl, dn)) ** 2 @ np.ones(dn)
 
 
@@ -318,15 +319,3 @@ def phase_gap_bound_check(n: int, m: int) -> bool:
     lhs = (2.0 * math.pi - 2.0 * theta) / (2.0 * math.pi)
     return lhs >= 0.5 + 2.0 ** -l_bits(n)
 
-
-def counting_layout(handle: OracleHandle, l: int | None = None) -> RegisterLayout:
-    """Scratch-free layout sized for the handle with the standard phase
-    register width."""
-    return handle.layout(l=l_bits(handle.n) if l is None else l)
-
-
-def uniform_counting_state(
-    handle: OracleHandle, fixed_j: int | None = None, l: int | None = None
-) -> StateVector:
-    layout = counting_layout(handle, l)
-    return new_uniform(layout, fixed_j=fixed_j)

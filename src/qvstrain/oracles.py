@@ -10,7 +10,6 @@ must never look like a solution).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,33 +24,26 @@ LEDGER_TAGS = ("bit_oracle", "phase_oracle", "controlled_phase_oracle", "classic
 class QueryLedger:
     """Monotone counters of oracle invocations.  ``bit_oracle`` is the
     universal currency: every phase-oracle call adds 1 underlying bit query
-    and every singly-controlled call adds 2."""
+    and every singly-controlled call adds 2.
+
+    Every record is charged where an algorithm logically runs a circuit: the
+    gate-level oracles here per call; the public counting operations once
+    each by their closed-form cost; ``quantum_count`` per shot; the search
+    per iteration and per verification shot.  Amplitude kernels and exact
+    diagnostics never record."""
 
     bit_oracle: int = 0
     phase_oracle: int = 0
     controlled_phase_oracle: int = 0
     classical_f: int = 0
-    enabled: bool = True
 
     def record(self, tag: str, times: int = 1) -> None:
         if times < 0:
             raise ValueError("ledger only counts forward")
-        if self.enabled:
-            setattr(self, tag, getattr(self, tag) + times)
+        setattr(self, tag, getattr(self, tag) + times)
 
     def snapshot(self) -> dict[str, int]:
         return {tag: getattr(self, tag) for tag in LEDGER_TAGS}
-
-    @contextmanager
-    def muted(self):
-        """Suspend metering, e.g. while precomputing a deterministic state
-        that will be paid for by explicit arithmetic metering."""
-        prev = self.enabled
-        self.enabled = False
-        try:
-            yield self
-        finally:
-            self.enabled = prev
 
 
 class TruthTable:
@@ -247,8 +239,9 @@ def column_count(handle: OracleHandle, j: int) -> int:
 def controlled_phase_oracle_identity_gap(table: TruthTable) -> float:
     """Worst amplitude difference, over every scratch-|0> basis state,
     between the literal two-bit-oracle-call construction of the controlled
-    phase oracle and the directly applied controlled phase."""
-    handle = OracleHandle(table, QueryLedger(enabled=False))
+    phase oracle and the directly applied controlled phase.  The oracle
+    calls are charged to the handle's own throwaway ledger."""
+    handle = OracleHandle(table)
     layout = handle.layout(l=1, scratch=True)
     control = layout.phase_qubits[0]
     scratch = layout.scratch_qubit

@@ -4,8 +4,11 @@ multi-criterion search, and the end-to-end version-space trainer.
 
 Within one search run the unitary pieces are deterministic, so iterated
 states and verification overlaps are computed once per table and reused
-across Monte Carlo repetitions; every run's ledger is still charged the full
-per-execution query cost of the circuits it logically performs.
+across Monte Carlo repetitions.  The amplitude kernels and the overlap
+diagnostic charge nothing; the search alone charges the ledger, by the
+closed-form cost of what each run logically performs: one AND-simulation
+per Grover iteration and one controlled AND-simulation per verification
+shot (:func:`meter_sim_and`).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import _sim_and_flat, l_bits, meter_sim_and, sim_and_overlap
-from .oracles import OracleHandle, QueryLedger, TruthTable, from_perceptron
+from .counting import _diffuse_data, _sim_and_flat, l_bits, meter_sim_and, sim_and_overlap
+from .oracles import OracleHandle, QueryLedger, from_perceptron
 from .perceptron import Dataset, Hyperplane, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
@@ -77,16 +80,16 @@ def _schedule(k: int, passes: int):
 
 
 def _normalize_marked(k: int, marked) -> np.ndarray:
+    """Only a predicate or a bool array of length 2**k is a mask; any other
+    collection lists the marked indices."""
     size = 1 << k
     if callable(marked):
         return np.array([bool(marked(j)) for j in range(size)])
-    arr = np.asarray(marked)
+    arr = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
     if arr.dtype == bool and arr.shape == (size,):
         return arr.copy()
-    if arr.ndim == 1 and arr.shape == (size,) and np.isin(arr, (0, 1)).all():
-        return arr.astype(bool)
     flags = np.zeros(size, dtype=bool)
-    flags[np.asarray(list(marked), dtype=np.int64)] = True
+    flags[arr.astype(np.int64)] = True
     return flags
 
 
@@ -94,8 +97,8 @@ def grover_search_unknown_m(k: int, marked, rng_seed, max_rounds: int = 3) -> Se
     """Grover search over 2**k items with an unknown number of marked ones:
     each round applies a uniformly drawn number of iterations below a
     growing bound, measures, and checks the candidate with one classical
-    oracle query.  ``marked`` may be a predicate, an index collection or a
-    0/1 array of length 2**k."""
+    oracle query.  ``marked`` may be a predicate, a bool mask of length
+    2**k, or a collection of marked indices."""
     flags = _normalize_marked(k, marked)
     rng = np.random.default_rng(rng_seed)
     size = 1 << k
@@ -132,10 +135,11 @@ class SimAndSearchOracle:
     """The AND-simulation circuit bound to an oracle handle, prepared for use
     as the reflection inside bounded-error search.
 
-    Caches the deterministic pieces per table: the state trajectory under
-    (reflection, hyperplane diffusion) iterations and the per-column
-    verification overlaps.  All cached work runs with the ledger muted;
-    callers meter executions explicitly through :func:`meter_sim_and`.
+    Caches the deterministic pieces per table: one full-register state,
+    advanced in place by (reflection, hyperplane diffusion) iterations, the
+    hyperplane marginal after every iteration so far, and the per-column
+    verification overlaps.  Nothing here charges the ledger; the search
+    charges each run through :func:`meter_sim_and`.
     """
 
     def __init__(self, handle: OracleHandle, l: int | None = None):
@@ -144,9 +148,8 @@ class SimAndSearchOracle:
         self.k = handle.k
         self.l = l_bits(handle.n) if l is None else l
         dim = (1 << self.l) * (1 << self.k) * (1 << self.n)
-        start = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
-        self._trajectory = [start]
-        self._marginals = [self._plane_marginal(start)]
+        self._state = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
+        self._marginals = [self._plane_marginal(self._state)]
         self._kick: dict[int, float] = {}
 
     def _plane_marginal(self, amps: np.ndarray) -> np.ndarray:
@@ -157,16 +160,10 @@ class SimAndSearchOracle:
 
     def _extend_to(self, r: int) -> None:
         dn, dk = 1 << self.n, 1 << self.k
-        while len(self._trajectory) <= r:
-            amps = self._trajectory[-1].copy()
-            with self.handle.ledger.muted():
-                _sim_and_flat(amps, self.n, self.k, self.l, self.handle.signs, self.handle.ledger)
-            view = amps.reshape(-1, dk, dn)
-            total = view.sum(axis=1, keepdims=True)
-            np.negative(view, out=view)
-            view += total * (2.0 / dk)
-            self._trajectory.append(amps)
-            self._marginals.append(self._plane_marginal(amps))
+        while len(self._marginals) <= r:
+            _sim_and_flat(self._state, self.n, self.k, self.l, self.handle.signs)
+            _diffuse_data(self._state.reshape(-1, dk, dn), dk, axis=1)
+            self._marginals.append(self._plane_marginal(self._state))
 
     def plane_marginal(self, r: int) -> np.ndarray:
         """Measurement distribution of the hyperplane register after r
@@ -178,8 +175,7 @@ class SimAndSearchOracle:
         """Probability that one phase-kickback shot votes "column j is all
         ones": (1 - Re <in|SimAnd|in>) / 2 on the |j> component."""
         if j not in self._kick:
-            with self.handle.ledger.muted():
-                eta = sim_and_overlap(j, self.handle, self.l)
+            eta = sim_and_overlap(j, self.handle, self.l)
             self._kick[j] = min(1.0, max(0.0, (1.0 - eta.real) / 2.0))
         return self._kick[j]
 
@@ -213,6 +209,7 @@ def bounded_error_search(
     rounds = 0
     iterations = 0
     verifications = 0
+    found = None
     for m in _schedule(oracle.k, cfg.max_rounds):
         rounds += 1
         r = int(rng.integers(0, max(1, math.ceil(m))))
@@ -223,29 +220,14 @@ def bounded_error_search(
         accepted, shots = _majority_vote(oracle, j, cfg.verify_repeats, rng, ledger)
         verifications += shots
         if accepted:
-            for tag, value in ledger.snapshot().items():
-                oracle.handle.ledger.record(tag, value)
-            return SearchOutcome(
-                index=j,
-                queries=ledger.snapshot(),
-                trials={
-                    "rounds": rounds,
-                    "iterations": iterations,
-                    "verification_shots": verifications,
-                },
-            )
+            found = j
+            break
+    trials = {"rounds": rounds, "iterations": iterations, "verification_shots": verifications}
+    if found is None:
+        trials["reason"] = "budget_exhausted"
     for tag, value in ledger.snapshot().items():
         oracle.handle.ledger.record(tag, value)
-    return SearchOutcome(
-        index=None,
-        queries=ledger.snapshot(),
-        trials={
-            "rounds": rounds,
-            "iterations": iterations,
-            "verification_shots": verifications,
-            "reason": "budget_exhausted",
-        },
-    )
+    return SearchOutcome(index=found, queries=ledger.snapshot(), trials=trials)
 
 
 def multi_criterion_search(
@@ -295,7 +277,3 @@ def train_perceptron(
     kind = "search" if handle.solution_mask().any() else "sampling"
     return TrainResult(plane=None, outcome=outcome, sampled=K, failure_kind=kind)
 
-
-def make_table_handle(bits) -> OracleHandle:
-    """Convenience wrapper for building a metered handle from raw bits."""
-    return OracleHandle(TruthTable(bits))

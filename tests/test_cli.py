@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
+
+import qvstrain
 
 from qvstrain.andor import AndOrInstance, save_instance
 from qvstrain.baselines import classical_version_space_search
@@ -131,6 +137,11 @@ class TestSweep:
         _, parallel = run_cli(*args, "--workers", "2")
         assert parallel == first
 
+    def test_duplicate_grid_value_exits_2(self):
+        rc, out = run_cli("sweep", "--n-grid", "8,8", "--k-grid", "4",
+                          "--trials", "1", "--seed", "1")
+        assert rc == 2 and out == ""
+
     def test_fit_rows_present_for_multi_cell_axis(self):
         rc, out = run_cli("sweep", "--n-grid", "8,16", "--k-grid", "8",
                           "--trials", "3", "--seed", "4")
@@ -199,3 +210,20 @@ class TestGenDataset:
         rc, _ = run_cli("gen-dataset", "--n", "5", "--m", "2", "--gamma", "1.5",
                         "--seed", "1", "--out-file", str(tmp_path / "x.txt"))
         assert rc == 2
+
+
+class TestCountsBelowOne:
+    @pytest.mark.parametrize("argv", [
+        ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "0", "--seed", "1"),
+        ("sweep", "--n-grid", "8", "--k-grid", "4", "--trials", "0", "--seed", "1"),
+        ("andor", "--random", "4,4,0", "--seed", "1"),
+    ], ids=["train-trials", "sweep-trials", "andor-random-count"])
+    def test_exit_2_without_traceback(self, argv):
+        src = os.path.dirname(os.path.dirname(qvstrain.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{argv[0]}: ")

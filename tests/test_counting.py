@@ -19,7 +19,6 @@ from qvstrain.counting import (
     sim_and,
     sim_and_overlap,
     sim_and_query_cost,
-    uniform_counting_state,
 )
 from qvstrain.oracles import OracleHandle, TruthTable, apply_phase_oracle
 from qvstrain.statevec import (
@@ -221,8 +220,7 @@ class TestSimAnd:
             ref = new_uniform(layout, fixed_j=j)
             state = ref.copy()
             sim_and(state, layout, fixture_handle)
-            with fixture_handle.ledger.muted():
-                eta_reduced = sim_and_overlap(j, fixture_handle)
+            eta_reduced = sim_and_overlap(j, fixture_handle)
             assert inner_product(ref, state) == pytest.approx(eta_reduced, abs=1e-12)
 
     def test_block_diagonal_and_coherent(self, fixture_handle):
@@ -235,8 +233,7 @@ class TestSimAnd:
         out = state.amps.reshape(dl, dk, dn)
         uniform_block = np.full((dl, dn), 1.0 / math.sqrt(dl * dn * dk))
         for j in range(dk):
-            with fixture_handle.ledger.muted():
-                eta = sim_and_overlap(j, fixture_handle)
+            eta = sim_and_overlap(j, fixture_handle)
             block = out[:, j, :]
             residual = block - eta * uniform_block
             assert np.linalg.norm(residual) ** 2 * dk <= 1 / 3 + 1e-9
@@ -261,9 +258,52 @@ class TestSimAnd:
             assert handle.ledger.bit_oracle == sim_and_query_cost(l)
             assert handle.ledger.controlled_phase_oracle == 2 * ((1 << l) - 1)
 
-    def test_uniform_counting_state_helper(self, fixture_handle):
-        state = uniform_counting_state(fixture_handle, fixed_j=1)
-        assert state.num_qubits == 2 + 2 + l_bits(2)
+
+def charge_of(handle, op, *args, **kwargs) -> dict:
+    """Ledger increments made by one call of ``op``."""
+    before = handle.ledger.snapshot()
+    op(*args, **kwargs)
+    return {tag: value - before[tag] for tag, value in handle.ledger.snapshot().items()}
+
+
+def cost(bits=0, phase=0, controlled=0) -> dict:
+    return {"bit_oracle": bits, "phase_oracle": phase,
+            "controlled_phase_oracle": controlled, "classical_f": 0}
+
+
+class TestMeteringRule:
+    """Each public circuit operation charges exactly its closed-form cost
+    (``sim_and``: TestSimAnd.test_query_cost_independent_of_table); the
+    exact-amplitude diagnostics charge nothing."""
+
+    def test_grover_steps(self, fixture_handle):
+        layout = fixture_handle.layout(l=2)
+        state = new_uniform(layout)
+        control = layout.phase_qubits[1]
+        for op in (grover_operator, grover_operator_inverse):
+            assert charge_of(fixture_handle, op, state, layout, fixture_handle) == cost(
+                bits=1, phase=1
+            )
+            assert charge_of(
+                fixture_handle, op, state, layout, fixture_handle, control=control
+            ) == cost(bits=2, controlled=1)
+
+    def test_phase_estimation_both_ways(self, fixture_handle):
+        l = 4
+        layout = fixture_handle.layout(l=l)
+        state = new_uniform(layout)
+        steps = (1 << l) - 1
+        for op in (phase_estimate, phase_estimate_inverse):
+            assert charge_of(fixture_handle, op, state, layout, fixture_handle) == cost(
+                bits=2 * steps, controlled=steps
+            )
+
+    def test_diagnostics_charge_nothing(self, fixture_handle):
+        for j in range(4):
+            sim_and_overlap(j, fixture_handle)
+            g_tilde_readout(j, fixture_handle)
+            phase_register_distribution(j, fixture_handle)
+        assert fixture_handle.ledger.snapshot() == cost()
 
 
 class TestGTildeReadout:
@@ -402,37 +442,36 @@ class TestControlledCircuitKickback:
         for j in range(4):
             state = new_uniform(layout, fixed_j=j)
             apply_hadamards(state, [anc])
-            with fixture_handle.ledger.muted():
-                for t, ctrl in enumerate(layout.phase_qubits):
-                    for _ in range(1 << t):
-                        apply_phase_oracle(
-                            state, layout, fixture_handle, controls=(ctrl, anc)
-                        )
-                        apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
-                        apply_phase_flip_all_zero(
-                            state, layout.data_qubits, controls=(ctrl,)
-                        )
-                        apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
-                apply_inverse_qft(state, layout.phase_qubits)
-                apply_open_controlled_z(
-                    state,
-                    layout.phase_msb,
-                    layout.phase_qubits[:-1],
-                    closed_controls=(anc,),
-                )
-                apply_qft(state, layout.phase_qubits)
-                for t in reversed(range(layout.l)):
-                    ctrl = layout.phase_qubits[t]
-                    for _ in range(1 << t):
-                        apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
-                        apply_phase_flip_all_zero(
-                            state, layout.data_qubits, controls=(ctrl,)
-                        )
-                        apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
-                        apply_phase_oracle(
-                            state, layout, fixture_handle, controls=(ctrl, anc)
-                        )
-                apply_hadamards(state, [anc])
-                p_literal = float((np.abs(state.amps[(1 << anc) :]) ** 2).sum())
-                eta = sim_and_overlap(j, fixture_handle)
+            for t, ctrl in enumerate(layout.phase_qubits):
+                for _ in range(1 << t):
+                    apply_phase_oracle(
+                        state, layout, fixture_handle, controls=(ctrl, anc)
+                    )
+                    apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
+                    apply_phase_flip_all_zero(
+                        state, layout.data_qubits, controls=(ctrl,)
+                    )
+                    apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
+            apply_inverse_qft(state, layout.phase_qubits)
+            apply_open_controlled_z(
+                state,
+                layout.phase_msb,
+                layout.phase_qubits[:-1],
+                closed_controls=(anc,),
+            )
+            apply_qft(state, layout.phase_qubits)
+            for t in reversed(range(layout.l)):
+                ctrl = layout.phase_qubits[t]
+                for _ in range(1 << t):
+                    apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
+                    apply_phase_flip_all_zero(
+                        state, layout.data_qubits, controls=(ctrl,)
+                    )
+                    apply_hadamards(state, layout.data_qubits, controls=(ctrl,))
+                    apply_phase_oracle(
+                        state, layout, fixture_handle, controls=(ctrl, anc)
+                    )
+            apply_hadamards(state, [anc])
+            p_literal = float((np.abs(state.amps[(1 << anc) :]) ** 2).sum())
+            eta = sim_and_overlap(j, fixture_handle)
             assert p_literal == pytest.approx((1.0 - eta.real) / 2.0, abs=1e-10)

@@ -212,11 +212,9 @@ class TestColumnCount:
 
 
 class TestLedger:
-    def test_monotone_and_muted(self):
+    def test_monotone(self):
         ledger = QueryLedger()
         ledger.record("bit_oracle", 5)
-        with ledger.muted():
-            ledger.record("bit_oracle", 100)
         ledger.record("classical_f")
         assert ledger.snapshot() == {
             "bit_oracle": 5,

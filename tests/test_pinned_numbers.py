@@ -1,0 +1,88 @@
+"""Pinned ledger snapshots and outcomes of small seeded CLI runs.
+
+The package's product is query counts.  A refactor that moves any count,
+or any seeded search outcome, fails here; only a deliberate change to the
+cost model or the construction should ever re-record these values.
+"""
+
+import csv
+import io
+import json
+import math
+
+import pytest
+
+from qvstrain.cli import main
+
+
+def queries(bit_oracle: int, controlled_phase_oracle: int) -> dict:
+    return {"bit_oracle": bit_oracle, "classical_f": 0,
+            "controlled_phase_oracle": controlled_phase_oracle, "phase_oracle": 0}
+
+
+def train_row(trial, seed, n, gamma, K, index, failure, bits, cpo) -> dict:
+    found = failure is None
+    return {"K": K, "failure": failure, "found": found, "gamma": gamma,
+            "in_version_space": True if found else None, "index": index, "m": 2,
+            "n": n, "queries": queries(bits, cpo), "seed": seed, "trial": trial}
+
+
+def andor_row(instance, value, bits, cpo) -> dict:
+    return {"agree": True, "direct": value, "instance": instance,
+            "queries": queries(bits, cpo), "via_search": value}
+
+
+PINNED_JSON = [
+    (
+        ("train", "--n", "12", "--m", "2", "--gamma", "0.2", "--trials", "3", "--seed", "1"),
+        [
+            train_row(0, 1, 12, 0.2, 24, 1, None, 18972, 5022),
+            train_row(1, 2, 12, 0.2, 24, 18, None, 4092, 1054),
+            train_row(2, 3, 12, 0.2, 24, 15, None, 6076, 1550),
+            {"success_fraction": 1.0, "summary": True, "trials": 3},
+        ],
+    ),
+    (
+        ("train", "--n", "24", "--m", "2", "--gamma", "0.15", "--trials", "2", "--seed", "101"),
+        [
+            train_row(0, 101, 24, 0.15, 31, 2, None, 33768, 8820),
+            train_row(1, 102, 24, 0.15, 31, -1, "sampling", 129780, 34650),
+            {"success_fraction": 0.5, "summary": True, "trials": 2},
+        ],
+    ),
+    (
+        ("andor", "--random", "4,4,5", "--seed", "4"),
+        [
+            andor_row(0, 1, 960, 240),
+            andor_row(1, 0, 14640, 3720),
+            andor_row(2, 1, 960, 240),
+            andor_row(3, 0, 14880, 3840),
+            andor_row(4, 0, 15000, 3870),
+            {"agreement_fraction": 1.0, "instances": 5, "summary": True},
+        ],
+    ),
+]
+
+
+def run(argv) -> str:
+    buf = io.StringIO()
+    assert main(list(argv), out=buf) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_JSON, ids=["train-n12", "train-n24", "andor"])
+def test_json_rows_pinned(argv, expected):
+    rows = [json.loads(line) for line in run(argv).splitlines()]
+    assert rows == expected
+
+
+def test_sweep_rows_pinned():
+    out = run(("sweep", "--n-grid", "8,16", "--k-grid", "4", "--trials", "3", "--seed", "1"))
+    header, *cells, fit = list(csv.reader(io.StringIO(out)))
+    assert header[0] == "kind"
+    assert cells == [
+        ["cell", "8", "4", "0.2", "3", "3968.0", "8.0", "1.0", "True", "", ""],
+        ["cell", "16", "4", "0.2", "3", "4092.0", "16.0", "1.0", "True", "", ""],
+    ]
+    assert fit[:-1] == ["fit", "", "", "0.2", "3", "", "", "", "", "N"]
+    assert float(fit[-1]) == pytest.approx(math.log(4092 / 3968) / math.log(2), rel=1e-12)

@@ -7,6 +7,7 @@ from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain.search import (
     BEQConfig,
     SimAndSearchOracle,
+    _normalize_marked,
     bounded_error_search,
     grover_search_unknown_m,
     multi_criterion_search,
@@ -32,9 +33,16 @@ class TestGroverSearchUnknownM:
         assert hits >= 2 * 200 / 3
 
     def test_all_marked_first_round(self):
-        out = grover_search_unknown_m(3, np.ones(8, dtype=np.uint8), rng_seed=0)
+        out = grover_search_unknown_m(3, np.ones(8, dtype=bool), rng_seed=0)
         assert out.found
         assert out.trials["rounds"] == 1
+
+    def test_index_list_is_not_a_mask(self):
+        # [0, 1] over k = 1 lists both items; it is not the mask "only 1"
+        assert _normalize_marked(1, [0, 1]).tolist() == [True, True]
+        assert _normalize_marked(2, [1, 1, 0, 0]).tolist() == [True, True, False, False]
+        mask = np.array([False, True])
+        assert _normalize_marked(1, mask).tolist() == [False, True]
 
     def test_none_marked(self):
         out = grover_search_unknown_m(3, set(), rng_seed=1)
@@ -114,6 +122,32 @@ class TestBoundedErrorSearch:
             out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=seed)
             hits += out.index == 1
         assert hits >= 20
+
+
+class TestSimAndSearchOracle:
+    def test_marginals_independent_of_request_order(self, fixture_handle):
+        jumped = SimAndSearchOracle(fixture_handle)
+        stepped = SimAndSearchOracle(fixture_handle)
+        jump = {6: jumped.plane_marginal(6), 2: jumped.plane_marginal(2)}
+        steps = [stepped.plane_marginal(r) for r in range(7)]
+        for r, marginal in jump.items():
+            np.testing.assert_array_equal(marginal, steps[r])
+
+    def test_holds_one_full_register_state(self, fixture_handle):
+        oracle = SimAndSearchOracle(fixture_handle)
+        oracle.plane_marginal(6)
+        dim = 1 << (oracle.l + oracle.k + oracle.n)
+
+        def full_states(value) -> int:
+            if isinstance(value, np.ndarray):
+                return int(value.size == dim)
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return sum(full_states(v) for v in value)
+            return 0
+
+        assert full_states(list(vars(oracle).values())) == 1
 
 
 class TestMultiCriterionSearch:
