@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import OracleHandle, TruthTable
-from .search import BEQConfig, SearchOutcome, bounded_error_search, SimAndSearchOracle
+from .perceptron import _read_rows
+from .search import BEQConfig, SearchOutcome, multi_criterion_search
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +48,7 @@ def evaluate_via_search(
 ) -> tuple[int, SearchOutcome]:
     """Wrap the bits as an oracle table and run multi-criterion search;
     Found maps to 1, NotFound to 0.  Correct with probability >= 2/3."""
-    cfg = cfg if cfg is not None else BEQConfig()
-    handle = OracleHandle(inst.as_table())
-    outcome = bounded_error_search(SimAndSearchOracle(handle), cfg, rng_seed)
+    outcome = multi_criterion_search(OracleHandle(inst.as_table()), cfg, rng_seed)
     value = int(outcome.found and outcome.index < inst.n_cols)
     return value, outcome
 
@@ -62,7 +61,10 @@ def save_instance(inst: AndOrInstance, path) -> None:
 
 
 def load_instance(path) -> AndOrInstance:
-    with open(path) as fh:
-        n, k = (int(v) for v in fh.readline().split())
-        bits = fh.readline().strip()
-    return AndOrInstance(n, k, np.array([int(ch) for ch in bits], dtype=np.uint8))
+    def shape(tokens):
+        return (int(tokens[0]), int(tokens[1])), 1, 1
+
+    (n, k), (bits,) = _read_rows(path, "N K", shape, lambda fields: [int(c) for c in fields[0]])
+    if len(bits) != n * k:
+        raise ValueError(f"line 2: expected N*K = {n * k} bits, got {len(bits)}")
+    return AndOrInstance(n, k, np.array(bits, dtype=np.uint8))

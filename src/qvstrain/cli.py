@@ -76,8 +76,7 @@ def _add_search_flags(parser) -> None:
 
 
 def _train_trial(payload):
-    (trial, seed, dataset_path, n, m, gamma, epsilon, c, verify_repeats, max_rounds) = payload
-    cfg = BEQConfig(verify_repeats=verify_repeats, max_rounds=max_rounds)
+    (trial, seed, dataset_path, n, m, gamma, epsilon, c, cfg) = payload
     if dataset_path is not None:
         data = load_dataset(dataset_path)
     else:
@@ -110,9 +109,10 @@ def cmd_train(args, out) -> int:
         print(f"train: epsilon must be in (0, 1), got {args.epsilon}", file=sys.stderr)
         return 2
     _check_count("--trials", args.trials)
+    cfg = _beq_config(args)
     payloads = [
         (t, args.seed + t, args.dataset, args.n, args.m, args.gamma,
-         args.epsilon, args.c_constant, args.verify_repeats, args.max_rounds)
+         args.epsilon, args.c_constant, cfg)
         for t in range(args.trials)
     ]
     rows = _run_payloads(_train_trial, payloads, args.workers)
@@ -151,8 +151,7 @@ def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool
     for t in range(tables):
         table = _random_table(rng, n_max, k_max, force_close_column=fault_l)
         handle = OracleHandle(table)
-        l = (handle.n + 1) // 2 if fault_l else l_bits(handle.n)
-        l = max(1, l)
+        l = max(1, (handle.n + 1) // 2 if fault_l else l_bits(handle.n))
         g = np.zeros(1 << handle.k, dtype=np.uint8)
         g[: handle.n_cols] = brute_force_g(handle)
         for j in range(1 << handle.k):
@@ -210,33 +209,25 @@ def _oracle_identity_sweep(rng, tables: int):
 
 def cmd_verify(args, out) -> int:
     rng = np.random.default_rng(args.seed)
+    fault = bool(args.inject_precision_fault)
+    # (suite, sweep, extra row fields), run in order: two share the generator
+    suites = [("sign_and_fidelity",
+               lambda: _sign_fidelity_sweep(rng, args.tables, args.n_max, args.k_max, fault),
+               {"forced_low_precision": fault})]
+    if not fault:
+        suites += [
+            ("phase_gap_bound", lambda: _phase_gap_sweep(args.gap_n_max), {}),
+            ("controlled_oracle_identity",
+             lambda: _oracle_identity_sweep(rng, args.identity_tables), {}),
+        ]
     any_violation = False
-
-    checked, violations = _sign_fidelity_sweep(
-        rng, args.tables, args.n_max, args.k_max, args.inject_precision_fault
-    )
-    _emit(out, {"suite": "sign_and_fidelity", "checked": checked,
-                "violations": len(violations),
-                "forced_low_precision": bool(args.inject_precision_fault)})
-    for v in violations[:10]:
-        _emit(out, {"violation": "sign_and_fidelity", **v})
-    any_violation |= bool(violations)
-
-    if not args.inject_precision_fault:
-        checked, violations = _phase_gap_sweep(args.gap_n_max)
-        _emit(out, {"suite": "phase_gap_bound", "checked": checked,
-                    "violations": len(violations)})
+    for suite, sweep, extra in suites:
+        checked, violations = sweep()
+        _emit(out, {"suite": suite, "checked": checked,
+                    "violations": len(violations), **extra})
         for v in violations[:10]:
-            _emit(out, {"violation": "phase_gap_bound", **v})
+            _emit(out, {"violation": suite, **v})
         any_violation |= bool(violations)
-
-        checked, violations = _oracle_identity_sweep(rng, args.identity_tables)
-        _emit(out, {"suite": "controlled_oracle_identity", "checked": checked,
-                    "violations": len(violations)})
-        for v in violations[:10]:
-            _emit(out, {"violation": "controlled_oracle_identity", **v})
-        any_violation |= bool(violations)
-
     _emit(out, {"summary": True, "ok": not any_violation})
     return 1 if any_violation else 0
 
@@ -262,8 +253,7 @@ def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed):
 
 
 def _sweep_trial(payload):
-    (n_points, n_planes, gamma, seed, verify_repeats, max_rounds) = payload
-    cfg = BEQConfig(verify_repeats=verify_repeats, max_rounds=max_rounds)
+    (n_points, n_planes, gamma, seed, cfg) = payload
     data, planes, _ = _single_solution_instance(n_points, n_planes, gamma, seed)
     table = from_perceptron(data, planes)
     handle = OracleHandle(table)
@@ -297,9 +287,9 @@ def cmd_sweep(args, out) -> int:
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
+    cfg = _beq_config(args)
     payloads = [
-        (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t,
-         args.verify_repeats, args.max_rounds)
+        (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t, cfg)
         for idx, (n_points, n_planes) in enumerate(cells)
         for t in range(args.trials)
     ]
@@ -333,19 +323,13 @@ def cmd_sweep(args, out) -> int:
 
 def cmd_andor(args, out) -> int:
     cfg = _beq_config(args)
-    if args.table is not None:
-        # oracle-only experiment straight from a truth-table file
-        table = load_truth_table(args.table)
-        handle = OracleHandle(table)
-        outcome = multi_criterion_search(handle, cfg, rng_seed=args.seed)
-        direct = int(brute_force_g(handle).any())
-        via = int(outcome.found and outcome.index < table.n_cols)
-        _emit(out, {"N": table.n_rows, "K": table.n_cols, "direct": direct,
-                    "via_search": via, "agree": direct == via,
-                    "index": outcome.result, "queries": outcome.queries})
-        return 0
-    if args.file is not None:
-        inst = load_instance(args.file)
+    if args.random is None:
+        # one instance from a file; a truth table's columns are its AND-blocks
+        if args.table is not None:
+            bits = load_truth_table(args.table).bits
+            inst = AndOrInstance(*bits.shape, bits.T.reshape(-1))
+        else:
+            inst = load_instance(args.file)
         direct = evaluate_direct(inst)
         via, outcome = evaluate_via_search(inst, cfg, rng_seed=args.seed)
         _emit(out, {"N": inst.n_rows, "K": inst.n_cols, "direct": direct,

@@ -9,12 +9,16 @@ cross-checked in the tests against the generic gate-by-gate engine.
 
 Metering rule: the private ``_*_flat`` kernels only move amplitudes and
 never touch a ledger.  The ledger is charged where an algorithm logically
-runs a circuit: ``grover_operator[_inverse]`` once per step,
-``phase_estimate[_inverse]`` and ``sim_and`` once each by their closed-form
-cost (:func:`meter_phase_estimate`, :func:`meter_sim_and`), and
+runs a circuit, always through :meth:`QueryLedger.charge`:
+``grover_operator[_inverse]`` once per step, ``phase_estimate[_inverse]``
+and ``sim_and`` once each by their closed-form cost
+(:func:`meter_phase_estimate`, :func:`meter_sim_and`), and
 ``quantum_count`` once per shot.  The exact-amplitude diagnostics
 ``sim_and_overlap``, ``g_tilde_readout`` and ``phase_register_distribution``
-charge nothing.
+charge nothing.  The AND-simulation is phase estimation, a sign flip of
+the 10..0 readout, then uncompute, so ``sim_and_overlap`` reads
+<in|SimAnd|in> = 1 - 2 P(readout = 10..0) off the one phase-estimation
+readout instead of running the AND-simulation.
 """
 
 from __future__ import annotations
@@ -35,12 +39,6 @@ def l_bits(n: int) -> int:
     return (n + 1) // 2 + 3
 
 
-def phase_estimate_query_cost(l: int) -> int:
-    """Bit-oracle queries of one phase estimation: 2**l - 1 controlled
-    Grover steps, each worth two bit queries."""
-    return 2 * ((1 << l) - 1)
-
-
 def sim_and_query_cost(l: int) -> int:
     """Bit-oracle queries of one AND-simulation run (estimate + uncompute)."""
     return 4 * ((1 << l) - 1)
@@ -53,14 +51,13 @@ def controlled_sim_and_query_cost(l: int) -> int:
 
 
 def meter_phase_estimate(ledger: QueryLedger, l: int, times: int = 1) -> None:
-    ledger.record("controlled_phase_oracle", times * ((1 << l) - 1))
-    ledger.record("bit_oracle", times * phase_estimate_query_cost(l))
+    """2**l - 1 singly-controlled Grover steps per phase estimation."""
+    ledger.charge(times * ((1 << l) - 1), controls=1)
 
 
 def meter_sim_and(ledger: QueryLedger, l: int, times: int = 1, controlled: bool = False) -> None:
-    ledger.record("controlled_phase_oracle", times * 2 * ((1 << l) - 1))
-    cost = controlled_sim_and_query_cost(l) if controlled else sim_and_query_cost(l)
-    ledger.record("bit_oracle", times * cost)
+    """Two phase estimations; ``controlled`` adds a control to every call."""
+    ledger.charge(times * 2 * ((1 << l) - 1), controls=2 if controlled else 1)
 
 
 # -- structured dense kernels -------------------------------------------------
@@ -148,12 +145,7 @@ def _grover_step(state, layout, handle, control, inverse: bool) -> StateVector:
         if offset < 0:
             raise ValueError("control must lie above the data/plane registers")
     _grover_flat(state.amps, layout.n, layout.k, handle.signs, offset, inverse)
-    if offset is None:
-        handle.ledger.record("phase_oracle")
-        handle.ledger.record("bit_oracle")
-    else:
-        handle.ledger.record("controlled_phase_oracle")
-        handle.ledger.record("bit_oracle", 2)
+    handle.ledger.charge(1, controls=0 if offset is None else 1)
     return state
 
 
@@ -230,19 +222,13 @@ class GTildeReadout:
 
 
 def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
-    """<input| SimAnd |input> for the basis hyperplane j, computed on the
-    single-column subspace (the circuit is block diagonal in j).  An exact
-    amplitude diagnostic: charges nothing to the handle's ledger."""
-    if not (0 <= j < (1 << handle.k)):
-        raise ValueError(f"hyperplane index {j} out of range")
+    """<input| SimAnd |input> for the basis hyperplane j: exactly
+    1 - 2 P(s = 10..0) under :func:`phase_register_distribution`, since
+    SimAnd flips that readout between phase estimation and its uncompute.
+    An exact amplitude diagnostic: charges nothing."""
     if l is None:
         l = l_bits(handle.n)
-    dn, dl = 1 << handle.n, 1 << l
-    signs = handle.signs[j : j + 1]
-    amps = np.full(dl * dn, 1.0 / math.sqrt(dl * dn), dtype=np.complex128)
-    reference = amps.copy()
-    _sim_and_flat(amps, handle.n, 0, l, signs)
-    return complex(np.vdot(reference, amps))
+    return complex(1.0 - 2.0 * phase_register_distribution(j, handle, l)[1 << (l - 1)])
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:

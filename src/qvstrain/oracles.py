@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perceptron import Dataset, Hyperplane
+from .perceptron import Dataset, Hyperplane, _read_rows
 from .statevec import RegisterLayout, StateVector, _masked_indices
 
 LEDGER_TAGS = ("bit_oracle", "phase_oracle", "controlled_phase_oracle", "classical_f")
@@ -23,14 +23,17 @@ LEDGER_TAGS = ("bit_oracle", "phase_oracle", "controlled_phase_oracle", "classic
 @dataclass
 class QueryLedger:
     """Monotone counters of oracle invocations.  ``bit_oracle`` is the
-    universal currency: every phase-oracle call adds 1 underlying bit query
-    and every singly-controlled call adds 2.
+    universal currency: a phase-oracle call under c control qubits costs
+    2**c bit queries (1 plain, 2 singly controlled), and every such call is
+    charged through :meth:`charge`; ``record`` is left to the literal
+    bit-oracle constructions, the classical baselines and the search's
+    flush of its run ledger.
 
-    Every record is charged where an algorithm logically runs a circuit: the
+    Every charge is made where an algorithm logically runs a circuit: the
     gate-level oracles here per call; the public counting operations once
     each by their closed-form cost; ``quantum_count`` per shot; the search
     per iteration and per verification shot.  Amplitude kernels and exact
-    diagnostics never record."""
+    diagnostics never charge."""
 
     bit_oracle: int = 0
     phase_oracle: int = 0
@@ -41,6 +44,13 @@ class QueryLedger:
         if times < 0:
             raise ValueError("ledger only counts forward")
         setattr(self, tag, getattr(self, tag) + times)
+
+    def charge(self, calls: int, controls: int = 0) -> None:
+        """``calls`` phase-oracle calls under ``controls`` control qubits,
+        under ``phase_oracle`` (no control) or ``controlled_phase_oracle``,
+        plus ``calls * 2**controls`` bit queries."""
+        self.record("controlled_phase_oracle" if controls else "phase_oracle", calls)
+        self.record("bit_oracle", calls << controls)
 
     def snapshot(self) -> dict[str, int]:
         return {tag: getattr(self, tag) for tag in LEDGER_TAGS}
@@ -92,13 +102,14 @@ def save_truth_table(table: TruthTable, path) -> None:
 
 
 def load_truth_table(path) -> TruthTable:
-    with open(path) as fh:
-        n, k = (int(v) for v in fh.readline().split())
-        rows = [[int(v) for v in fh.readline().split()] for _ in range(n)]
-    arr = np.array(rows, dtype=np.uint8)
-    if arr.shape != (n, k):
-        raise ValueError(f"expected a {n} x {k} table")
-    return TruthTable(arr)
+    def bit_row(fields):
+        row = [int(v) for v in fields]
+        if not set(row) <= {0, 1}:
+            raise ValueError("truth table entries must be 0 or 1")
+        return row
+
+    _, rows = _read_rows(path, "N K", lambda t: (None, int(t[0]), int(t[1])), bit_row)
+    return TruthTable(rows)
 
 
 def _ceil_log2(x: int) -> int:
@@ -109,9 +120,9 @@ class OracleHandle:
     """A truth table bound to a query ledger, with the padded register view
     used by every quantum application."""
 
-    def __init__(self, table: TruthTable, ledger: QueryLedger | None = None):
+    def __init__(self, table: TruthTable):
         self.table = table
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
         self.n = _ceil_log2(table.n_rows)
         self.k = _ceil_log2(table.n_cols)
         dn, dk = 1 << self.n, 1 << self.k
@@ -133,10 +144,6 @@ class OracleHandle:
 
     def layout(self, l: int = 0, scratch: bool = False) -> RegisterLayout:
         return RegisterLayout(self.n, self.k, l, 1 if scratch else 0)
-
-    def solution_mask(self) -> np.ndarray:
-        """Unmetered column-AND over the true table (test/diagnostic oracle)."""
-        return self.table.bits.all(axis=0)
 
     # -- flat-index caches -------------------------------------------------
 
@@ -197,12 +204,7 @@ def apply_phase_oracle(
             raise ValueError("oracle controls must lie above the data/plane registers")
     idx = handle._f_one_indices(state.num_qubits, cs)
     state.amps[idx] *= -1.0
-    if cs:
-        handle.ledger.record("controlled_phase_oracle")
-        handle.ledger.record("bit_oracle", 2 ** len(cs))
-    else:
-        handle.ledger.record("phase_oracle")
-        handle.ledger.record("bit_oracle")
+    handle.ledger.charge(1, controls=len(cs))
     return state
 
 

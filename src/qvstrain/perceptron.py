@@ -9,6 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Planted clusters have radius CLUSTER_RADIUS_FACTOR * gamma; each point gets
+# at most MAX_TRIES_PER_POINT rejection-sampling draws.
+CLUSTER_RADIUS_FACTOR = 4.0
+MAX_TRIES_PER_POINT = 1000
+
 
 @dataclass(frozen=True, eq=False)
 class DataPoint:
@@ -141,13 +146,11 @@ def generate_planted_dataset(
     dim: int,
     gamma: float,
     rng_seed,
-    cluster_radius_factor: float = 4.0,
-    max_tries_per_point: int = 1000,
 ) -> tuple[Dataset, Hyperplane]:
     """Dataset labeled by a planted unit-norm hyperplane whose geometric
     margin is at least ``gamma``.
 
-    Points form two clusters of radius ``cluster_radius_factor * gamma``
+    Points form two clusters of radius ``CLUSTER_RADIUS_FACTOR * gamma``
     centered on either side of the plane, then rejection-sampled so that no
     point lies within ``gamma`` of it.  Keeping the cluster spread
     proportional to gamma keeps the Gaussian version-space hit rate scaling
@@ -161,12 +164,12 @@ def generate_planted_dataset(
     w = rng.standard_normal(dim)
     w /= np.linalg.norm(w)
     b = float(rng.uniform(-0.3, 0.3) * gamma)
-    rho = cluster_radius_factor * gamma
+    rho = CLUSTER_RADIUS_FACTOR * gamma
     # Cluster centers sit at signed distance +-(gamma + rho) from the plane.
     centers = ((gamma + rho - b) * w, (-(gamma + rho) - b) * w)
     points = []
     for _ in range(n_points):
-        for _ in range(max_tries_per_point):
+        for _ in range(MAX_TRIES_PER_POINT):
             center = centers[int(rng.random() < 0.5)]
             direction = rng.standard_normal(dim)
             direction /= np.linalg.norm(direction)
@@ -178,7 +181,7 @@ def generate_planted_dataset(
                 break
         else:
             raise RuntimeError(
-                f"rejection sampling exhausted after {max_tries_per_point} tries; "
+                f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries; "
                 f"gamma={gamma} is infeasible for this geometry"
             )
     return Dataset(points, claimed_margin=gamma), Hyperplane(w, b)
@@ -196,17 +199,41 @@ def save_dataset(data: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset(path) -> Dataset:
+def _read_rows(path, header: str, shape, parse_row):
+    """Strict reader of the package's text formats: the ``header`` line,
+    exactly the rows ``shape(header tokens) = (value, rows, fields per row)``
+    declares, each parsed by ``parse_row``, then only blank lines.  Returns
+    ``(value, parsed rows)``; a defect raises a ValueError naming its line."""
     with open(path) as fh:
-        tokens = fh.readline().split()
-        if len(tokens) != 3:
-            raise ValueError("dataset header must be 'N M gamma'")
-        n, m, gamma = int(tokens[0]), int(tokens[1]), float(tokens[2])
-        points = []
-        for _ in range(n):
-            parts = fh.readline().split()
-            if len(parts) != m + 1:
-                raise ValueError(f"expected {m} coordinates plus a label")
-            x = np.array([float(v) for v in parts[:m]])
-            points.append(DataPoint(x, int(parts[m])))
+        lines = [line.split() for line in fh.read().splitlines()] or [[]]
+    line = 1
+    try:
+        if len(lines[0]) != len(header.split()):
+            raise ValueError(f"header must be '{header}'")
+        value, count, width = shape(lines[0])
+        if count < 1 or width < 1:
+            raise ValueError(f"the counts in '{header}' must be positive")
+        rows = []
+        for line in range(2, count + 2):
+            if line > len(lines):
+                raise ValueError(f"missing row {line - 1} of {count}")
+            if len(lines[line - 1]) != width:
+                raise ValueError(f"expected {width} fields, got {len(lines[line - 1])}")
+            rows.append(parse_row(lines[line - 1]))
+        for line in range(count + 2, len(lines) + 1):
+            if lines[line - 1]:
+                raise ValueError(f"content after the {count} declared rows")
+    except ValueError as exc:
+        raise ValueError(f"line {line}: {exc}") from None
+    return value, rows
+
+
+def load_dataset(path) -> Dataset:
+    def shape(tokens):
+        return float(tokens[2]), int(tokens[0]), int(tokens[1]) + 1
+
+    def point(fields):
+        return DataPoint(np.array([float(v) for v in fields[:-1]]), int(fields[-1]))
+
+    gamma, points = _read_rows(path, "N M gamma", shape, point)
     return Dataset(points, claimed_margin=gamma)

@@ -28,12 +28,11 @@ GROWTH = 6.0 / 5.0
 @dataclass(frozen=True)
 class BEQConfig:
     """Knobs of the bounded-error search: odd majority-vote width for
-    candidate verification, number of full cutoff schedules to run before
-    giving up, and the seed used when none is passed explicitly."""
+    candidate verification and number of full cutoff schedules to run
+    before giving up."""
 
     verify_repeats: int = 15
     max_rounds: int = 3
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.verify_repeats < 3 or self.verify_repeats % 2 == 0:
@@ -81,15 +80,18 @@ def _schedule(k: int, passes: int):
 
 def _normalize_marked(k: int, marked) -> np.ndarray:
     """Only a predicate or a bool array of length 2**k is a mask; any other
-    collection lists the marked indices."""
+    collection lists the marked indices, each in [0, 2**k)."""
     size = 1 << k
     if callable(marked):
         return np.array([bool(marked(j)) for j in range(size)])
     arr = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
     if arr.dtype == bool and arr.shape == (size,):
         return arr.copy()
+    idx = arr.astype(np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ValueError(f"marked indices must lie in [0, {size}), got {arr.tolist()}")
     flags = np.zeros(size, dtype=bool)
-    flags[arr.astype(np.int64)] = True
+    flags[idx] = True
     return flags
 
 
@@ -142,11 +144,11 @@ class SimAndSearchOracle:
     charges each run through :func:`meter_sim_and`.
     """
 
-    def __init__(self, handle: OracleHandle, l: int | None = None):
+    def __init__(self, handle: OracleHandle):
         self.handle = handle
         self.n = handle.n
         self.k = handle.k
-        self.l = l_bits(handle.n) if l is None else l
+        self.l = l_bits(handle.n)
         dim = (1 << self.l) * (1 << self.k) * (1 << self.n)
         self._state = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
         self._marginals = [self._plane_marginal(self._state)]
@@ -203,8 +205,7 @@ def bounded_error_search(
     AND-simulation circuit both as the (imperfect) Grover reflection and,
     through majority-voted phase-kickback shots, as the verifier of each
     measured candidate."""
-    seed = rng_seed if rng_seed is not None else cfg.rng_seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng_seed)
     ledger = QueryLedger()
     rounds = 0
     iterations = 0
@@ -236,8 +237,7 @@ def multi_criterion_search(
     """Find j with f(i, j) = 1 for every data row i, with bounded error on
     both the Found and NotFound branches."""
     cfg = cfg if cfg is not None else BEQConfig()
-    oracle = SimAndSearchOracle(handle)
-    return bounded_error_search(oracle, cfg, rng_seed)
+    return bounded_error_search(SimAndSearchOracle(handle), cfg, rng_seed)
 
 
 @dataclass
@@ -265,6 +265,7 @@ def train_perceptron(
     classification oracle and search it for a version-space member.  On
     NotFound the result distinguishes "no sampled plane separates the data"
     from "the search missed one" via an unmetered table scan."""
+    from .baselines import brute_force_g  # baselines imports this module
     gamma = data.claimed_margin
     K = required_sample_count(gamma, epsilon, c)
     rng = np.random.default_rng(rng_seed)
@@ -274,6 +275,6 @@ def train_perceptron(
     outcome = multi_criterion_search(handle, cfg, search_seed)
     if outcome.found and outcome.index < K:
         return TrainResult(plane=planes[outcome.index], outcome=outcome, sampled=K)
-    kind = "search" if handle.solution_mask().any() else "sampling"
+    kind = "search" if brute_force_g(handle).any() else "sampling"
     return TrainResult(plane=None, outcome=outcome, sampled=K, failure_kind=kind)
 

@@ -19,8 +19,6 @@ import numpy as np
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-NORM_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -98,13 +96,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def check_norm(self, atol: float = NORM_ATOL) -> None:
-        if abs(self.norm() - 1.0) > atol:
-            raise AssertionError(f"state norm drifted to {self.norm()}")
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 def new_uniform(layout: RegisterLayout, fixed_j: int | None = None) -> StateVector:

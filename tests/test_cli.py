@@ -4,17 +4,26 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qvstrain
 
-from qvstrain.andor import AndOrInstance, save_instance
+from qvstrain.andor import AndOrInstance, load_instance, save_instance
 from qvstrain.baselines import classical_version_space_search
 from qvstrain.cli import _single_solution_instance, main
-from qvstrain.oracles import OracleHandle, from_perceptron
-from qvstrain.perceptron import load_dataset
+from qvstrain.oracles import (
+    OracleHandle,
+    TruthTable,
+    from_perceptron,
+    load_truth_table,
+    save_truth_table,
+)
+from qvstrain.perceptron import DataPoint, Dataset, load_dataset, save_dataset
 
 from .conftest import FIXTURE_BITS
 
@@ -167,8 +176,6 @@ class TestAndor:
         assert summary["agreement_fraction"] >= 2 / 3
 
     def test_table_mode_runs_oracle_only_experiment(self, tmp_path):
-        from qvstrain.oracles import TruthTable, save_truth_table
-
         path = tmp_path / "table.txt"
         save_truth_table(TruthTable(FIXTURE_BITS), path)
         rc, out = run_cli("andor", "--table", str(path), "--seed", "6")
@@ -212,6 +219,62 @@ class TestGenDataset:
         assert rc == 2
 
 
+def run_cli_process(*argv) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(qvstrain.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestStrictLoaders:
+    # loader -> (argv before the file path, a valid file)
+    CASES = {
+        "table": (("andor", "--seed", "1", "--table"), "2 2\n1 1\n1 1\n"),
+        "instance": (("andor", "--seed", "1", "--file"), "2 2\n1111\n"),
+        "dataset": (("train", "--seed", "1", "--dataset"), "2 1 0.5\n1.0 1\n-1.0 -1\n"),
+    }
+
+    @pytest.mark.parametrize("loader", list(CASES))
+    def test_defects_exit_2_naming_the_line(self, loader, tmp_path):
+        argv, good = self.CASES[loader]
+        lines = good.splitlines()
+        last = len(lines)
+        defects = {
+            "missing row": (lines[:-1], last),
+            "wrong field count": (lines[:-1] + [lines[-1] + " 1"], last),
+            "trailing content": (lines + ["0 0", "garbage"], last + 1),
+        }
+        path = tmp_path / "input.txt"
+        path.write_text(good)
+        assert run_cli(*argv, str(path))[0] == 0
+        for defect, (body, line) in defects.items():
+            path.write_text("\n".join(body) + "\n")
+            proc = run_cli_process(*argv, str(path))
+            assert proc.returncode == 2, defect
+            assert "Traceback" not in proc.stderr, defect
+            assert proc.stderr.startswith(f"{argv[0]}: line {line}: "), (defect, proc.stderr)
+
+    @given(seed=st.integers(0, 2**31))
+    def test_save_load_round_trip_bit_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        table = TruthTable((rng.random((rows, cols)) < 0.5).astype(np.uint8))
+        inst = AndOrInstance(rows, cols, table.bits.T.reshape(-1))
+        data = Dataset([DataPoint(rng.standard_normal(cols), int(rng.choice([-1, 1])))
+                        for _ in range(rows)], claimed_margin=float(rng.uniform(1e-3, 1.0)))
+        formats = ((save_truth_table, load_truth_table, table),
+                   (save_instance, load_instance, inst),
+                   (save_dataset, load_dataset, data))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.txt"), os.path.join(tmp, "second.txt")
+            for save, load, obj in formats:
+                save(obj, first)
+                save(load(first), second)
+                with open(first) as a, open(second) as b:
+                    assert a.read() == b.read()
+
+
 class TestCountsBelowOne:
     @pytest.mark.parametrize("argv", [
         ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "0", "--seed", "1"),
@@ -219,11 +282,7 @@ class TestCountsBelowOne:
         ("andor", "--random", "4,4,0", "--seed", "1"),
     ], ids=["train-trials", "sweep-trials", "andor-random-count"])
     def test_exit_2_without_traceback(self, argv):
-        src = os.path.dirname(os.path.dirname(qvstrain.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"{argv[0]}: ")

@@ -146,6 +146,19 @@ class TestPhaseOracle:
         snap = fixture_handle.ledger.snapshot()
         assert snap["phase_oracle"] == 1 and snap["bit_oracle"] == 1
 
+    def test_two_controls_cost_four_bits(self, fixture_handle):
+        layout = fixture_handle.layout(l=2)
+        state = new_uniform(layout)
+        ref = state.amps.copy()
+        apply_phase_oracle(state, layout, fixture_handle, controls=layout.phase_qubits)
+        assert fixture_handle.ledger.snapshot() == {
+            "bit_oracle": 4, "phase_oracle": 0, "controlled_phase_oracle": 1, "classical_f": 0,
+        }
+        # only the sector with both phase bits set picks up (-1)**f
+        flipped = ref.reshape(4, 4, 4).copy()
+        flipped[3] *= fixture_handle.signs
+        np.testing.assert_allclose(state.amps, flipped.reshape(-1), atol=1e-12)
+
 
 class TestControlledPhaseOracle:
     def test_control_zero_is_identity(self, fixture_handle):
@@ -224,6 +237,16 @@ class TestLedger:
         }
         with pytest.raises(ValueError):
             ledger.record("bit_oracle", -1)
+
+    @pytest.mark.parametrize("controls,expected", [
+        (0, {"bit_oracle": 3, "phase_oracle": 3, "controlled_phase_oracle": 0}),
+        (1, {"bit_oracle": 6, "phase_oracle": 0, "controlled_phase_oracle": 3}),
+        (2, {"bit_oracle": 12, "phase_oracle": 0, "controlled_phase_oracle": 3}),
+    ])
+    def test_charge_doubles_bits_per_control(self, controls, expected):
+        ledger = QueryLedger()
+        ledger.charge(3, controls=controls)
+        assert ledger.snapshot() == {**expected, "classical_f": 0}
 
 
 class TestTableIO:

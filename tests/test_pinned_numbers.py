@@ -86,3 +86,28 @@ def test_sweep_rows_pinned():
     ]
     assert fit[:-1] == ["fit", "", "", "0.2", "3", "", "", "", "", "N"]
     assert float(fit[-1]) == pytest.approx(math.log(4092 / 3968) / math.log(2), rel=1e-12)
+
+
+def test_verify_suite_rows_pinned():
+    out = run(("verify", "--seed", "7", "--tables", "10", "--n-max", "4",
+               "--identity-tables", "5", "--gap-n-max", "9"))
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"checked": 56, "forced_low_precision": False, "suite": "sign_and_fidelity",
+         "violations": 0},
+        {"checked": 1022, "suite": "phase_gap_bound", "violations": 0},
+        {"checked": 5, "suite": "controlled_oracle_identity", "violations": 0},
+        {"ok": True, "summary": True},
+    ]
+
+
+def test_verify_fault_violation_count_pinned():
+    # the fidelities of the violation rows are left unpinned: they sit at
+    # rounding level of the readout (e.g. 0 vs 5e-32) and are not a count
+    buf = io.StringIO()
+    assert main(["verify", "--seed", "1", "--tables", "8", "--n-max", "4",
+                 "--inject-precision-fault"], out=buf) == 1
+    suite, *detail, summary = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert suite == {"checked": 32, "forced_low_precision": True,
+                     "suite": "sign_and_fidelity", "violations": 15}
+    assert len(detail) == 10 and all(r["violation"] == "sign_and_fidelity" for r in detail)
+    assert summary == {"ok": False, "summary": True}

@@ -44,6 +44,13 @@ class TestGroverSearchUnknownM:
         mask = np.array([False, True])
         assert _normalize_marked(1, mask).tolist() == [False, True]
 
+    def test_index_outside_range_raises(self):
+        # -1 would silently mark the last item and 4 would be a bare IndexError
+        for bad in ([-1], [4], [0, 4]):
+            with pytest.raises(ValueError, match=r"\[0, 4\)"):
+                _normalize_marked(2, bad)
+        assert not _normalize_marked(2, []).any()
+
     def test_none_marked(self):
         out = grover_search_unknown_m(3, set(), rng_seed=1)
         assert not out.found and out.result == -1
