@@ -3,9 +3,27 @@ estimation of its rotation angle, and the AND-simulation circuit that turns
 "column j is all ones" into a Grover phase with bounded error.
 
 The circuits here never measure; readouts are exact amplitude diagnostics.
-Implementation uses a structured dense path (sector views of the packed
-state, a mean-based diffusion update, FFT Fourier transforms) that is
-cross-checked in the tests against the generic gate-by-gate engine.
+The production kernels are closed forms in the spectrum of the data-register
+Grover operator G = D S (oracle signs S, then the diffusion D).  On column j
+with b_j ones out of 2**n rows (padded rows count as ones), G rotates
+span{1_{f=0}, 1_{f=1}} by 2 theta_j, sin theta_j = sqrt(b_j / 2**n), and acts
+as -1 on the zero-sum vectors of the f=0 rows and +1 on those of the f=1
+rows.  The AND-simulation is phase estimation, a sign flip of the 10..0
+readout, then uncompute, so with w_r = (-1)**r / sqrt(2**l)
+
+    SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda,
+    u_lambda,r = w_r lambda**(-r),
+
+over the eigenvalues lambda and eigenprojections Pi_lambda of G
+(:func:`_sim_and_flat`, O(2**(l+k+n)) work in place).  The phase readout on
+the uniform input is the Fejer-kernel law of amplitude estimation,
+1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
+(:func:`phase_register_distribution`), and ``sim_and_overlap`` reads
+<in|SimAnd|in> = 1 - 2 P(readout = 10..0) off it, so the diagnostics run no
+simulation.  The literal circuit, the controlled-Grover ladder with FFT
+Fourier transforms on sector views of the packed state, runs the public
+``phase_estimate[_inverse]`` and is the reference the tests check the closed
+forms against, while the generic gate-by-gate engine checks the ladder.
 
 Metering rule: the private ``_*_flat`` kernels only move amplitudes and
 never touch a ledger.  The ledger is charged where an algorithm logically
@@ -15,10 +33,7 @@ and ``sim_and`` once each by their closed-form cost
 (:func:`meter_phase_estimate`, :func:`meter_sim_and`), and
 ``quantum_count`` once per shot.  The exact-amplitude diagnostics
 ``sim_and_overlap``, ``g_tilde_readout`` and ``phase_register_distribution``
-charge nothing.  The AND-simulation is phase estimation, a sign flip of
-the 10..0 readout, then uncompute, so ``sim_and_overlap`` reads
-<in|SimAnd|in> = 1 - 2 P(readout = 10..0) off the one phase-estimation
-readout instead of running the AND-simulation.
+charge nothing.
 """
 
 from __future__ import annotations
@@ -117,12 +132,68 @@ def _ladder_flat(amps, n, k, l, signs, inverse: bool) -> None:
             _grover_flat(amps, n, k, signs, control_offset=t, inverse=inverse)
 
 
+def _rotation_angles(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a (columns, 2**n) sign matrix: the number of f = 1 rows
+    and the Grover angle theta with sin theta = sqrt(ones / 2**n)."""
+    ones = (signs < 0).sum(axis=-1)
+    return ones, np.arcsin(np.sqrt(ones / signs.shape[-1]))
+
+
 def _sim_and_flat(amps, n, k, l, signs) -> None:
-    _ladder_flat(amps, n, k, l, signs, inverse=False)
-    _fourier_top(amps, l, inverse=True)
-    amps.reshape(1 << l, -1)[1 << (l - 1)] *= -1.0  # flip the s = 10..0 readout
-    _fourier_top(amps, l, inverse=False)
-    _ladder_flat(amps, n, k, l, signs, inverse=True)
+    """SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda in place.
+
+    Per column: the -1 eigenspace (zero-sum part of the f=0 rows) pairs with
+    u_r = 1/sqrt(2**l), so it subtracts 2/2**l times the plain sum over r;
+    the +1 eigenspace (zero-sum part of the f=1 rows) pairs with u_r = w_r,
+    the alternating sum; the rotation plane is handled in its eigenbasis
+    x = alpha + i beta (lambda = e^{2i theta}), y = alpha - i beta
+    (lambda = e^{-2i theta}), with alpha, beta the normalized f=0 and f=1
+    row sums.  Temporaries are O(2**(l+k) + 2**(k+n)); the correction is
+    added one phase row at a time."""
+    dl, dn = 1 << l, 1 << n
+    psi = amps.reshape(dl, 1 << k, dn)
+    is_one = signs < 0
+    ones, theta = _rotation_angles(signs)
+    zeros = dn - ones
+    inv_a = np.divide(1.0, np.sqrt(zeros), out=np.zeros(theta.shape), where=zeros > 0)
+    inv_b = np.divide(1.0, np.sqrt(ones), out=np.zeros(theta.shape), where=ones > 0)
+    # (r, j) sums over the f=0 rows (a) and the f=1 rows (b); the plain sum
+    # less the signed sum is twice the f=1 part
+    total = psi.sum(axis=2)
+    sum_b = 0.5 * (total - np.einsum("rji,ji->rj", psi, signs))
+    sum_a = total - sum_b
+    del total
+    r = np.arange(dl)[:, None]
+    parity = 1.0 - 2.0 * (r & 1)
+    mu = parity * np.exp(2j * r * theta)  # (-e^{2i theta})**r = sqrt(2**l) w_r lambda**r
+    mu_bar = mu.conj()
+    # sqrt(2**(l+1)) times the rotation-plane amplitudes on <u_lambda|
+    kx = inv_a * np.einsum("rj,rj->j", mu, sum_a) + 1j * inv_b * np.einsum("rj,rj->j", mu, sum_b)
+    ky = inv_a * np.einsum("rj,rj->j", mu_bar, sum_a) - 1j * inv_b * np.einsum(
+        "rj,rj->j", mu_bar, sum_b
+    )
+    mean_a = sum_a.sum(axis=0) * inv_a**2
+    mean_b = np.einsum("r,rj->j", parity[:, 0], sum_b) * inv_b**2
+    del sum_a, sum_b
+    dx = mu_bar * kx
+    dy = mu * ky
+    c = 2.0 / dl
+    shift_a = c * (mean_a - 0.5 * inv_a * (dx + dy))
+    shift_b = c * (parity * mean_b - 0.5j * inv_b * (dy - dx))
+    del mu, mu_bar, dx, dy
+    # f=0 rows lose c times the plain sum over r, f=1 rows c times the
+    # alternating sum, signed by the parity of r
+    plain = psi.sum(axis=0)
+    alt = psi[0::2].sum(axis=0)
+    alt -= psi[1::2].sum(axis=0)
+    plain *= -c
+    alt *= -c
+    rows = (np.where(is_one, alt, plain), np.where(is_one, np.negative(alt, out=alt), plain))
+    del plain, alt
+    for t in range(dl):
+        row = psi[t]
+        row += rows[t & 1]
+        row += np.where(is_one, shift_b[t, :, None], shift_a[t, :, None])
 
 
 # -- public operations ---------------------------------------------------------
@@ -201,8 +272,9 @@ def sim_and(state: StateVector, layout: RegisterLayout, handle: OracleHandle) ->
 
     On each |j> component the output is approximately (-1)**g~(j) times the
     input, where g~(j) agrees with the column-AND g(j) with probability at
-    least 2/3, exactly when g(j) = 1.  Costs exactly 4 * (2**l - 1) bit
-    queries regardless of the table.
+    least 2/3, exactly when g(j) = 1.  Applied in closed form from the
+    Grover spectrum (:func:`_sim_and_flat`); costs exactly 4 * (2**l - 1)
+    bit queries regardless of the table.
     """
     _check(state, layout, handle)
     if layout.l < 1:
@@ -243,17 +315,24 @@ def phase_register_distribution(
     j: int, handle: OracleHandle, l: int | None = None
 ) -> np.ndarray:
     """Exact readout distribution of the phase register after phase
-    estimation on hyperplane j.  Charges nothing."""
+    estimation on hyperplane j from the uniform data register: the uniform
+    state has weight 1/2 on each rotation eigenvector e^{+-2i theta_j}, so
+    P(s) = 1/2 Fejer(s | theta_j/pi) + 1/2 Fejer(s | 1 - theta_j/pi), with
+    Fejer(s | phi) = |2**-l sum_r e^{2 pi i r (phi - s/2**l)}|**2.  Runs no
+    circuit and charges nothing."""
     if not (0 <= j < (1 << handle.k)):
         raise ValueError(f"hyperplane index {j} out of range")
     if l is None:
         l = l_bits(handle.n)
-    dn, dl = 1 << handle.n, 1 << l
-    signs = handle.signs[j : j + 1]
-    amps = np.full(dl * dn, 1.0 / math.sqrt(dl * dn), dtype=np.complex128)
-    _ladder_flat(amps, handle.n, 0, l, signs, inverse=False)
-    _fourier_top(amps, l, inverse=True)
-    return np.abs(amps.reshape(dl, dn)) ** 2 @ np.ones(dn)
+    if l < 1:
+        raise ValueError("phase estimation needs a phase register")
+    dl = 1 << l
+    _, theta = _rotation_angles(handle.signs[j])
+    # phase-register state of each branch lambda = e^{+-2i theta} after the
+    # ladder, sum_r lambda**r |r> / sqrt(2**l), then the inverse Fourier transform
+    branches = np.exp(np.outer((2j, -2j), np.arange(dl) * theta)) / math.sqrt(dl)
+    readout = np.fft.fft(branches, axis=1) / math.sqrt(dl)
+    return 0.5 * (np.abs(readout) ** 2).sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,20 @@ multi-criterion search, and the end-to-end version-space trainer.
 
 Within one search run the unitary pieces are deterministic, so iterated
 states and verification overlaps are computed once per table and reused
-across Monte Carlo repetitions.  The amplitude kernels and the overlap
-diagnostic charge nothing; the search alone charges the ledger, by the
-closed-form cost of what each run logically performs: one AND-simulation
-per Grover iteration and one controlled AND-simulation per verification
-shot (:func:`meter_sim_and`).
+across Monte Carlo repetitions.  Each iteration applies the AND-simulation
+in its closed form from the Grover spectrum, SimAnd = I - 2 sum_lambda
+|u_lambda><u_lambda| (x) Pi_lambda (see :mod:`qvstrain.counting`), so no
+Grover step is executed; a verification shot votes with the probability
+(1 - Re <in|SimAnd|in>) / 2, read off the Fejer-kernel phase readout.  The
+amplitude kernels and the overlap diagnostic charge nothing; the search
+alone charges the ledger, by the closed-form cost of what each run
+logically performs: one AND-simulation per Grover iteration and one
+controlled AND-simulation per verification shot (:func:`meter_sim_and`).
+
+The search holds one dense state of 2**(l+k+n) complex amplitudes
+(16 bytes each) plus O(2**(l+k) + 2**(k+n)) temporaries; a search whose
+state would exceed ``MAX_STATE_BYTES`` is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .oracles import OracleHandle, QueryLedger, from_perceptron
 from .perceptron import Dataset, Hyperplane, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
+MAX_STATE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,11 @@ class SimAndSearchOracle:
         self.k = handle.k
         self.l = l_bits(handle.n)
         dim = (1 << self.l) * (1 << self.k) * (1 << self.n)
+        if 16 * dim > MAX_STATE_BYTES:
+            raise ValueError(
+                f"the search state needs {16 * dim} bytes (2**{self.l + self.k + self.n} "
+                f"amplitudes), over the limit of {MAX_STATE_BYTES} bytes"
+            )
         self._state = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
         self._marginals = [self._plane_marginal(self._state)]
         self._kick: dict[int, float] = {}

@@ -219,12 +219,13 @@ class TestGenDataset:
         assert rc == 2
 
 
-def run_cli_process(*argv) -> subprocess.CompletedProcess:
+def run_cli_process(*argv, preexec_fn=None) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(qvstrain.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=preexec_fn)
 
 
 class TestStrictLoaders:
@@ -286,3 +287,20 @@ class TestCountsBelowOne:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"{argv[0]}: ")
+
+
+class TestStateSizeLimit:
+    def test_oversized_search_exits_2_before_allocating(self):
+        # n = 11, k = 9, l = 9: 2**29 amplitudes, 8 GiB.  The child may map
+        # at most 1 GiB, so allocating the state would end in a MemoryError
+        # traceback instead of the usage error.
+        def cap_address_space():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = run_cli_process("andor", "--random", "2048,512,1", "--seed", "0",
+                               preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("andor: ")
+        assert str(16 << 29) in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvstrain.counting import (
+    _sim_and_flat,
     phase_gap_bound_check,
     controlled_sim_and_query_cost,
     g_tilde_readout,
@@ -27,6 +29,7 @@ from qvstrain.statevec import (
     apply_open_controlled_z,
     apply_phase_flip_all_zero,
     apply_qft,
+    StateVector,
     inner_product,
     new_uniform,
 )
@@ -62,6 +65,84 @@ def reference_overlap(n: int, L: int, l: int) -> float:
     """<in|SimAnd|in> = 1 - 2 P(s = 10..0), exact for the measurement-free
     circuit."""
     return 1.0 - 2.0 * reference_distribution(n, L, l)[1 << (l - 1)]
+
+
+def random_kernel_table(rng) -> OracleHandle:
+    """1-16 x 1-8 table, so rows and columns are often padded, with an
+    all-ones and an all-zeros column forced in at random."""
+    rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 9))
+    bits = (rng.random((rows, cols)) < rng.uniform(0.0, 1.0)).astype(np.uint8)
+    if rng.random() < 0.5:
+        bits[:, int(rng.integers(0, cols))] = 1
+    if rng.random() < 0.5:
+        bits[:, int(rng.integers(0, cols))] = 0
+    return OracleHandle(TruthTable(bits))
+
+
+def kernel_widths(handle) -> set[int]:
+    return {l_bits(handle.n), max(1, math.ceil(handle.n / 2))}
+
+
+class TestSpectralKernels:
+    """The closed forms from the Grover spectrum against the literal circuit:
+    the controlled-Grover ladder of ``phase_estimate[_inverse]``, which the
+    gate-level tests below check in turn."""
+
+    @given(seed=st.integers(0, 2**31))
+    def test_sim_and_equals_reference_composition(self, seed):
+        rng = np.random.default_rng(seed)
+        handle = random_kernel_table(rng)
+        for l in kernel_widths(handle):
+            layout = handle.layout(l=l)
+            size = 1 << layout.num_qubits
+            amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            state = StateVector(layout.num_qubits, amps / np.linalg.norm(amps))
+            ref = state.copy()
+            phase_estimate(ref, layout, handle)
+            apply_open_controlled_z(ref, layout.phase_msb, layout.phase_qubits[:-1])
+            phase_estimate_inverse(ref, layout, handle)
+            sim_and(state, layout, handle)
+            assert np.abs(state.amps - ref.amps).max() < 1e-12
+
+    @given(seed=st.integers(0, 2**31))
+    def test_readout_equals_phase_estimation_marginal(self, seed):
+        rng = np.random.default_rng(seed)
+        handle = random_kernel_table(rng)
+        for l in kernel_widths(handle):
+            layout = handle.layout(l=l)
+            for j in range(1 << handle.k):
+                state = phase_estimate(new_uniform(layout, fixed_j=j), layout, handle)
+                marginal = (np.abs(state.amps.reshape(1 << l, -1)) ** 2).sum(axis=1)
+                got = phase_register_distribution(j, handle, l)
+                assert np.abs(got - marginal).max() < 1e-12
+
+    def test_kernel_peak_allocation_below_half_the_state(self):
+        # n = k = 6, l = 4: 2**16 amplitudes (1 MiB); the ladder's FFT alone
+        # needs a whole-state copy
+        rng = np.random.default_rng(5)
+        handle = OracleHandle(TruthTable((rng.random((64, 64)) < 0.9).astype(np.uint8)))
+        l = 4
+        size = 1 << (l + handle.k + handle.n)
+        assert size == 1 << 16
+        amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            _sim_and_flat(amps, handle.n, handle.k, l, handle.signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < amps.nbytes // 2, f"peak {peak} B against a {amps.nbytes} B state"
+
+
+class TestPhaseRegisterWidth:
+    def test_quantum_count_needs_a_phase_register(self):
+        handle = OracleHandle(TruthTable(np.ones((4, 2), dtype=np.uint8)))
+        with pytest.raises(ValueError, match="needs a phase register"):
+            quantum_count(1, handle, 3, 0, l=0)
+
+    def test_overlap_needs_a_phase_register(self, fixture_handle):
+        with pytest.raises(ValueError, match="needs a phase register"):
+            sim_and_overlap(0, fixture_handle, 0)
 
 
 class TestLBits:

@@ -4,6 +4,7 @@ import pytest
 from qvstrain.counting import controlled_sim_and_query_cost, l_bits, sim_and_query_cost
 from qvstrain.oracles import OracleHandle, TruthTable
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
+from qvstrain import search
 from qvstrain.search import (
     BEQConfig,
     SimAndSearchOracle,
@@ -155,6 +156,14 @@ class TestSimAndSearchOracle:
             return 0
 
         assert full_states(list(vars(oracle).values())) == 1
+
+    def test_state_size_limit_checked_first(self, fixture_handle, monkeypatch):
+        # the fixture needs 2**(4 + 2 + 2) amplitudes of 16 bytes: 4096 B
+        monkeypatch.setattr(search, "MAX_STATE_BYTES", 4096)
+        assert SimAndSearchOracle(fixture_handle).plane_marginal(0).size == 4
+        monkeypatch.setattr(search, "MAX_STATE_BYTES", 4095)
+        with pytest.raises(ValueError, match="needs 4096 bytes"):
+            SimAndSearchOracle(fixture_handle)
 
 
 class TestMultiCriterionSearch:
