@@ -16,13 +16,16 @@ controlled AND-simulation per verification shot (:func:`meter_sim_and`).
 
 The search holds one dense state of 2**(l+k+n) complex amplitudes
 (16 bytes each) plus O(2**(l+k) + 2**(k+n)) temporaries; a search whose
-state would exceed ``MAX_STATE_BYTES`` is refused before anything is
-allocated.
+state would exceed :func:`state_byte_limit` (the machine's physical memory,
+or the process's address-space limit if that is smaller) is refused before
+anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import resource
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +35,14 @@ from .oracles import OracleHandle, QueryLedger, from_perceptron
 from .perceptron import Dataset, Hyperplane, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
-MAX_STATE_BYTES = 1 << 30
+
+
+def state_byte_limit() -> int:
+    """Bytes a search state may take: the machine's physical memory, or the
+    process's address-space limit (RLIMIT_AS) if that is smaller."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
 
 
 @dataclass(frozen=True)
@@ -160,10 +170,11 @@ class SimAndSearchOracle:
         self.k = handle.k
         self.l = l_bits(handle.n)
         dim = (1 << self.l) * (1 << self.k) * (1 << self.n)
-        if 16 * dim > MAX_STATE_BYTES:
+        limit = state_byte_limit()
+        if 16 * dim > limit:
             raise ValueError(
                 f"the search state needs {16 * dim} bytes (2**{self.l + self.k + self.n} "
-                f"amplitudes), over the limit of {MAX_STATE_BYTES} bytes"
+                f"amplitudes), over the limit of {limit} bytes"
             )
         self._state = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
         self._marginals = [self._plane_marginal(self._state)]

@@ -223,6 +223,9 @@ def run_cli_process(*argv, preexec_fn=None) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(qvstrain.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    # one BLAS thread: OpenBLAS reserves a buffer per thread at import, which
+    # on a many-core host would not fit under TestStateSizeLimit's cap
+    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     return subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120,
                           preexec_fn=preexec_fn)
@@ -292,7 +295,8 @@ class TestCountsBelowOne:
 class TestStateSizeLimit:
     def test_oversized_search_exits_2_before_allocating(self):
         # n = 11, k = 9, l = 9: 2**29 amplitudes, 8 GiB.  The child may map
-        # at most 1 GiB, so allocating the state would end in a MemoryError
+        # at most 1 GiB, which bounds the search state on any host, so the
+        # state is refused; allocating it would end in a MemoryError
         # traceback instead of the usage error.
         def cap_address_space():
             import resource

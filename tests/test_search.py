@@ -159,9 +159,9 @@ class TestSimAndSearchOracle:
 
     def test_state_size_limit_checked_first(self, fixture_handle, monkeypatch):
         # the fixture needs 2**(4 + 2 + 2) amplitudes of 16 bytes: 4096 B
-        monkeypatch.setattr(search, "MAX_STATE_BYTES", 4096)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: 4096)
         assert SimAndSearchOracle(fixture_handle).plane_marginal(0).size == 4
-        monkeypatch.setattr(search, "MAX_STATE_BYTES", 4095)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: 4095)
         with pytest.raises(ValueError, match="needs 4096 bytes"):
             SimAndSearchOracle(fixture_handle)
 
