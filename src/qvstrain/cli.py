@@ -36,10 +36,11 @@ from .perceptron import (
     geometric_margin,
     in_version_space,
     load_dataset,
+    required_sample_count,
     sample_hyperplanes,
     save_dataset,
 )
-from .search import BEQConfig, multi_criterion_search, train_perceptron
+from .search import BEQConfig, _require_state_fits, multi_criterion_search, train_perceptron
 from .statevec import new_uniform
 
 
@@ -109,6 +110,9 @@ def cmd_train(args, out) -> int:
         print(f"train: epsilon must be in (0, 1), got {args.epsilon}", file=sys.stderr)
         return 2
     _check_count("--trials", args.trials)
+    if args.dataset is None:
+        K = required_sample_count(args.gamma, args.epsilon, args.c_constant)
+        _require_state_fits(args.n, K)
     cfg = _beq_config(args)
     payloads = [
         (t, args.seed + t, args.dataset, args.n, args.m, args.gamma,
@@ -208,6 +212,8 @@ def _oracle_identity_sweep(rng, tables: int):
 
 
 def cmd_verify(args, out) -> int:
+    for flag in ("--tables", "--n-max", "--k-max", "--gap-n-max", "--identity-tables"):
+        _check_count(flag, getattr(args, flag[2:].replace("-", "_")))
     rng = np.random.default_rng(args.seed)
     fault = bool(args.inject_precision_fault)
     # (suite, sweep, extra row fields), run in order: two share the generator
@@ -283,6 +289,8 @@ def cmd_sweep(args, out) -> int:
         return 2
     _check_count("--trials", args.trials)
     cells = [(n, k) for n in n_grid for k in k_grid]
+    for n_points, n_planes in cells:
+        _require_state_fits(n_points, n_planes)
     writer = csv.writer(out)
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
@@ -338,6 +346,7 @@ def cmd_andor(args, out) -> int:
         return 0
     n, k, count = (int(v) for v in args.random.split(","))
     _check_count("--random COUNT", count)
+    _require_state_fits(n, k)
     rng = np.random.default_rng(args.seed)
     agreements = 0
     for t in range(count):

@@ -20,18 +20,24 @@ the uniform input is the Fejer-kernel law of amplitude estimation,
 1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
 (:func:`phase_register_distribution`), and ``sim_and_overlap`` reads
 <in|SimAnd|in> = 1 - 2 P(readout = 10..0) off it, so the diagnostics run no
-simulation.  The literal circuit, the controlled-Grover ladder with FFT
-Fourier transforms on sector views of the packed state, runs the public
-``phase_estimate[_inverse]`` and is the reference the tests check the closed
-forms against, while the generic gate-by-gate engine checks the ladder.
+simulation.
 
-Metering rule: the private ``_*_flat`` kernels only move amplitudes and
-never touch a ledger.  The ledger is charged where an algorithm logically
-runs a circuit, always through :meth:`QueryLedger.charge`:
-``grover_operator[_inverse]`` once per step, ``phase_estimate[_inverse]``
-and ``sim_and`` once each by their closed-form cost
-(:func:`meter_phase_estimate`, :func:`meter_sim_and`), and
-``quantum_count`` once per shot.  The exact-amplitude diagnostics
+Each circuit thus runs two ways: the closed forms above in production, and
+the gate engine of :mod:`qvstrain.statevec` and :mod:`qvstrain.oracles` as
+their one reference.  ``grover_operator[_inverse]`` is ``apply_phase_oracle``
+plus the data diffusion on the control-1 view of the state, and
+``phase_estimate[_inverse]`` is the ladder of those steps plus the Fourier
+transform on the phase register; the tests check the closed forms against
+them.
+
+Metering rule: the private kernels (``_sim_and_flat``, ``_diffuse_data``)
+only move amplitudes and never touch a ledger.  The ledger is charged where
+an algorithm logically runs a circuit, always through
+:meth:`QueryLedger.charge`: the gate engine per oracle call, so
+``grover_operator[_inverse]`` once per step and ``phase_estimate[_inverse]``
+2**l - 1 times, one singly controlled call per step; ``sim_and`` once by its
+closed-form cost (:func:`meter_sim_and`); and ``quantum_count`` once per
+shot (:func:`meter_phase_estimate`).  The exact-amplitude diagnostics
 ``sim_and_overlap``, ``g_tilde_readout`` and ``phase_register_distribution``
 charge nothing.
 """
@@ -43,8 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import OracleHandle, QueryLedger
-from .statevec import RegisterLayout, StateVector
+from .oracles import OracleHandle, QueryLedger, apply_phase_oracle
+from .statevec import (
+    RegisterLayout,
+    StateVector,
+    _bits,
+    _check_qubits,
+    apply_inverse_qft,
+    apply_qft,
+)
 
 
 def l_bits(n: int) -> int:
@@ -75,61 +88,15 @@ def meter_sim_and(ledger: QueryLedger, l: int, times: int = 1, controlled: bool 
     ledger.charge(times * 2 * ((1 << l) - 1), controls=2 if controlled else 1)
 
 
-# -- structured dense kernels -------------------------------------------------
+# -- amplitude kernels ---------------------------------------------------------
 
 
-def _sector(amps: np.ndarray, dk: int, dn: int, control_offset: int | None):
-    """Writable (..., dk, dn) view of the flat state; with a control offset c
-    (control qubit = n + k + c), only the sector where that bit is 1."""
-    rest = amps.size // (dk * dn)
-    if control_offset is None:
-        return amps.reshape(rest, dk, dn)
-    lo = 1 << control_offset
-    hi = rest // (2 * lo)
-    if hi < 1:
-        raise ValueError("control qubit outside the state")
-    return amps.reshape(hi, 2, lo, dk, dn)[:, 1]
-
-
-def _diffuse_data(view: np.ndarray, d: int, axis: int = -1) -> None:
-    """2|+><+| - I along one register axis of size d (the data axis by
-    default): psi -> (2/d) * sum - psi."""
+def _diffuse_data(view: np.ndarray, d: int, axis=-1) -> None:
+    """2|+><+| - I over the register on ``axis`` (an axis or a tuple of
+    axes, d amplitudes in all): psi -> (2/d) * sum - psi."""
     total = view.sum(axis=axis, keepdims=True)
     np.negative(view, out=view)
     view += total * (2.0 / d)
-
-
-def _grover_flat(
-    amps: np.ndarray,
-    n: int,
-    k: int,
-    signs: np.ndarray,
-    control_offset: int | None = None,
-    inverse: bool = False,
-) -> None:
-    view = _sector(amps, 1 << k, 1 << n, control_offset)
-    if inverse:
-        _diffuse_data(view, 1 << n)
-        view *= signs
-    else:
-        view *= signs
-        _diffuse_data(view, 1 << n)
-
-
-def _fourier_top(amps: np.ndarray, l: int, inverse: bool) -> None:
-    dl = 1 << l
-    block = amps.reshape(dl, -1)
-    if inverse:
-        block[:] = np.fft.fft(block, axis=0) / math.sqrt(dl)
-    else:
-        block[:] = np.fft.ifft(block, axis=0) * math.sqrt(dl)
-
-
-def _ladder_flat(amps, n, k, l, signs, inverse: bool) -> None:
-    order = range(l - 1, -1, -1) if inverse else range(l)
-    for t in order:
-        for _ in range(1 << t):
-            _grover_flat(amps, n, k, signs, control_offset=t, inverse=inverse)
 
 
 def _rotation_angles(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,13 +177,15 @@ def _check(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> 
 
 def _grover_step(state, layout, handle, control, inverse: bool) -> StateVector:
     _check(state, layout, handle)
-    offset = None
-    if control is not None:
-        offset = int(control) - (layout.n + layout.k)
-        if offset < 0:
-            raise ValueError("control must lie above the data/plane registers")
-    _grover_flat(state.amps, layout.n, layout.k, handle.signs, offset, inverse)
-    handle.ledger.charge(1, controls=0 if offset is None else 1)
+    controls = _check_qubits(state, () if control is None else (control,))
+    if any(c < layout.n + layout.k for c in controls):
+        raise ValueError("control must lie above the data/plane registers")
+    if not inverse:
+        apply_phase_oracle(state, layout, handle, controls)
+    # the data qubits are the last n axes of the view
+    _diffuse_data(_bits(state, ones=controls), 1 << layout.n, axis=tuple(range(-layout.n, 0)))
+    if inverse:
+        apply_phase_oracle(state, layout, handle, controls)
     return state
 
 
@@ -241,15 +210,15 @@ def grover_operator_inverse(
 def phase_estimate(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
     """Controlled-Grover ladder (2**t steps controlled on phase qubit t)
     followed by the inverse Fourier transform on the phase register.  The
-    phase register must enter in |+>^l.  Costs exactly 2 * (2**l - 1) bit
-    queries."""
+    phase register must enter in |+>^l.  Each step charges its oracle call,
+    2 * (2**l - 1) bit queries in all."""
     _check(state, layout, handle)
     if layout.l < 1:
         raise ValueError("phase estimation needs a phase register")
-    _ladder_flat(state.amps, layout.n, layout.k, layout.l, handle.signs, inverse=False)
-    _fourier_top(state.amps, layout.l, inverse=True)
-    meter_phase_estimate(handle.ledger, layout.l)
-    return state
+    for t, control in enumerate(layout.phase_qubits):
+        for _ in range(1 << t):
+            grover_operator(state, layout, handle, control)
+    return apply_inverse_qft(state, layout.phase_qubits)
 
 
 def phase_estimate_inverse(
@@ -259,9 +228,10 @@ def phase_estimate_inverse(
     _check(state, layout, handle)
     if layout.l < 1:
         raise ValueError("phase estimation needs a phase register")
-    _fourier_top(state.amps, layout.l, inverse=False)
-    _ladder_flat(state.amps, layout.n, layout.k, layout.l, handle.signs, inverse=True)
-    meter_phase_estimate(handle.ledger, layout.l)
+    apply_qft(state, layout.phase_qubits)
+    for t in reversed(range(layout.l)):
+        for _ in range(1 << t):
+            grover_operator_inverse(state, layout, handle, layout.phase_qubits[t])
     return state
 
 
@@ -286,8 +256,9 @@ def sim_and(state: StateVector, layout: RegisterLayout, handle: OracleHandle) ->
 
 @dataclass(frozen=True)
 class GTildeReadout:
-    """Sign imprinted on one hyperplane component and the squared overlap
-    with the ideal +-|input> outcome."""
+    """Sign imprinted on one hyperplane component (-1, +1, or 0 where the
+    overlap vanishes) and the squared overlap with the ideal +-|input>
+    outcome."""
 
     sign: int
     fidelity: float
@@ -305,9 +276,12 @@ def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> compl
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
     """Deterministic diagnostic of the AND-simulation on hyperplane j:
-    sign of Re <in|out> and |<in|out>|**2.  Charges nothing."""
+    sign of Re <in|out> and |<in|out>|**2.  The sign is 0 where
+    |Re <in|out>| <= 1e-12, the tolerance the kernels are tested to: there
+    the overlap may be 0 in exact arithmetic, and the sign of its computed
+    value would be the sign of a rounding error.  Charges nothing."""
     eta = sim_and_overlap(j, handle, l)
-    sign = -1 if eta.real < 0.0 else +1
+    sign = 0 if abs(eta.real) <= 1e-12 else (-1 if eta.real < 0.0 else +1)
     return GTildeReadout(sign=sign, fidelity=abs(eta) ** 2)
 
 

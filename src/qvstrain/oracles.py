@@ -15,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .perceptron import Dataset, Hyperplane, _read_rows
-from .statevec import RegisterLayout, StateVector, _masked_indices
+from .statevec import RegisterLayout, StateVector, _bits, _check_qubits
 
 LEDGER_TAGS = ("bit_oracle", "phase_oracle", "controlled_phase_oracle", "classical_f")
+
+# amplitudes per batch of basis states in controlled_phase_oracle_identity_gap
+GAP_BLOCK_AMPS = 1 << 12
 
 
 @dataclass
@@ -30,10 +33,11 @@ class QueryLedger:
     flush of its run ledger.
 
     Every charge is made where an algorithm logically runs a circuit: the
-    gate-level oracles here per call; the public counting operations once
-    each by their closed-form cost; ``quantum_count`` per shot; the search
-    per iteration and per verification shot.  Amplitude kernels and exact
-    diagnostics never charge."""
+    gate-level oracles here per call (per row of a batch), and through them
+    the Grover steps and phase estimation of :mod:`qvstrain.counting`;
+    ``sim_and`` once by its closed-form cost; ``quantum_count`` per shot;
+    the search per iteration and per verification shot.  Amplitude kernels
+    and exact diagnostics never charge."""
 
     bit_oracle: int = 0
     phase_oracle: int = 0
@@ -132,7 +136,6 @@ class OracleHandle:
         self.padded = padded
         # (2**k, 2**n) sign matrix (-1)**f, plane-major to match the packing.
         self.signs = (1.0 - 2.0 * padded.T).astype(np.float64)
-        self._fvec = padded.T.reshape(-1).astype(bool)  # index (j << n) | i
 
     @property
     def n_rows(self) -> int:
@@ -145,23 +148,6 @@ class OracleHandle:
     def layout(self, l: int = 0, scratch: bool = False) -> RegisterLayout:
         return RegisterLayout(self.n, self.k, l, 1 if scratch else 0)
 
-    # -- flat-index caches -------------------------------------------------
-
-    def _f_one_indices(self, num_qubits: int, ones: tuple[int, ...], zeros=()):
-        key = (num_qubits, ones, zeros)
-        cache = getattr(self, "_idx_cache", None)
-        if cache is None:
-            cache = self._idx_cache = {}
-        if key not in cache:
-            x = np.arange(1 << num_qubits, dtype=np.int64)
-            keep = self._fvec[x & ((1 << (self.n + self.k)) - 1)].copy()
-            for q in ones:
-                keep &= (x >> q) & 1 == 1
-            for q in zeros:
-                keep &= (x >> q) & 1 == 0
-            cache[key] = np.nonzero(keep)[0]
-        return cache[key]
-
 
 def _check_table_layout(layout: RegisterLayout, handle: OracleHandle) -> None:
     if layout.n != handle.n or layout.k != handle.k:
@@ -171,19 +157,30 @@ def _check_table_layout(layout: RegisterLayout, handle: OracleHandle) -> None:
         )
 
 
+def _rows(state: StateVector) -> int:
+    """States held: 1, or the rows of a batch."""
+    return state.amps.size >> state.num_qubits
+
+
+def _sign_tensor(handle: OracleHandle) -> np.ndarray:
+    """(-1)**f(i, j) with one axis per plane and data qubit, highest first,
+    so it broadcasts against the trailing axes of a :func:`_bits` view."""
+    return handle.signs.reshape((2,) * (handle.n + handle.k))
+
+
 def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
-    """XOR the scratch qubit with f(i, j) on every basis state."""
+    """XOR the scratch qubit with f(i, j) on every basis state.  Each row of
+    a batch is one call."""
     _check_table_layout(layout, handle)
     if layout.scratch_qubit is None:
         raise ValueError("bit oracle needs a scratch qubit in the layout")
     s = layout.scratch_qubit
-    lo = handle._f_one_indices(state.num_qubits, (), zeros=(s,))
-    hi = lo + (1 << s)
-    amps = state.amps
-    tmp = amps[lo].copy()
-    amps[lo] = amps[hi]
-    amps[hi] = tmp
-    handle.ledger.record("bit_oracle")
+    lo, hi = _bits(state, zeros=(s,)), _bits(state, ones=(s,))
+    marked = _sign_tensor(handle) < 0
+    kept = lo.copy()
+    np.copyto(lo, hi, where=marked)
+    np.copyto(hi, kept, where=marked)
+    handle.ledger.record("bit_oracle", _rows(state))
     return state
 
 
@@ -195,16 +192,15 @@ def apply_phase_oracle(
 
     Metering: a plain call is one bit query (phase kickback off a |-> scratch);
     each control layer doubles the underlying bit-oracle count, so one control
-    costs 2 and c controls cost 2**c.
+    costs 2 and c controls cost 2**c.  Each row of a batch is one call.
     """
     _check_table_layout(layout, handle)
-    cs = tuple(sorted(int(c) for c in controls))
-    for c in cs:
-        if c < layout.n + layout.k:
-            raise ValueError("oracle controls must lie above the data/plane registers")
-    idx = handle._f_one_indices(state.num_qubits, cs)
-    state.amps[idx] *= -1.0
-    handle.ledger.charge(1, controls=len(cs))
+    cs = _check_qubits(state, controls)
+    if any(c < layout.n + layout.k for c in cs):
+        raise ValueError("oracle controls must lie above the data/plane registers")
+    view = _bits(state, ones=cs)
+    view *= _sign_tensor(handle)
+    handle.ledger.charge(_rows(state), controls=len(cs))
     return state
 
 
@@ -218,14 +214,13 @@ def apply_controlled_phase_oracle(
     if layout.scratch_qubit is None:
         raise ValueError("controlled phase oracle needs a scratch qubit")
     s = layout.scratch_qubit
-    hot = _masked_indices(state.num_qubits, (s,), ())
-    if np.linalg.norm(state.amps[hot]) > 1e-9:
+    if np.linalg.norm(_bits(state, ones=(s,))) > 1e-9:
         raise AssertionError("scratch qubit must be |0> at entry")
     apply_bit_oracle(state, layout, handle)
-    cz = _masked_indices(state.num_qubits, (int(control), s), ())
-    state.amps[cz] *= -1.0
+    cz = _bits(state, ones=_check_qubits(state, (control, s)))
+    cz *= -1.0
     apply_bit_oracle(state, layout, handle)
-    handle.ledger.record("controlled_phase_oracle")
+    handle.ledger.record("controlled_phase_oracle", _rows(state))
     return state
 
 
@@ -241,19 +236,25 @@ def column_count(handle: OracleHandle, j: int) -> int:
 def controlled_phase_oracle_identity_gap(table: TruthTable) -> float:
     """Worst amplitude difference, over every scratch-|0> basis state,
     between the literal two-bit-oracle-call construction of the controlled
-    phase oracle and the directly applied controlled phase.  The oracle
-    calls are charged to the handle's own throwaway ledger."""
+    phase oracle and the directly applied controlled phase.  The basis
+    states run in batches of at most GAP_BLOCK_AMPS amplitudes through the
+    literal construction and then the direct oracle, its own inverse and a
+    +-1 per amplitude, so what is left off each input is exactly the
+    difference of the two.  The oracle calls are charged to the handle's
+    own throwaway ledger."""
     handle = OracleHandle(table)
     layout = handle.layout(l=1, scratch=True)
     control = layout.phase_qubits[0]
-    scratch = layout.scratch_qubit
+    dim = 1 << layout.num_qubits
+    inputs = dim // 2  # the scratch is the top qubit: x < dim / 2 holds it at |0>
+    rows = max(1, GAP_BLOCK_AMPS // dim)
     gap = 0.0
-    for x in range(1 << layout.num_qubits):
-        if (x >> scratch) & 1:
-            continue
-        built = StateVector.basis(layout.num_qubits, x)
-        direct = StateVector.basis(layout.num_qubits, x)
-        apply_controlled_phase_oracle(built, control, layout, handle)
-        apply_phase_oracle(direct, layout, handle, controls=(control,))
-        gap = max(gap, float(np.max(np.abs(built.amps - direct.amps))))
+    for first in range(0, inputs, rows):
+        basis = np.arange(first, min(first + rows, inputs))
+        state = StateVector(layout.num_qubits, np.zeros((basis.size, dim), dtype=np.complex128))
+        state.amps[np.arange(basis.size), basis] = 1.0
+        apply_controlled_phase_oracle(state, control, layout, handle)
+        apply_phase_oracle(state, layout, handle, controls=(control,))
+        state.amps[np.arange(basis.size), basis] -= 1.0
+        gap = max(gap, float(np.abs(state.amps).max()))
     return gap

@@ -136,9 +136,12 @@ def required_sample_count(gamma: float, epsilon: float, c: float = 2.0) -> int:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    return max(1, math.ceil(c * math.log(1.0 / epsilon) / gamma))
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c}")
+    bound = c * math.log(1.0 / epsilon) / gamma
+    if not math.isfinite(bound):
+        raise ValueError(f"c ln(1/eps) / gamma overflows at c = {c}")
+    return max(1, math.ceil(bound))
 
 
 def generate_planted_dataset(

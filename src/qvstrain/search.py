@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import _diffuse_data, _sim_and_flat, l_bits, meter_sim_and, sim_and_overlap
-from .oracles import OracleHandle, QueryLedger, from_perceptron
+from .oracles import OracleHandle, QueryLedger, _ceil_log2, from_perceptron
 from .perceptron import Dataset, Hyperplane, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
@@ -43,6 +43,19 @@ def state_byte_limit() -> int:
     limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
+
+
+def _require_state_fits(n_rows: int, n_cols: int) -> None:
+    """Refuse, before anything is built, a search over an N x K table whose
+    state of 2**(l+k+n) amplitudes would exceed :func:`state_byte_limit`."""
+    n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
+    qubits = l_bits(n) + k + n
+    limit = state_byte_limit()
+    if 16 << qubits > limit:
+        raise ValueError(
+            f"the search state needs {16 << qubits} bytes (2**{qubits} "
+            f"amplitudes), over the limit of {limit} bytes"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,13 +182,8 @@ class SimAndSearchOracle:
         self.n = handle.n
         self.k = handle.k
         self.l = l_bits(handle.n)
-        dim = (1 << self.l) * (1 << self.k) * (1 << self.n)
-        limit = state_byte_limit()
-        if 16 * dim > limit:
-            raise ValueError(
-                f"the search state needs {16 * dim} bytes (2**{self.l + self.k + self.n} "
-                f"amplitudes), over the limit of {limit} bytes"
-            )
+        _require_state_fits(handle.n_rows, handle.n_cols)
+        dim = 1 << (self.l + self.k + self.n)
         self._state = np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128)
         self._marginals = [self._plane_marginal(self._state)]
         self._kick: dict[int, float] = {}
@@ -294,6 +302,7 @@ def train_perceptron(
     from .baselines import brute_force_g  # baselines imports this module
     gamma = data.claimed_margin
     K = required_sample_count(gamma, epsilon, c)
+    _require_state_fits(data.n_points, K)
     rng = np.random.default_rng(rng_seed)
     plane_seed, search_seed = (int(s) for s in rng.integers(0, 2**63, size=2))
     planes = sample_hyperplanes(K, data.dim, plane_seed)

@@ -7,13 +7,20 @@ basis-state integer, so ``amps[x]`` belongs to the basis state whose qubit
 the order data -> hyperplane -> phase -> scratch.  Inside the phase register
 the most significant readout bit (the one that distinguishes angles >= pi/2)
 sits on the register's highest-order qubit.
+
+Every gate, here and in :mod:`qvstrain.oracles`, acts on one writable view
+(:func:`_bits`): the amplitudes with one axis of size 2 per qubit and the
+control bits sliced in place, so no gate builds or caches an index array.
+A state may hold a batch of B rows, amplitudes of shape (B, 2**q); every
+gate acts on each row alone.  This gate engine is the reference: production
+runs the closed forms of :mod:`qvstrain.counting`, and the tests check those
+closed forms against the gates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,7 +77,9 @@ class RegisterLayout:
 
 
 class StateVector:
-    """Normalized complex amplitudes over ``2**num_qubits`` basis states."""
+    """Normalized complex amplitudes over ``2**num_qubits`` basis states:
+    one state of shape (2**q,), or a batch of states as the rows of a
+    (B, 2**q) array.  ``norm`` and :func:`inner_product` take one state."""
 
     __slots__ = ("num_qubits", "amps")
 
@@ -78,9 +87,10 @@ class StateVector:
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         amps = np.ascontiguousarray(amps, dtype=np.complex128)
-        if amps.shape != (1 << num_qubits,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 1 << num_qubits:
             raise ValueError(
-                f"amplitude array must have length {1 << num_qubits}, got {amps.shape}"
+                f"amplitude array must have shape ({1 << num_qubits},) or "
+                f"(B, {1 << num_qubits}), got {amps.shape}"
             )
         self.num_qubits = num_qubits
         self.amps = amps
@@ -116,20 +126,18 @@ def new_uniform(layout: RegisterLayout, fixed_j: int | None = None) -> StateVect
     return StateVector(layout.num_qubits, amps)
 
 
-@lru_cache(maxsize=512)
-def _masked_indices(
-    num_qubits: int,
-    ones: tuple[int, ...],
-    zeros: tuple[int, ...],
-) -> np.ndarray:
-    """Flat indices whose bits are 1 on ``ones`` and 0 on ``zeros``."""
-    x = np.arange(1 << num_qubits, dtype=np.int64)
-    keep = np.ones(x.size, dtype=bool)
+def _bits(state: StateVector, ones=(), zeros=()) -> np.ndarray:
+    """Writable view of ``state.amps`` with one axis of size 2 per qubit,
+    qubit t on axis -1 - t (a batch keeps its row axis in front).  The
+    axes of the qubits in ``ones`` and ``zeros`` keep size 1, sliced to
+    bit 1 and bit 0, so every qubit stays on its axis."""
+    view = state.amps.reshape(state.amps.shape[:-1] + (2,) * state.num_qubits)
+    index = [slice(None)] * view.ndim
     for q in ones:
-        keep &= (x >> q) & 1 == 1
+        index[-1 - q] = slice(1, 2)
     for q in zeros:
-        keep &= (x >> q) & 1 == 0
-    return np.nonzero(keep)[0]
+        index[-1 - q] = slice(0, 1)
+    return view[tuple(index)]
 
 
 def _check_qubits(state: StateVector, qubits) -> tuple[int, ...]:
@@ -149,14 +157,12 @@ def apply_hadamards(state: StateVector, qubits, controls=()) -> StateVector:
     cs = _check_qubits(state, controls)
     if set(qs) & set(cs):
         raise ValueError("control and target qubits overlap")
-    amps = state.amps
     for q in qs:
-        i0 = _masked_indices(state.num_qubits, cs, (q,))
-        i1 = i0 + (1 << q)
-        a = amps[i0]
-        b = amps[i1]
-        amps[i0] = (a + b) * SQRT1_2
-        amps[i1] = (a - b) * SQRT1_2
+        a, b = _bits(state, cs, (q,)), _bits(state, cs + (q,))
+        total = a + b
+        b -= a
+        b *= -SQRT1_2
+        np.multiply(total, SQRT1_2, out=a)
     return state
 
 
@@ -167,10 +173,8 @@ def apply_phase_flip_all_zero(state: StateVector, qubits, controls=()) -> StateV
     cs = _check_qubits(state, controls)
     if set(qs) & set(cs):
         raise ValueError("control and target qubits overlap")
-    sector = _masked_indices(state.num_qubits, cs, ())
-    state.amps[sector] *= -1.0
-    kept = _masked_indices(state.num_qubits, cs, qs)
-    state.amps[kept] *= -1.0
+    for view in (_bits(state, cs), _bits(state, cs, qs)):
+        view *= -1.0
     return state
 
 
@@ -184,42 +188,24 @@ def apply_open_controlled_z(
     ones = _check_qubits(state, closed_controls)
     if tq in zeros or tq in ones or set(zeros) & set(ones):
         raise ValueError("overlapping target/control qubits")
-    idx = _masked_indices(state.num_qubits, (tq,) + ones, zeros)
-    state.amps[idx] *= -1.0
+    view = _bits(state, (tq,) + ones, zeros)
+    view *= -1.0
     return state
-
-
-@lru_cache(maxsize=128)
-def _register_gather(num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Flat-index permutation g with g[m * 2**l + r] = x, where r is the
-    value of the listed register (qubits[0] least significant) inside x and
-    m enumerates the remaining qubits."""
-    l = len(qubits)
-    rest = tuple(q for q in range(num_qubits) if q not in qubits)
-    x = np.arange(1 << num_qubits, dtype=np.int64)
-    r = np.zeros_like(x)
-    for t, q in enumerate(qubits):
-        r |= ((x >> q) & 1) << t
-    m = np.zeros_like(x)
-    for u, q in enumerate(rest):
-        m |= ((x >> q) & 1) << u
-    g = np.empty_like(x)
-    g[(m << l) | r] = x
-    return g
 
 
 def _fourier_on_register(state: StateVector, qubits, inverse: bool) -> StateVector:
     qs = _check_qubits(state, qubits)
     if not qs:
         raise ValueError("need at least one qubit for the Fourier transform")
-    g = _register_gather(state.num_qubits, qs)
-    dim = 1 << len(qs)
-    block = state.amps[g].reshape(-1, dim)
+    l = len(qs)
+    # register axes last, most significant first, so they flatten to r
+    view = np.moveaxis(_bits(state), [-1 - q for q in reversed(qs)], range(-l, 0))
+    block = view.reshape(view.shape[:-l] + (1 << l,))
     if inverse:
-        block = np.fft.fft(block, axis=1) / math.sqrt(dim)
+        block = np.fft.fft(block, axis=-1) / math.sqrt(1 << l)
     else:
-        block = np.fft.ifft(block, axis=1) * math.sqrt(dim)
-    state.amps[g] = block.ravel()
+        block = np.fft.ifft(block, axis=-1) * math.sqrt(1 << l)
+    view[...] = block.reshape(view.shape)
     return state
 
 

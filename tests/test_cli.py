@@ -112,6 +112,16 @@ class TestVerify:
         assert detail and all("j" in r and "n" in r for r in detail)
 
 
+    def test_zero_overlap_violation_reads_sign_zero(self):
+        rc, out = run_cli("verify", "--inject-precision-fault")
+        assert rc == 1
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows[0]["violations"] == 114
+        (row,) = [r for r in rows if r.get("table") == 2 and r.get("j") == 0]
+        assert (row["l"], row["sign"]) == (1, 0)
+        assert row["fidelity"] < 1e-24
+
+
 class TestSweep:
     def test_degenerate_grid_single_row_no_fit(self):
         rc, out = run_cli("sweep", "--n-grid", "8", "--k-grid", "8",
@@ -284,27 +294,69 @@ class TestCountsBelowOne:
         ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "0", "--seed", "1"),
         ("sweep", "--n-grid", "8", "--k-grid", "4", "--trials", "0", "--seed", "1"),
         ("andor", "--random", "4,4,0", "--seed", "1"),
-    ], ids=["train-trials", "sweep-trials", "andor-random-count"])
+        ("verify", "--identity-tables", "-3", "--tables", "-2", "--gap-n-max", "-1"),
+    ], ids=["train-trials", "sweep-trials", "andor-random-count", "verify-negative-counts"])
     def test_exit_2_without_traceback(self, argv):
         proc = run_cli_process(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"{argv[0]}: ")
 
+    @pytest.mark.parametrize("flag", ["--tables", "--n-max", "--k-max", "--gap-n-max",
+                                      "--identity-tables"])
+    def test_verify_names_the_flag(self, flag):
+        proc = run_cli_process("verify", flag, "0")
+        assert proc.returncode == 2
+        assert proc.stderr == f"verify: {flag} must be >= 1, got 0\n"
+
+
+class TestNonFiniteCConstant:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_exit_2_without_traceback(self, value):
+        proc = run_cli_process("train", "--n", "8", "--m", "2", "--gamma", "0.2",
+                               "--seed", "1", "--c-constant", value)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"train: c must be finite and positive, got {value}")
+
+    def test_overflowing_bound_exits_2_without_traceback(self):
+        proc = run_cli_process("train", "--n", "8", "--m", "2", "--gamma", "0.2",
+                               "--seed", "1", "--c-constant", "1e308")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("train: c ln(1/eps) / gamma overflows at c = 1e+308")
+
+
+def cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
 
 class TestStateSizeLimit:
+    # The child may map at most 1 GiB, which bounds the search state on any
+    # host, so each state below is refused; allocating it, or the planes,
+    # dataset or random bits it is built from, would end in a MemoryError
+    # traceback instead of the usage error.
     def test_oversized_search_exits_2_before_allocating(self):
-        # n = 11, k = 9, l = 9: 2**29 amplitudes, 8 GiB.  The child may map
-        # at most 1 GiB, which bounds the search state on any host, so the
-        # state is refused; allocating it would end in a MemoryError
-        # traceback instead of the usage error.
-        def cap_address_space():
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        # n = 11, k = 9, l = 9: 2**29 amplitudes, 8 GiB
         proc = run_cli_process("andor", "--random", "2048,512,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("andor: ")
         assert str(16 << 29) in proc.stderr
+
+    @pytest.mark.parametrize("argv,qubits", [
+        # K = 2,302,586 planes: n = 6, k = 22, l = 6
+        (("train", "--n", "64", "--m", "2", "--gamma", "0.1", "--c-constant", "100000",
+          "--seed", "1"), 34),
+        # N = 3,000,000 points, K = 47: n = 22, k = 6, l = 14
+        (("train", "--n", "3000000", "--m", "2", "--gamma", "0.1", "--seed", "1"), 42),
+        (("sweep", "--n-grid", "64", "--k-grid", "4194304", "--trials", "1", "--seed", "1"), 34),
+        (("andor", "--random", "64,4194304,1", "--seed", "1"), 34),
+    ], ids=["train-many-planes", "train-many-points", "sweep-cell", "andor-random-bits"])
+    def test_refused_before_its_inputs_are_built(self, argv, qubits):
+        proc = run_cli_process(*argv, preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{argv[0]}: the search state needs {16 << qubits} bytes")

@@ -84,9 +84,10 @@ def kernel_widths(handle) -> set[int]:
 
 
 class TestSpectralKernels:
-    """The closed forms from the Grover spectrum against the literal circuit:
-    the controlled-Grover ladder of ``phase_estimate[_inverse]``, which the
-    gate-level tests below check in turn."""
+    """The closed forms from the Grover spectrum against their one
+    reference, the gate engine: ``phase_estimate[_inverse]`` runs the
+    controlled-Grover ladder gate by gate (phase oracle, data diffusion,
+    Fourier transform on the phase register)."""
 
     @given(seed=st.integers(0, 2**31))
     def test_sim_and_equals_reference_composition(self, seed):
@@ -117,8 +118,8 @@ class TestSpectralKernels:
                 assert np.abs(got - marginal).max() < 1e-12
 
     def test_kernel_peak_allocation_below_half_the_state(self):
-        # n = k = 6, l = 4: 2**16 amplitudes (1 MiB); the ladder's FFT alone
-        # needs a whole-state copy
+        # n = k = 6, l = 4: 2**16 amplitudes (1 MiB); the gate engine's
+        # Fourier transform alone needs a whole-state copy
         rng = np.random.default_rng(5)
         handle = OracleHandle(TruthTable((rng.random((64, 64)) < 0.9).astype(np.uint8)))
         l = 4
@@ -433,6 +434,15 @@ class TestGTildeReadout:
             assert readout.fidelity >= 2 / 3
             if g:
                 assert readout.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_overlap_reads_sign_zero(self):
+        # one 1 in two rows: theta = pi/4, so at l = 1 the readout 1 has
+        # probability exactly 1/2 and Re <in|SimAnd|in> is 0 in exact
+        # arithmetic; its computed sign would be that of a rounding error
+        handle = OracleHandle(TruthTable(np.array([[0], [1]], dtype=np.uint8)))
+        readout = g_tilde_readout(0, handle, l=1)
+        assert readout.sign == 0
+        assert readout.fidelity < 1e-24
 
     def test_low_precision_register_breaks_sign_guarantee(self):
         # with the phase register cut to ceil(n/2) bits the nearly-full

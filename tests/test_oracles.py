@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvstrain import oracles
 from qvstrain.oracles import (
     OracleHandle,
     QueryLedger,
@@ -17,7 +20,7 @@ from qvstrain.oracles import (
     save_truth_table,
 )
 from qvstrain.perceptron import generate_planted_dataset, in_version_space, sample_hyperplanes
-from qvstrain.statevec import StateVector, new_uniform
+from qvstrain.statevec import StateVector, apply_open_controlled_z, new_uniform
 
 from .conftest import random_state_amps
 
@@ -260,3 +263,83 @@ class TestTableIO:
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError):
             TruthTable(np.array([[0, 2]]))
+
+
+def per_state_identity_gap(table: TruthTable) -> float:
+    """The identity gap as one pair of basis states at a time: the check
+    the batched controlled_phase_oracle_identity_gap must reproduce."""
+    handle = OracleHandle(table)
+    layout = handle.layout(l=1, scratch=True)
+    control = layout.phase_qubits[0]
+    gap = 0.0
+    for x in range(1 << layout.num_qubits):
+        if (x >> layout.scratch_qubit) & 1:
+            continue
+        built = StateVector.basis(layout.num_qubits, x)
+        direct = StateVector.basis(layout.num_qubits, x)
+        oracles.apply_controlled_phase_oracle(built, control, layout, handle)
+        apply_phase_oracle(direct, layout, handle, controls=(control,))
+        gap = max(gap, float(np.max(np.abs(built.amps - direct.amps))))
+    return gap
+
+
+def cz_on_a_data_qubit(state, control, layout, handle):
+    """A broken construction: the CZ between the scratch and data qubit 0
+    instead of the control."""
+    apply_bit_oracle(state, layout, handle)
+    apply_open_controlled_z(state, layout.scratch_qubit, (), closed_controls=(0,))
+    apply_bit_oracle(state, layout, handle)
+    return state
+
+
+class TestIdentityGap:
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**31))
+    def test_batched_equals_per_state_loop(self, seed):
+        table = random_table(np.random.default_rng(seed), n_max=4, k_max=4)
+        assert controlled_phase_oracle_identity_gap(table) == per_state_identity_gap(table)
+
+    def test_broken_construction_has_a_gap(self, monkeypatch):
+        table = random_table(np.random.default_rng(3), n_max=4, k_max=4)
+        monkeypatch.setattr(oracles, "apply_controlled_phase_oracle", cz_on_a_data_qubit)
+        gap = controlled_phase_oracle_identity_gap(table)
+        assert gap > 0.5
+        assert gap == per_state_identity_gap(table)
+
+    def test_peak_allocation_is_blocked(self):
+        # n + k = 8, so q = 10: one batch of all 512 scratch-|0> basis
+        # states would take 8 MiB per copy; blocks of GAP_BLOCK_AMPS
+        # amplitudes (64 KiB) keep the peak a few times one block
+        table = TruthTable((np.random.default_rng(4).random((16, 16)) < 0.5).astype(np.uint8))
+        controlled_phase_oracle_identity_gap(table)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            gap = controlled_phase_oracle_identity_gap(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap == 0.0
+        assert peak < 1 << 20, f"peak {peak} B"
+
+
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), data=st.data())
+def test_batch_oracle_equals_oracle_on_each_row(seed, rows, data):
+    """An oracle on a batch acts on every row as on that row alone, and
+    charges the ledger once per row."""
+    rng = np.random.default_rng(seed)
+    table = random_table(rng)
+    layout = OracleHandle(table).layout(l=2, scratch=True)
+    q, control, scratch = layout.num_qubits, layout.phase_qubits[0], layout.scratch_qubit
+    amps = np.stack([random_state_amps(rng, q) for _ in range(rows)])
+    amps.reshape(rows, 2, -1)[:, 1] = 0.0  # scratch |0>, as the controlled oracle needs
+    controls = data.draw(st.sampled_from([(), (control,), layout.phase_qubits, (scratch,)]))
+    oracle = data.draw(st.sampled_from([
+        lambda s, h: apply_bit_oracle(s, layout, h),
+        lambda s, h: apply_phase_oracle(s, layout, h, controls=controls),
+        lambda s, h: apply_controlled_phase_oracle(s, control, layout, h),
+    ]))
+    batch_handle, single_handle = OracleHandle(table), OracleHandle(table)
+    batch = oracle(StateVector(q, amps.copy()), batch_handle)
+    singles = [oracle(StateVector(q, row.copy()), single_handle).amps for row in amps]
+    np.testing.assert_array_equal(batch.amps, np.stack(singles))
+    assert batch_handle.ledger.snapshot() == single_handle.ledger.snapshot()

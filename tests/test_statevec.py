@@ -267,3 +267,33 @@ def test_gates_preserve_norm_and_invert(seed, q, data):
         assert abs(state.norm() - 1.0) < 1e-9
         apply_inverse_qft(state, qubits)
     np.testing.assert_allclose(state.amps, ref, atol=1e-10)
+
+
+@given(seed=st.integers(0, 10_000), q=st.integers(1, 5), rows=st.integers(1, 4), data=st.data())
+def test_batch_gate_equals_gate_on_each_row(seed, q, rows, data):
+    """A gate on a (B, 2**q) batch acts on every row as it acts on that row
+    alone."""
+    rng = np.random.default_rng(seed)
+    batch = StateVector(q, np.stack([random_state_amps(rng, q) for _ in range(rows)]))
+    singles = [StateVector(q, row.copy()) for row in batch.amps]
+    qubits = data.draw(st.permutations(range(q)))
+    split = data.draw(st.integers(1, q))
+    targets, controls = qubits[:split], qubits[split:]
+    gate = data.draw(st.sampled_from([
+        lambda s: apply_hadamards(s, targets, controls),
+        lambda s: apply_phase_flip_all_zero(s, targets, controls),
+        lambda s: apply_open_controlled_z(s, targets[0], controls, targets[1:]),
+        lambda s: apply_qft(s, targets),
+        lambda s: apply_inverse_qft(s, targets),
+    ]))
+    gate(batch)
+    for single in singles:
+        gate(single)
+    np.testing.assert_allclose(batch.amps, np.stack([s.amps for s in singles]), rtol=0, atol=1e-14)
+
+
+def test_state_vector_shapes():
+    assert StateVector(2, np.eye(4)[:3]).amps.shape == (3, 4)
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 1, 4))):
+        with pytest.raises(ValueError, match="amplitude array must have shape"):
+            StateVector(2, bad)
