@@ -3,10 +3,12 @@
 
 Layers, each a median over REPEATS timed calls in this process:
 
-* one AND-simulation on the full register, with the production spectral
-  kernel (``counting.sim_and``) against the reference it replaces, the
-  literal circuit ``phase_estimate`` -> flip of the 10..0 readout ->
-  ``phase_estimate_inverse``;
+* one search iteration (AND-simulation, diffusion over the hyperplane
+  register, hyperplane marginal): the production factored state of
+  ``search.SimAndSearchOracle``, timed as successive ``plane_marginal(r)``
+  calls, against its reference, the dense state run through the literal
+  circuit ``counting.sim_and`` (``phase_estimate`` -> flip of the 10..0
+  readout -> ``phase_estimate_inverse``) and the diffusion;
 * the closed-form phase readout ``phase_register_distribution``;
 * building the truth table (``oracles.from_perceptron``).
 
@@ -16,8 +18,8 @@ checkouts, and, with ``--pairs P``, runs ``perfbench/run.py`` on every
 workload in P alternating parent/change pairs of SECONDS each, at seeds
 FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.  Run from anywhere:
 
-    python scripts/bench_kernels.py --out BENCH_5.json
-    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_5.json
+    python scripts/bench_kernels.py --out BENCH_7.json
+    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_7.json
 
 The record holds nproc, the numpy version and the git sha of this checkout.
 """
@@ -39,22 +41,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qvstrain.counting import (  # noqa: E402
-    phase_estimate,
-    phase_estimate_inverse,
-    phase_register_distribution,
-    sim_and,
-)
+from qvstrain.counting import phase_register_distribution, sim_and  # noqa: E402
 from qvstrain.oracles import OracleHandle, TruthTable, from_perceptron  # noqa: E402
 from qvstrain.perceptron import generate_planted_dataset, sample_hyperplanes  # noqa: E402
-from qvstrain.statevec import StateVector, apply_open_controlled_z  # noqa: E402
+from qvstrain.search import SimAndSearchOracle, search_state_bytes  # noqa: E402
+from qvstrain.statevec import new_uniform  # noqa: E402
 
 REPEATS = 7
-FIRST_SEED = 8001  # perfbench seed of the first pair; not used while building
+FIRST_SEED = 9001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 
-# (n, k, l) up to 2**19 amplitudes; l = l_bits(n) except the last two rows
-KERNEL_GRID = ((3, 3, 5), (4, 3, 5), (5, 5, 6), (6, 3, 6), (6, 6, 6), (7, 6, 6), (6, 6, 7))
+# (n, k): train-n64's table, and one of 2**(7+7+8) amplitudes held dense
+SEARCH_GRID = ((6, 6), (8, 7))
 READOUT_WIDTHS = (4, 6, 7, 9)
 TABLE_SIZES = ((64, 47), (512, 64), (2048, 512))
 WORKLOADS = ("train-n64", "sweep-n", "verify")
@@ -76,28 +74,39 @@ def median_ms(fn) -> float:
     return 1e3 * statistics.median(times)
 
 
-def reference_sim_and(state, layout, handle) -> None:
-    phase_estimate(state, layout, handle)
-    apply_open_controlled_z(state, layout.phase_msb, layout.phase_qubits[:-1])
-    phase_estimate_inverse(state, layout, handle)
-
-
 def random_handle(rng, n: int, k: int) -> OracleHandle:
     return OracleHandle(TruthTable((rng.random((1 << n, 1 << k)) < 0.9).astype(np.uint8)))
 
 
-def kernel_rows() -> list[dict]:
+def iteration_ms(fn, start: int = 1) -> float:
+    """Median over REPEATS of fn(r), r = start, start + 1, ...: each call
+    runs one more iteration of a search state."""
+    r = iter(range(start, start + REPEATS))
+    return median_ms(lambda: fn(next(r)))
+
+
+def search_rows() -> list[dict]:
     rng = np.random.default_rng(0)
     rows = []
-    for n, k, l in KERNEL_GRID:
+    for n, k in SEARCH_GRID:
         handle = random_handle(rng, n, k)
-        layout = handle.layout(l=l)
-        size = 1 << layout.num_qubits
-        state = StateVector(layout.num_qubits, np.full(size, 1.0 / math.sqrt(size)))
-        spectral = median_ms(lambda: sim_and(state, layout, handle))
-        ladder = median_ms(lambda: reference_sim_and(state, layout, handle))
-        rows.append({"n": n, "k": k, "l": l, "amplitudes": size, "spectral_ms": spectral,
-                     "ladder_ms": ladder, "speedup": ladder / spectral})
+        oracle = SimAndSearchOracle(handle)
+        layout = handle.layout(l=oracle.l)
+        state = new_uniform(layout)
+        psi = state.amps.reshape(1 << layout.l, 1 << k, 1 << n)
+
+        def reference(_r):
+            sim_and(state, layout, handle)
+            psi[...] = 2.0 * psi.mean(axis=1, keepdims=True) - psi
+            (np.abs(psi) ** 2).sum(axis=(0, 2))
+
+        factored = iteration_ms(oracle.plane_marginal)
+        ladder = iteration_ms(reference)
+        rows.append({"n": n, "k": k, "l": layout.l, "amplitudes": state.amps.size,
+                     "dense_bytes": state.amps.nbytes,
+                     "search_state_bytes": search_state_bytes(1 << n, 1 << k),
+                     "factored_ms": factored, "ladder_ms": ladder,
+                     "speedup": ladder / factored})
     return rows
 
 
@@ -179,7 +188,7 @@ def git_sha() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default="BENCH_5.json")
+    parser.add_argument("--out", default="BENCH_7.json")
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare against")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench pairs per workload")
     args = parser.parse_args()
@@ -190,7 +199,7 @@ def main() -> int:
                      "python": sys.version.split()[0],
                      "settings": {"repeats": REPEATS, "pairs": args.pairs,
                                   "seed": FIRST_SEED, "seconds": SECONDS}},
-        "sim_and": kernel_rows(),
+        "search_iteration": search_rows(),
         "phase_register_distribution": readout_rows(),
         "from_perceptron": table_rows(),
     }

@@ -25,7 +25,6 @@ from .oracles import (
     apply_bit_oracle,
     apply_controlled_phase_oracle,
     apply_phase_oracle,
-    column_count,
     from_perceptron,
 )
 from .perceptron import (
@@ -33,7 +32,6 @@ from .perceptron import (
     Dataset,
     Hyperplane,
     classify,
-    correctly_classifies,
     generate_planted_dataset,
     geometric_margin,
     in_version_space,

@@ -14,9 +14,11 @@ readout, then uncompute, so with w_r = (-1)**r / sqrt(2**l)
     SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda,
     u_lambda,r = w_r lambda**(-r),
 
-over the eigenvalues lambda and eigenprojections Pi_lambda of G
-(:func:`_sim_and_flat`, O(2**(l+k+n)) work in place).  The phase readout on
-the uniform input is the Fejer-kernel law of amplitude estimation,
+over the eigenvalues lambda and eigenprojections Pi_lambda of G.  The
+search applies this closed form to its factored state
+(:class:`qvstrain.search.SimAndSearchOracle`), with the per-(r, j) part
+written once in :func:`_rotation_shifts`.  The phase readout on the uniform
+input is the Fejer-kernel law of amplitude estimation,
 1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
 (:func:`phase_register_distribution`), and ``sim_and_overlap`` reads
 <in|SimAnd|in> = 1 - 2 P(readout = 10..0) off it, so the diagnostics run no
@@ -25,19 +27,20 @@ simulation.
 Each circuit thus runs two ways: the closed forms above in production, and
 the gate engine of :mod:`qvstrain.statevec` and :mod:`qvstrain.oracles` as
 their one reference.  ``grover_operator[_inverse]`` is ``apply_phase_oracle``
-plus the data diffusion on the control-1 view of the state, and
+plus the data diffusion on the control-1 view of the state,
 ``phase_estimate[_inverse]`` is the ladder of those steps plus the Fourier
-transform on the phase register; the tests check the closed forms against
-them.
+transform on the phase register, and ``sim_and`` is phase estimation, the
+10..0 flip and the inverse; the tests check the closed forms against them.
 
-Metering rule: the private kernels (``_sim_and_flat``, ``_diffuse_data``)
+Metering rule: the private kernels (``_rotation_shifts``, ``_diffuse_data``)
 only move amplitudes and never touch a ledger.  The ledger is charged where
 an algorithm logically runs a circuit, always through
 :meth:`QueryLedger.charge`: the gate engine per oracle call, so
-``grover_operator[_inverse]`` once per step and ``phase_estimate[_inverse]``
-2**l - 1 times, one singly controlled call per step; ``sim_and`` once by its
-closed-form cost (:func:`meter_sim_and`); and ``quantum_count`` once per
-shot (:func:`meter_phase_estimate`).  The exact-amplitude diagnostics
+``grover_operator[_inverse]`` once per step, ``phase_estimate[_inverse]``
+2**l - 1 times, one singly controlled call per step, and ``sim_and``
+2 * (2**l - 1) times, the cost :func:`meter_sim_and` charges for the
+search's iterations; and ``quantum_count`` once per shot
+(:func:`meter_phase_estimate`).  The exact-amplitude diagnostics
 ``sim_and_overlap``, ``g_tilde_readout`` and ``phase_register_distribution``
 charge nothing.
 """
@@ -56,6 +59,7 @@ from .statevec import (
     _bits,
     _check_qubits,
     apply_inverse_qft,
+    apply_open_controlled_z,
     apply_qft,
 )
 
@@ -106,33 +110,39 @@ def _rotation_angles(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ones, np.arcsin(np.sqrt(ones / signs.shape[-1]))
 
 
-def _sim_and_flat(amps, n, k, l, signs) -> None:
-    """SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda in place.
-
-    Per column: the -1 eigenspace (zero-sum part of the f=0 rows) pairs with
-    u_r = 1/sqrt(2**l), so it subtracts 2/2**l times the plain sum over r;
-    the +1 eigenspace (zero-sum part of the f=1 rows) pairs with u_r = w_r,
-    the alternating sum; the rotation plane is handled in its eigenbasis
-    x = alpha + i beta (lambda = e^{2i theta}), y = alpha - i beta
-    (lambda = e^{-2i theta}), with alpha, beta the normalized f=0 and f=1
-    row sums.  Temporaries are O(2**(l+k) + 2**(k+n)); the correction is
-    added one phase row at a time."""
-    dl, dn = 1 << l, 1 << n
-    psi = amps.reshape(dl, 1 << k, dn)
-    is_one = signs < 0
+def _rotation_spectrum(signs: np.ndarray, dl: int) -> tuple[np.ndarray, ...]:
+    """Per column of a (columns, 2**n) sign matrix, under a phase register of
+    ``dl`` values: the number of f = 1 rows, and the constants of
+    :func:`_rotation_shifts`: mu[r, j] = (-e^{2i theta_j})**r =
+    sqrt(2**l) w_r lambda**r and the inverse square roots of the f=0 and f=1
+    row counts (0 for an empty count)."""
     ones, theta = _rotation_angles(signs)
-    zeros = dn - ones
+    zeros = signs.shape[-1] - ones
     inv_a = np.divide(1.0, np.sqrt(zeros), out=np.zeros(theta.shape), where=zeros > 0)
     inv_b = np.divide(1.0, np.sqrt(ones), out=np.zeros(theta.shape), where=ones > 0)
-    # (r, j) sums over the f=0 rows (a) and the f=1 rows (b); the plain sum
-    # less the signed sum is twice the f=1 part
-    total = psi.sum(axis=2)
-    sum_b = 0.5 * (total - np.einsum("rji,ji->rj", psi, signs))
-    sum_a = total - sum_b
-    del total
     r = np.arange(dl)[:, None]
-    parity = 1.0 - 2.0 * (r & 1)
-    mu = parity * np.exp(2j * r * theta)  # (-e^{2i theta})**r = sqrt(2**l) w_r lambda**r
+    mu = (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
+    return ones, mu, inv_a, inv_b
+
+
+def _rotation_shifts(sum_a, sum_b, mu, inv_a, inv_b) -> tuple[np.ndarray, np.ndarray]:
+    """The part of SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda
+    that is constant over the f=0 rows and over the f=1 rows of each (r, j).
+
+    ``sum_a`` and ``sum_b`` are the (2**l, columns) complex sums of the state
+    over the f=0 and the f=1 rows; the rest is :func:`_rotation_spectrum`.
+    The -1 eigenspace (zero-sum part of the f=0 rows) pairs with
+    u_r = 1/sqrt(2**l), so the f=0 rows lose 2/2**l times the plain sum
+    over r; the +1 eigenspace (zero-sum part of the f=1 rows) pairs with
+    u_r = w_r, the alternating sum.  Those two corrections are the caller's;
+    they also remove the row means, which ``shift_a`` and ``shift_b`` put
+    back.  The rotation plane is handled in its eigenbasis x = alpha + i beta
+    (lambda = e^{2i theta}), y = alpha - i beta (lambda = e^{-2i theta}),
+    with alpha, beta the normalized f=0 and f=1 row sums.
+
+    Returns what each f=0 row (``shift_a``) and each f=1 row (``shift_b``)
+    of (r, j) gains, written over ``sum_a`` and ``sum_b``."""
+    c = 2.0 / mu.shape[0]
     mu_bar = mu.conj()
     # sqrt(2**(l+1)) times the rotation-plane amplitudes on <u_lambda|
     kx = inv_a * np.einsum("rj,rj->j", mu, sum_a) + 1j * inv_b * np.einsum("rj,rj->j", mu, sum_b)
@@ -140,27 +150,20 @@ def _sim_and_flat(amps, n, k, l, signs) -> None:
         "rj,rj->j", mu_bar, sum_b
     )
     mean_a = sum_a.sum(axis=0) * inv_a**2
-    mean_b = np.einsum("r,rj->j", parity[:, 0], sum_b) * inv_b**2
-    del sum_a, sum_b
-    dx = mu_bar * kx
-    dy = mu * ky
-    c = 2.0 / dl
-    shift_a = c * (mean_a - 0.5 * inv_a * (dx + dy))
-    shift_b = c * (parity * mean_b - 0.5j * inv_b * (dy - dx))
-    del mu, mu_bar, dx, dy
-    # f=0 rows lose c times the plain sum over r, f=1 rows c times the
-    # alternating sum, signed by the parity of r
-    plain = psi.sum(axis=0)
-    alt = psi[0::2].sum(axis=0)
-    alt -= psi[1::2].sum(axis=0)
-    plain *= -c
-    alt *= -c
-    rows = (np.where(is_one, alt, plain), np.where(is_one, np.negative(alt, out=alt), plain))
-    del plain, alt
-    for t in range(dl):
-        row = psi[t]
-        row += rows[t & 1]
-        row += np.where(is_one, shift_b[t, :, None], shift_a[t, :, None])
+    mean_b = (sum_b[0::2].sum(axis=0) - sum_b[1::2].sum(axis=0)) * inv_b**2
+    # dx = conj(mu) kx into sum_a, dy = mu ky into sum_b
+    np.multiply(mu_bar, kx, out=sum_a)
+    np.multiply(mu, ky, out=sum_b)
+    shift_a = np.add(sum_a, sum_b, out=sum_a)  # dx + dy
+    shift_b = sum_b
+    shift_b *= 2.0
+    shift_b -= shift_a  # dy - dx
+    shift_a *= -0.5 * c * inv_a
+    shift_a += c * mean_a
+    shift_b *= -0.5j * c * inv_b
+    shift_b[0::2] += c * mean_b
+    shift_b[1::2] -= c * mean_b
+    return shift_a, shift_b
 
 
 # -- public operations ---------------------------------------------------------
@@ -242,16 +245,14 @@ def sim_and(state: StateVector, layout: RegisterLayout, handle: OracleHandle) ->
 
     On each |j> component the output is approximately (-1)**g~(j) times the
     input, where g~(j) agrees with the column-AND g(j) with probability at
-    least 2/3, exactly when g(j) = 1.  Applied in closed form from the
-    Grover spectrum (:func:`_sim_and_flat`); costs exactly 4 * (2**l - 1)
-    bit queries regardless of the table.
+    least 2/3, exactly when g(j) = 1.  Runs the circuit on the gate engine,
+    the reference for the search's closed form; its 2 * (2**l - 1) singly
+    controlled oracle calls cost exactly 4 * (2**l - 1) bit queries
+    regardless of the table.
     """
-    _check(state, layout, handle)
-    if layout.l < 1:
-        raise ValueError("sim_and needs a phase register")
-    _sim_and_flat(state.amps, layout.n, layout.k, layout.l, handle.signs)
-    meter_sim_and(handle.ledger, layout.l)
-    return state
+    phase_estimate(state, layout, handle)
+    apply_open_controlled_z(state, layout.phase_msb, layout.phase_qubits[:-1])
+    return phase_estimate_inverse(state, layout, handle)
 
 
 @dataclass(frozen=True)

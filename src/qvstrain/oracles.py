@@ -34,8 +34,8 @@ class QueryLedger:
 
     Every charge is made where an algorithm logically runs a circuit: the
     gate-level oracles here per call (per row of a batch), and through them
-    the Grover steps and phase estimation of :mod:`qvstrain.counting`;
-    ``sim_and`` once by its closed-form cost; ``quantum_count`` per shot;
+    the Grover steps, phase estimation and ``sim_and`` of
+    :mod:`qvstrain.counting`; ``quantum_count`` per shot;
     the search per iteration and per verification shot.  Amplitude kernels
     and exact diagnostics never charge."""
 

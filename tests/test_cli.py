@@ -24,6 +24,7 @@ from qvstrain.oracles import (
     save_truth_table,
 )
 from qvstrain.perceptron import DataPoint, Dataset, load_dataset, save_dataset
+from qvstrain.search import search_state_bytes
 
 from .conftest import FIXTURE_BITS
 
@@ -338,25 +339,35 @@ class TestStateSizeLimit:
     # dataset or random bits it is built from, would end in a MemoryError
     # traceback instead of the usage error.
     def test_oversized_search_exits_2_before_allocating(self):
-        # n = 11, k = 9, l = 9: 2**29 amplitudes, 8 GiB
-        proc = run_cli_process("andor", "--random", "2048,512,1", "--seed", "0",
+        # n = 13, k = 12, l = 10: the A factor alone is 2**26 amplitudes, 1 GiB
+        proc = run_cli_process("andor", "--random", "8192,4096,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("andor: ")
-        assert str(16 << 29) in proc.stderr
+        assert str(search_state_bytes(8192, 4096)) in proc.stderr
 
-    @pytest.mark.parametrize("argv,qubits", [
+    def test_dense_sized_search_runs_under_the_cap(self):
+        # n = 10, k = 9, l = 8: 2**27 amplitudes (2 GiB) held dense, about
+        # 55 MB as factors
+        proc = run_cli_process("andor", "--random", "1024,512,1", "--seed", "0",
+                               preexec_fn=cap_address_space)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[0])["agree"]
+
+    @pytest.mark.parametrize("argv,table", [
         # K = 2,302,586 planes: n = 6, k = 22, l = 6
         (("train", "--n", "64", "--m", "2", "--gamma", "0.1", "--c-constant", "100000",
-          "--seed", "1"), 34),
+          "--seed", "1"), (64, 2302586)),
         # N = 3,000,000 points, K = 47: n = 22, k = 6, l = 14
-        (("train", "--n", "3000000", "--m", "2", "--gamma", "0.1", "--seed", "1"), 42),
-        (("sweep", "--n-grid", "64", "--k-grid", "4194304", "--trials", "1", "--seed", "1"), 34),
-        (("andor", "--random", "64,4194304,1", "--seed", "1"), 34),
+        (("train", "--n", "3000000", "--m", "2", "--gamma", "0.1", "--seed", "1"), (3000000, 47)),
+        (("sweep", "--n-grid", "64", "--k-grid", "4194304", "--trials", "1", "--seed", "1"),
+         (64, 4194304)),
+        (("andor", "--random", "64,4194304,1", "--seed", "1"), (64, 4194304)),
     ], ids=["train-many-planes", "train-many-points", "sweep-cell", "andor-random-bits"])
-    def test_refused_before_its_inputs_are_built(self, argv, qubits):
+    def test_refused_before_its_inputs_are_built(self, argv, table):
         proc = run_cli_process(*argv, preexec_fn=cap_address_space)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"{argv[0]}: the search state needs {16 << qubits} bytes")
+        need = search_state_bytes(*table)
+        assert proc.stderr.startswith(f"{argv[0]}: the search state needs {need} bytes")

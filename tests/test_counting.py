@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvstrain.counting import (
-    _sim_and_flat,
     phase_gap_bound_check,
     controlled_sim_and_query_cost,
     g_tilde_readout,
@@ -29,12 +27,11 @@ from qvstrain.statevec import (
     apply_open_controlled_z,
     apply_phase_flip_all_zero,
     apply_qft,
-    StateVector,
     inner_product,
     new_uniform,
 )
 
-from .conftest import FIXTURE_BITS
+from .conftest import FIXTURE_BITS, random_kernel_table
 
 # -- independent closed-form reference ------------------------------------------
 #
@@ -67,43 +64,16 @@ def reference_overlap(n: int, L: int, l: int) -> float:
     return 1.0 - 2.0 * reference_distribution(n, L, l)[1 << (l - 1)]
 
 
-def random_kernel_table(rng) -> OracleHandle:
-    """1-16 x 1-8 table, so rows and columns are often padded, with an
-    all-ones and an all-zeros column forced in at random."""
-    rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 9))
-    bits = (rng.random((rows, cols)) < rng.uniform(0.0, 1.0)).astype(np.uint8)
-    if rng.random() < 0.5:
-        bits[:, int(rng.integers(0, cols))] = 1
-    if rng.random() < 0.5:
-        bits[:, int(rng.integers(0, cols))] = 0
-    return OracleHandle(TruthTable(bits))
-
-
 def kernel_widths(handle) -> set[int]:
     return {l_bits(handle.n), max(1, math.ceil(handle.n / 2))}
 
 
 class TestSpectralKernels:
-    """The closed forms from the Grover spectrum against their one
-    reference, the gate engine: ``phase_estimate[_inverse]`` runs the
-    controlled-Grover ladder gate by gate (phase oracle, data diffusion,
-    Fourier transform on the phase register)."""
-
-    @given(seed=st.integers(0, 2**31))
-    def test_sim_and_equals_reference_composition(self, seed):
-        rng = np.random.default_rng(seed)
-        handle = random_kernel_table(rng)
-        for l in kernel_widths(handle):
-            layout = handle.layout(l=l)
-            size = 1 << layout.num_qubits
-            amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            state = StateVector(layout.num_qubits, amps / np.linalg.norm(amps))
-            ref = state.copy()
-            phase_estimate(ref, layout, handle)
-            apply_open_controlled_z(ref, layout.phase_msb, layout.phase_qubits[:-1])
-            phase_estimate_inverse(ref, layout, handle)
-            sim_and(state, layout, handle)
-            assert np.abs(state.amps - ref.amps).max() < 1e-12
+    """The closed-form phase readout against its one reference, the gate
+    engine: ``phase_estimate`` runs the controlled-Grover ladder gate by gate
+    (phase oracle, data diffusion, Fourier transform on the phase register).
+    The search's closed-form AND-simulation is checked against the ladder
+    ``sim_and`` in ``test_search.py::TestFactoredState``."""
 
     @given(seed=st.integers(0, 2**31))
     def test_readout_equals_phase_estimation_marginal(self, seed):
@@ -116,23 +86,6 @@ class TestSpectralKernels:
                 marginal = (np.abs(state.amps.reshape(1 << l, -1)) ** 2).sum(axis=1)
                 got = phase_register_distribution(j, handle, l)
                 assert np.abs(got - marginal).max() < 1e-12
-
-    def test_kernel_peak_allocation_below_half_the_state(self):
-        # n = k = 6, l = 4: 2**16 amplitudes (1 MiB); the gate engine's
-        # Fourier transform alone needs a whole-state copy
-        rng = np.random.default_rng(5)
-        handle = OracleHandle(TruthTable((rng.random((64, 64)) < 0.9).astype(np.uint8)))
-        l = 4
-        size = 1 << (l + handle.k + handle.n)
-        assert size == 1 << 16
-        amps = np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128)
-        tracemalloc.start()
-        try:
-            _sim_and_flat(amps, handle.n, handle.k, l, handle.signs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < amps.nbytes // 2, f"peak {peak} B against a {amps.nbytes} B state"
 
 
 class TestPhaseRegisterWidth:

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qvstrain.counting import controlled_sim_and_query_cost, l_bits, sim_and_query_cost
+from qvstrain.counting import controlled_sim_and_query_cost, l_bits, sim_and, sim_and_query_cost
 from qvstrain.oracles import OracleHandle, TruthTable
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain import search
@@ -12,8 +16,12 @@ from qvstrain.search import (
     bounded_error_search,
     grover_search_unknown_m,
     multi_criterion_search,
+    search_state_bytes,
     train_perceptron,
 )
+from qvstrain.statevec import new_uniform
+
+from .conftest import random_kernel_table
 
 class TestBEQConfig:
     def test_rejects_even_or_small_repeats(self):
@@ -141,30 +149,84 @@ class TestSimAndSearchOracle:
         for r, marginal in jump.items():
             np.testing.assert_array_equal(marginal, steps[r])
 
-    def test_holds_one_full_register_state(self, fixture_handle):
+    def test_holds_no_full_register_array(self, fixture_handle):
         oracle = SimAndSearchOracle(fixture_handle)
         oracle.plane_marginal(6)
         dim = 1 << (oracle.l + oracle.k + oracle.n)
 
-        def full_states(value) -> int:
+        def largest(value) -> int:
             if isinstance(value, np.ndarray):
-                return int(value.size == dim)
+                return value.size
             if isinstance(value, dict):
                 value = list(value.values())
             if isinstance(value, (list, tuple)):
-                return sum(full_states(v) for v in value)
+                return max((largest(v) for v in value), default=0)
             return 0
 
-        assert full_states(list(vars(oracle).values())) == 1
+        assert largest(list(vars(oracle).values())) < dim
+
+    @pytest.mark.parametrize("shape", [(4, 3), (64, 47), (16, 200), (300, 4)])
+    def test_peak_allocation_within_search_state_bytes(self, shape):
+        rng = np.random.default_rng(3)
+        handle = OracleHandle(TruthTable((rng.random(shape) < 0.9).astype(np.uint8)))
+        tracemalloc.start()
+        try:
+            SimAndSearchOracle(handle).plane_marginal(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= search_state_bytes(*shape)
 
     def test_state_size_limit_checked_first(self, fixture_handle, monkeypatch):
-        # the fixture needs 2**(4 + 2 + 2) amplitudes of 16 bytes: 4096 B
-        monkeypatch.setattr(search, "state_byte_limit", lambda: 4096)
+        need = search_state_bytes(4, 3)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need)
         assert SimAndSearchOracle(fixture_handle).plane_marginal(0).size == 4
-        monkeypatch.setattr(search, "state_byte_limit", lambda: 4095)
-        with pytest.raises(ValueError, match="needs 4096 bytes"):
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"needs {need} bytes"):
             SimAndSearchOracle(fixture_handle)
 
+    @pytest.mark.parametrize("bits", [
+        # a criterion-5 table whose zero column summed to -5.4e-16 unclipped
+        [[1, 0, 0, 0], [1, 0, 1, 1]],
+        [[0, 0, 0, 0]] * 4,
+    ], ids=["criterion-5", "all-zero"])
+    def test_marginals_are_distributions(self, bits):
+        oracle = SimAndSearchOracle(OracleHandle(TruthTable(np.array(bits, dtype=np.uint8))))
+        for r in range(9):
+            marginal = oracle.plane_marginal(r)
+            assert (marginal >= 0.0).all()
+            assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_iterate(oracle) -> np.ndarray:
+    """psi(r, j, i) = A[r & 1, j, i] + B[r, j, f(i, j)] + C[r, i]."""
+    dl = 1 << oracle.l
+    a = np.array(oracle._a)[np.arange(dl) & 1]
+    b = np.where(oracle._is_one, oracle._b[1][:, :, None], oracle._b[0][:, :, None])
+    return a + b + oracle._c[:, None, :]
+
+
+class TestFactoredState:
+    """The factored iterate against its reference: the ladder ``sim_and`` on
+    the gate engine, then the diffusion over the hyperplane register."""
+
+    @given(rows=st.integers(1, 16), cols=st.integers(1, 8), seed=st.integers(0, 2**31))
+    @example(rows=1, cols=6, seed=0)
+    @example(rows=11, cols=1, seed=1)
+    def test_iterates_equal_ladder_reference(self, rows, cols, seed):
+        handle = random_kernel_table(np.random.default_rng(seed), rows, cols)
+        oracle = SimAndSearchOracle(handle)
+        layout = handle.layout(l=oracle.l)
+        dl, dk, dn = 1 << layout.l, 1 << layout.k, 1 << layout.n
+        ref = new_uniform(layout)
+        for r in range(1, 5):
+            sim_and(ref, layout, handle)
+            psi = ref.amps.reshape(dl, dk, dn)
+            psi[...] = 2.0 * psi.mean(axis=1, keepdims=True) - psi
+            marginal = oracle.plane_marginal(r)
+            assert np.abs(dense_iterate(oracle) - psi).max() < 1e-12
+            expected = (np.abs(psi) ** 2).sum(axis=(0, 2))
+            assert np.abs(marginal - expected / expected.sum()).max() < 1e-12
 
 class TestMultiCriterionSearch:
     def test_fixture(self, fixture_handle):
