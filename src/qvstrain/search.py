@@ -49,21 +49,22 @@ def state_byte_limit() -> int:
 
 
 def search_state_bytes(n_rows: int, n_cols: int) -> int:
-    """Bytes a search over an N x K table holds at its peak: the three
-    factors of :class:`SimAndSearchOracle` (2 * 2**(k+n) + 2 * 2**(l+k) +
-    2**(l+n) complex amplitudes of 16 bytes), its f=1 mask (one byte per
-    padded table entry) and the marginals of every iteration the schedule
-    can reach, plus one iteration's temporaries: six (2**l, 2**k) complex
-    sums and shifts, the (2**l, 2**n) products with the table, numpy's cast
-    buffers (at most one (2**k, 2**n) complex array) and SMALL_ARRAY_BYTES
-    for the vectors."""
+    """Bytes a search over an N x K table holds at its peak: the oracle
+    handle's padded table and sign matrix (9 bytes per padded entry); the
+    three factors of :class:`SimAndSearchOracle` (2 * 2**(k+n) + 2 * 2**(l+k)
+    + 2**(l+n) complex amplitudes of 16 bytes), its f=1 mask (1 byte per
+    entry) and the marginals of every iteration the schedule can reach; and
+    one iteration's temporaries: six (2**l, 2**k) complex sums and shifts,
+    the (2**l, 2**n) products with the table, numpy's cast buffers (at most
+    one (2**k, 2**n) complex array) and SMALL_ARRAY_BYTES for the vectors."""
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
+    tables = 10 * kn
     factors = 16 * (2 * kn + 2 * lk + ln)
-    temporaries = 16 * (kn + 6 * lk + ln)
     marginals = 8 * (1 << k) * (_iteration_cap(k) + 1)
-    return factors + kn + marginals + temporaries + SMALL_ARRAY_BYTES
+    temporaries = 16 * (kn + 6 * lk + ln)
+    return tables + factors + marginals + temporaries + SMALL_ARRAY_BYTES
 
 
 def _require_state_fits(n_rows: int, n_cols: int) -> None:

@@ -348,8 +348,8 @@ class TestStateSizeLimit:
         assert str(search_state_bytes(8192, 4096)) in proc.stderr
 
     def test_dense_sized_search_runs_under_the_cap(self):
-        # n = 10, k = 9, l = 8: 2**27 amplitudes (2 GiB) held dense, about
-        # 55 MB as factors
+        # n = 10, k = 9, l = 8: 2**27 amplitudes (2 GiB) held dense; the
+        # factored search needs about 56 MB (search_state_bytes)
         proc = run_cli_process("andor", "--random", "1024,512,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 0, proc.stderr

@@ -165,7 +165,8 @@ class TestSimAndSearchOracle:
 
         assert largest(list(vars(oracle).values())) < dim
 
-    @pytest.mark.parametrize("shape", [(4, 3), (64, 47), (16, 200), (300, 4)])
+    @pytest.mark.parametrize("shape", [(4, 3), (64, 47), (16, 200), (300, 4)],
+                             ids=["4x3", "64x47", "16x200", "300x4"])
     def test_peak_allocation_within_search_state_bytes(self, shape):
         rng = np.random.default_rng(3)
         handle = OracleHandle(TruthTable((rng.random(shape) < 0.9).astype(np.uint8)))
