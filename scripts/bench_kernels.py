@@ -10,7 +10,10 @@ Layers, each a median over REPEATS timed calls in this process:
   circuit ``counting.sim_and`` (``phase_estimate`` -> flip of the 10..0
   readout -> ``phase_estimate_inverse``) and the diffusion;
 * the closed-form phase readout ``phase_register_distribution``;
-* building the truth table (``oracles.from_perceptron``).
+* building the truth table (``oracles.from_perceptron``);
+* building instances (``perceptron.generate_planted_dataset`` and the sweep's
+  ``cli._single_solution_instance``), timed in a child process on each
+  checkout's own package, so with ``--parent`` both sides are recorded.
 
 With ``--parent DIR`` (a checkout of the commit to compare against) it also
 records the query-ledger rows of the pinned seeded CLI runs in both
@@ -18,8 +21,8 @@ checkouts, and, with ``--pairs P``, runs ``perfbench/run.py`` on every
 workload in P alternating parent/change pairs of SECONDS each, at seeds
 FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.  Run from anywhere:
 
-    python scripts/bench_kernels.py --out BENCH_7.json
-    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_7.json
+    python scripts/bench_kernels.py --out BENCH_8.json
+    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_8.json
 
 The record holds nproc, the numpy version and the git sha of this checkout.
 """
@@ -48,13 +51,36 @@ from qvstrain.search import SimAndSearchOracle, search_state_bytes  # noqa: E402
 from qvstrain.statevec import new_uniform  # noqa: E402
 
 REPEATS = 7
-FIRST_SEED = 9001  # perfbench seed of the first pair; not used while building
+INSTANCE_REPEATS = 21  # seeds 0..20, one call each
+FIRST_SEED = 20001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 
 # (n, k): train-n64's table, and one of 2**(7+7+8) amplitudes held dense
 SEARCH_GRID = ((6, 6), (8, 7))
 READOUT_WIDTHS = (4, 6, 7, 9)
 TABLE_SIZES = ((64, 47), (512, 64), (2048, 512))
+INSTANCE_CALLS = (
+    "generate_planted_dataset(64, 2, 0.1, rng_seed=seed)",
+    "generate_planted_dataset(4096, 2, 0.1, rng_seed=seed)",
+    "_single_solution_instance(64, 8, 0.2, seed)",
+    "_single_solution_instance(16, 512, 0.2, seed)",
+)
+# Run as ``python -c`` with a checkout's src on PYTHONPATH: the median
+# milliseconds of each call over the seeds, as one JSON object.
+INSTANCE_TIMER = """
+import json, statistics, sys, time
+from qvstrain.cli import _single_solution_instance
+from qvstrain.perceptron import generate_planted_dataset
+medians = {}
+for call in sys.argv[2:]:
+    times = []
+    for seed in range(int(sys.argv[1])):
+        start = time.perf_counter()
+        eval(call)
+        times.append(time.perf_counter() - start)
+    medians[call] = 1e3 * statistics.median(times)
+print(json.dumps(medians))
+"""
 WORKLOADS = ("train-n64", "sweep-n", "verify")
 PINNED_RUNS = (
     ("train", "--n", "12", "--m", "2", "--gamma", "0.2", "--trials", "3", "--seed", "1"),
@@ -126,6 +152,18 @@ def table_rows() -> list[dict]:
     return rows
 
 
+def instance_rows(parent: Path | None) -> list[dict]:
+    sides = [("change", ROOT)] + ([("parent", parent)] if parent is not None else [])
+    medians = {}
+    for side, checkout in sides:
+        proc = subprocess.run(
+            [sys.executable, "-c", INSTANCE_TIMER, str(INSTANCE_REPEATS), *INSTANCE_CALLS],
+            capture_output=True, text=True, env=child_env(checkout), check=True)
+        medians[side] = json.loads(proc.stdout)
+    return [{"call": call, **{f"{side}_ms": medians[side][call] for side, _ in sides}}
+            for call in INSTANCE_CALLS]
+
+
 def child_env(checkout: Path) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
@@ -188,7 +226,7 @@ def git_sha() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default="BENCH_7.json")
+    parser.add_argument("--out", default="BENCH_8.json")
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare against")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench pairs per workload")
     args = parser.parse_args()
@@ -202,6 +240,7 @@ def main() -> int:
         "search_iteration": search_rows(),
         "phase_register_distribution": readout_rows(),
         "from_perceptron": table_rows(),
+        "instances": instance_rows(args.parent and args.parent.resolve()),
     }
     if args.parent is not None:
         here, there = pinned_rows(ROOT), pinned_rows(args.parent.resolve())

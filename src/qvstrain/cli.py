@@ -40,7 +40,13 @@ from .perceptron import (
     sample_hyperplanes,
     save_dataset,
 )
-from .search import BEQConfig, _require_state_fits, multi_criterion_search, train_perceptron
+from .search import (
+    BEQConfig,
+    _require_state_fits,
+    multi_criterion_search,
+    state_byte_limit,
+    train_perceptron,
+)
 from .statevec import new_uniform
 
 
@@ -110,6 +116,7 @@ def cmd_train(args, out) -> int:
         print(f"train: epsilon must be in (0, 1), got {args.epsilon}", file=sys.stderr)
         return 2
     _check_count("--trials", args.trials)
+    _check_count("--workers", args.workers)
     if args.dataset is None:
         K = required_sample_count(args.gamma, args.epsilon, args.c_constant)
         _require_state_fits(args.n, K)
@@ -130,6 +137,23 @@ def cmd_train(args, out) -> int:
 
 
 # -- verify --------------------------------------------------------------------
+
+# Peak bytes per entry of a table the sign-and-fidelity suite draws: the
+# uniform draws and their comparison (8 + 1), then the bit table, the
+# handle's padded copy and its float sign matrix (1 + 1 + 8).  On top of
+# that, VERIFY_SMALL_BYTES holds numpy's cast buffer (8192 doubles) for the
+# sign matrix and the per-column vectors.
+VERIFY_BYTES_PER_ENTRY = 10
+VERIFY_SMALL_BYTES = 1 << 17
+# values of m per array expression in the phase-gap suite
+GAP_BLOCK = 1 << 16
+
+
+def _verify_table_bytes(n_max: int, k_max: int) -> int:
+    """Peak bytes of drawing the largest table verify can draw, 2**(n_max +
+    k_max) entries, and building its oracle handle.  An exponent past 128
+    counts as 128: that many bytes are already over any limit."""
+    return (VERIFY_BYTES_PER_ENTRY << min(n_max + k_max, 128)) + VERIFY_SMALL_BYTES
 
 
 def _random_table(rng, n_max: int, k_max: int, force_close_column: bool = False) -> TruthTable:
@@ -153,8 +177,7 @@ def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool
     violations = []
     checked = 0
     for t in range(tables):
-        table = _random_table(rng, n_max, k_max, force_close_column=fault_l)
-        handle = OracleHandle(table)
+        handle = OracleHandle(_random_table(rng, n_max, k_max, force_close_column=fault_l))
         l = max(1, (handle.n + 1) // 2 if fault_l else l_bits(handle.n))
         g = np.zeros(1 << handle.k, dtype=np.uint8)
         g[: handle.n_cols] = brute_force_g(handle)
@@ -171,6 +194,7 @@ def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool
                     "g": int(g[j]), "sign": readout.sign,
                     "fidelity": readout.fidelity,
                 })
+        del handle  # so the next table is drawn with none held (_verify_table_bytes)
     return checked, violations
 
 
@@ -178,10 +202,10 @@ def _phase_gap_sweep(n_max: int):
     violations = []
     checked = 0
     for n in range(1, n_max + 1):
-        for m in range(1, (1 << n) + 1):
-            checked += 1
-            if not phase_gap_bound_check(n, m):
-                violations.append({"n": n, "m": m})
+        for first in range(1, (1 << n) + 1, GAP_BLOCK):
+            m = np.arange(first, min(first + GAP_BLOCK, (1 << n) + 1))
+            checked += m.size
+            violations += [{"n": n, "m": int(v)} for v in m[~phase_gap_bound_check(n, m)]]
     return checked, violations
 
 
@@ -214,6 +238,9 @@ def _oracle_identity_sweep(rng, tables: int):
 def cmd_verify(args, out) -> int:
     for flag in ("--tables", "--n-max", "--k-max", "--gap-n-max", "--identity-tables"):
         _check_count(flag, getattr(args, flag[2:].replace("-", "_")))
+    need, limit = _verify_table_bytes(args.n_max, args.k_max), state_byte_limit()
+    if need > limit:
+        raise ValueError(f"the tables need {need} bytes, over the limit of {limit} bytes")
     rng = np.random.default_rng(args.seed)
     fault = bool(args.inject_precision_fault)
     # (suite, sweep, extra row fields), run in order: two share the generator
@@ -243,17 +270,17 @@ def cmd_verify(args, out) -> int:
 
 def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed):
     """Planted dataset plus a candidate list holding exactly one
-    version-space member (the planted plane, at a seeded position)."""
+    version-space member (the planted plane, at a seeded position).  The
+    other candidates are the first non-members, in draw order, of batches
+    of ``n_planes`` Gaussian planes, each batch classified in one table."""
     rng = np.random.default_rng(seed)
     data, planted = generate_planted_dataset(n_points, 2, gamma, rng_seed=int(rng.integers(2**63)))
     position = int(rng.integers(0, n_planes))
     planes = []
     while len(planes) < n_planes - 1:
-        for cand in sample_hyperplanes(n_planes, 2, int(rng.integers(2**63))):
-            if not in_version_space(data, cand):
-                planes.append(cand)
-                if len(planes) == n_planes - 1:
-                    break
+        batch = sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))
+        members = from_perceptron(data, batch).bits.all(axis=0)
+        planes += [p for p, member in zip(batch, members) if not member][: n_planes - 1 - len(planes)]
     planes.insert(position, planted)
     return data, planes, position
 
@@ -288,6 +315,7 @@ def cmd_sweep(args, out) -> int:
         print("sweep: grid values must be distinct", file=sys.stderr)
         return 2
     _check_count("--trials", args.trials)
+    _check_count("--workers", args.workers)
     cells = [(n, k) for n in n_grid for k in k_grid]
     for n_points, n_planes in cells:
         _require_state_fits(n_points, n_planes)

@@ -346,16 +346,19 @@ def quantum_count(
     )
 
 
-def phase_gap_bound_check(n: int, m: int) -> bool:
+def phase_gap_bound_check(n: int, m):
     """For a column with m misclassified elements out of 2**n, check that the
     conjugate phase branch (2 pi - 2 theta) / 2 pi clears 1/2 by at least one
     unit in the last of the ceil(n/2) + 3 phase bits, which is what forces a
-    nonzero trailing readout bit whenever the column AND is 0."""
+    nonzero trailing readout bit whenever the column AND is 0.  ``m`` is an
+    int (the result is a bool) or an integer array (a bool array)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (1 <= m <= (1 << n)):
+    m = np.asarray(m)
+    if not ((1 <= m) & (m <= (1 << n))).all():
         raise ValueError(f"m must be in [1, {1 << n}], got {m}")
-    theta = math.acos(math.sqrt(m / (1 << n)))
+    theta = np.arccos(np.sqrt(m / (1 << n)))
     lhs = (2.0 * math.pi - 2.0 * theta) / (2.0 * math.pi)
-    return lhs >= 0.5 + 2.0 ** -l_bits(n)
+    ok = lhs >= 0.5 + 2.0 ** -l_bits(n)
+    return bool(ok) if ok.ndim == 0 else ok
 

@@ -68,7 +68,7 @@ class TruthTable:
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("truth table must be a nonempty 2-D array")
-        if not np.isin(arr, (0, 1)).all():
+        if arr.max() > 1:  # uint8: the same test as every entry in {0, 1}
             raise ValueError("truth table entries must be 0 or 1")
         self.bits = arr
 
@@ -134,8 +134,10 @@ class OracleHandle:
         padded[: table.n_rows, : table.n_cols] = table.bits
         padded[table.n_rows :, : table.n_cols] = 1  # phantom rows pass every real column
         self.padded = padded
-        # (2**k, 2**n) sign matrix (-1)**f, plane-major to match the packing.
-        self.signs = (1.0 - 2.0 * padded.T).astype(np.float64)
+        # (2**k, 2**n) sign matrix (-1)**f, plane-major to match the packing,
+        # built in place so the handle's peak is its three tables
+        self.signs = padded.T * -2.0
+        self.signs += 1.0
 
     @property
     def n_rows(self) -> int:

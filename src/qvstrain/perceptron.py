@@ -1,11 +1,18 @@
 """Classical perceptron domain model: labeled data, hyperplanes, margins,
 version-space membership, Gaussian candidate sampling and planted datasets.
+
+A :class:`Dataset` is stored as arrays, ``X`` (N, M) float64 and ``y`` (N,)
+int64, validated once when it is built; :class:`DataPoint` is the per-point
+view for callers that want one.  :func:`generate_planted_dataset` writes its
+accepted points straight into those arrays, and the order of its per-point
+draws (``random``, ``standard_normal(dim)``, ``random`` on each try) is the
+seeded contract: the same seed gives the same dataset bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +31,7 @@ class DataPoint:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1 or x.size < 1:
             raise ValueError("x must be a nonempty vector")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         if self.y not in (+1, -1):
             raise ValueError(f"label must be +1 or -1, got {self.y}")
@@ -42,9 +49,9 @@ class Hyperplane:
         b = float(self.b)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("w must be a nonempty vector")
-        if not (np.all(np.isfinite(w)) and math.isfinite(b)):
+        if not (np.isfinite(w).all() and math.isfinite(b)):
             raise ValueError("hyperplane entries must be finite")
-        if not (np.any(w != 0.0) or b != 0.0):
+        if not (w.any() or b != 0.0):
             raise ValueError("(w, b) must not be the zero vector")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
@@ -54,36 +61,64 @@ class Hyperplane:
         return self.w.size
 
 
-@dataclass(eq=False)
 class Dataset:
-    points: list[DataPoint]
-    claimed_margin: float
-    _arrays: tuple | None = field(default=None, repr=False, compare=False)
+    """N labeled points held as read-only arrays ``X`` (N, M) float64 and
+    ``y`` (N,) int64, plus the margin the data is claimed to have.
 
-    def __post_init__(self):
-        if not self.points:
+    ``Dataset(points, claimed_margin)`` stacks a list of :class:`DataPoint`;
+    :meth:`from_arrays` takes the arrays.  Both run the one check in
+    :meth:`_set`: at least one point, one dimension M >= 1 shared by all,
+    finite coordinates, labels +1 or -1 and a positive claimed margin."""
+
+    def __init__(self, points, claimed_margin: float):
+        points = list(points)
+        if not points:
             raise ValueError("dataset needs at least one point")
-        dims = {p.x.size for p in self.points}
+        dims = {p.x.size for p in points}
         if len(dims) != 1:
             raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
-        if not (self.claimed_margin > 0):
+        self._set(np.stack([p.x for p in points]), np.array([p.y for p in points]),
+                  claimed_margin)
+
+    @classmethod
+    def from_arrays(cls, X, y, claimed_margin: float) -> Dataset:
+        data = cls.__new__(cls)
+        data._set(X, y, claimed_margin)
+        return data
+
+    def _set(self, X, y, claimed_margin: float) -> None:
+        X = np.array(X, dtype=np.float64)
+        y = np.asarray(y)
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+            raise ValueError(f"X must be a nonempty (N, M) array, got shape {X.shape}")
+        if y.shape != X.shape[:1]:
+            raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("x must be finite")
+        if not ((y == 1) | (y == -1)).all():
+            raise ValueError("labels must be +1 or -1")
+        if not (claimed_margin > 0):
             raise ValueError("claimed_margin must be positive")
+        y = y.astype(np.int64)
+        X.flags.writeable = y.flags.writeable = False
+        self.X, self.y, self.claimed_margin = X, y, claimed_margin
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return self.X.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.points[0].x.size
+        return self.X.shape[1]
+
+    @property
+    def points(self) -> list[DataPoint]:
+        """One :class:`DataPoint` per row, built on each access."""
+        return [DataPoint(x, int(label)) for x, label in zip(self.X, self.y)]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (X, y) with X of shape (N, M) and y of shape (N,)."""
-        if self._arrays is None:
-            X = np.stack([p.x for p in self.points])
-            y = np.array([p.y for p in self.points], dtype=np.int64)
-            self._arrays = (X, y)
-        return self._arrays
+        """The stored (X, y), X of shape (N, M) and y of shape (N,)."""
+        return self.X, self.y
 
 
 def classify(p: Hyperplane, x) -> int:
@@ -158,6 +193,10 @@ def generate_planted_dataset(
     point lies within ``gamma`` of it.  Keeping the cluster spread
     proportional to gamma keeps the Gaussian version-space hit rate scaling
     linearly in gamma with an N-independent constant.
+
+    Each try draws ``random()`` (the cluster), ``standard_normal(dim)`` (the
+    direction) and ``random()`` (the radius), in that order; accepted points
+    go straight into the returned arrays.
     """
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
@@ -170,24 +209,28 @@ def generate_planted_dataset(
     rho = CLUSTER_RADIUS_FACTOR * gamma
     # Cluster centers sit at signed distance +-(gamma + rho) from the plane.
     centers = ((gamma + rho - b) * w, (-(gamma + rho) - b) * w)
-    points = []
-    for _ in range(n_points):
+    random, normal, power = rng.random, rng.standard_normal, 1.0 / dim
+    X = np.empty((n_points, dim))
+    y = np.empty(n_points, dtype=np.int64)
+    for i in range(n_points):
         for _ in range(MAX_TRIES_PER_POINT):
-            center = centers[int(rng.random() < 0.5)]
-            direction = rng.standard_normal(dim)
-            direction /= np.linalg.norm(direction)
-            radius = rho * rng.random() ** (1.0 / dim)
+            center = centers[int(random() < 0.5)]
+            direction = normal(dim)
+            # the ddot and rounded sqrt np.linalg.norm runs on a float vector
+            direction /= math.sqrt(direction.dot(direction))
+            radius = rho * random() ** power
             x = center + radius * direction
             margin = float(w @ x) + b
             if abs(margin) >= gamma:
-                points.append(DataPoint(x, +1 if margin >= 0 else -1))
+                X[i] = x
+                y[i] = +1 if margin >= 0 else -1
                 break
         else:
             raise RuntimeError(
                 f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries; "
                 f"gamma={gamma} is infeasible for this geometry"
             )
-    return Dataset(points, claimed_margin=gamma), Hyperplane(w, b)
+    return Dataset.from_arrays(X, y, claimed_margin=gamma), Hyperplane(w, b)
 
 
 def save_dataset(data: Dataset, path) -> None:
@@ -195,9 +238,9 @@ def save_dataset(data: Dataset, path) -> None:
     point.  Floats are written with repr precision so a round trip is
     bit-exact."""
     lines = [f"{data.n_points} {data.dim} {data.claimed_margin!r}"]
-    for p in data.points:
-        coords = " ".join(repr(float(v)) for v in p.x)
-        lines.append(f"{coords} {p.y:d}")
+    for x, label in zip(*data.as_arrays()):
+        coords = " ".join(repr(float(v)) for v in x)
+        lines.append(f"{coords} {int(label):d}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

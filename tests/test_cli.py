@@ -15,7 +15,15 @@ import qvstrain
 
 from qvstrain.andor import AndOrInstance, load_instance, save_instance
 from qvstrain.baselines import classical_version_space_search
-from qvstrain.cli import _single_solution_instance, main
+from qvstrain import cli
+from qvstrain.cli import (
+    VERIFY_BYTES_PER_ENTRY,
+    _phase_gap_sweep,
+    _sign_fidelity_sweep,
+    _single_solution_instance,
+    _verify_table_bytes,
+    main,
+)
 from qvstrain.oracles import (
     OracleHandle,
     TruthTable,
@@ -296,7 +304,11 @@ class TestCountsBelowOne:
         ("sweep", "--n-grid", "8", "--k-grid", "4", "--trials", "0", "--seed", "1"),
         ("andor", "--random", "4,4,0", "--seed", "1"),
         ("verify", "--identity-tables", "-3", "--tables", "-2", "--gap-n-max", "-1"),
-    ], ids=["train-trials", "sweep-trials", "andor-random-count", "verify-negative-counts"])
+        ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--workers", "0", "--seed", "1"),
+        ("sweep", "--n-grid", "8", "--k-grid", "4", "--trials", "1", "--workers", "-1",
+         "--seed", "1"),
+    ], ids=["train-trials", "sweep-trials", "andor-random-count", "verify-negative-counts",
+            "train-workers", "sweep-workers"])
     def test_exit_2_without_traceback(self, argv):
         proc = run_cli_process(*argv)
         assert proc.returncode == 2
@@ -355,6 +367,18 @@ class TestStateSizeLimit:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[0])["agree"]
 
+    @pytest.mark.parametrize("flags,exponent", [
+        # n = 5, k = 40: 2**45 entries
+        (("--k-max", "40", "--tables", "1"), 45),
+        (("--n-max", "40"), 43),
+    ], ids=["k-max", "n-max"])
+    def test_oversized_verify_tables_exit_2_before_drawing(self, flags, exponent):
+        proc = run_cli_process("verify", *flags, preexec_fn=cap_address_space)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        need = (VERIFY_BYTES_PER_ENTRY << exponent) + cli.VERIFY_SMALL_BYTES
+        assert proc.stderr.startswith(f"verify: the tables need {need} bytes, over the limit of ")
+
     @pytest.mark.parametrize("argv,table", [
         # K = 2,302,586 planes: n = 6, k = 22, l = 6
         (("train", "--n", "64", "--m", "2", "--gamma", "0.1", "--c-constant", "100000",
@@ -371,3 +395,30 @@ class TestStateSizeLimit:
         assert "Traceback" not in proc.stderr
         need = search_state_bytes(*table)
         assert proc.stderr.startswith(f"{argv[0]}: the search state needs {need} bytes")
+
+
+class TestVerifyTables:
+    def test_peak_allocation_pins_the_per_entry_constant(self):
+        import tracemalloc
+        # seed 66 draws (n, k) = (10, 10), the largest these flags allow: the
+        # column count and the lower bound below both fail on a smaller draw
+        _sign_fidelity_sweep(np.random.default_rng(0), 2, 4, 4, False)  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            checked, violations = _sign_fidelity_sweep(np.random.default_rng(66), 1, 10, 10, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert checked == 1 << 10 and violations == []
+        assert VERIFY_BYTES_PER_ENTRY << 20 < peak <= _verify_table_bytes(10, 10)
+
+    def test_tables_at_the_limit_are_drawn(self, monkeypatch):
+        monkeypatch.setattr(cli, "state_byte_limit", lambda: _verify_table_bytes(3, 2))
+        assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 0
+        monkeypatch.setattr(cli, "state_byte_limit", lambda: _verify_table_bytes(3, 2) - 1)
+        assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 2
+
+    def test_phase_gap_blocks_split_without_changing_the_count(self, monkeypatch):
+        whole = _phase_gap_sweep(7)
+        monkeypatch.setattr(cli, "GAP_BLOCK", 5)
+        assert _phase_gap_sweep(7) == whole == ((1 << 8) - 2, [])

@@ -469,6 +469,19 @@ class TestPhaseGapBound:
             phase_gap_bound_check(2, 0)
         with pytest.raises(ValueError):
             phase_gap_bound_check(2, 5)
+        with pytest.raises(ValueError):
+            phase_gap_bound_check(2, np.array([1, 2, 5]))
+
+    def test_array_form_matches_the_scalar_arithmetic(self):
+        # the same test written with math.acos, one m at a time
+        for n in range(1, 15):
+            m = np.arange(1, (1 << n) + 1)
+            theta = [math.acos(math.sqrt(v / (1 << n))) for v in range(1, (1 << n) + 1)]
+            expected = [(2.0 * math.pi - 2.0 * t) / (2.0 * math.pi) >= 0.5 + 2.0 ** -l_bits(n)
+                        for t in theta]
+            got = phase_gap_bound_check(n, m)
+            assert got.dtype == bool and got.tolist() == expected
+        assert type(phase_gap_bound_check(3, 2)) is bool
 
     def test_fails_below_standard_width(self):
         # the same inequality with one fewer bit would be violated for m=1

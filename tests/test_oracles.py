@@ -31,6 +31,23 @@ def random_table(rng, n_max=3, k_max=3) -> TruthTable:
     return TruthTable((rng.random((rows, cols)) < 0.5).astype(np.uint8))
 
 
+class TestTruthTable:
+    @pytest.mark.parametrize("bits", [[[0, 2]], [[1], [255]]])
+    def test_rejects_entries_other_than_zero_and_one(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            TruthTable(bits)
+
+    def test_keeps_zero_one_entries(self):
+        assert TruthTable([[0, 1], [1, 1]]).bits.tolist() == [[0, 1], [1, 1]]
+
+    def test_handle_sign_matrix_is_minus_one_to_the_f(self):
+        handle = OracleHandle(TruthTable([[0, 1, 1], [1, 0, 1], [1, 1, 1]]))
+        expected = 1.0 - 2.0 * handle.padded.T
+        assert handle.signs.dtype == np.float64
+        assert np.array_equal(handle.signs, expected)
+        assert handle.signs.strides == expected.strides
+
+
 class TestFromPerceptron:
     def test_planted_instance_columns(self):
         # regenerated two-cluster instance: the planted plane gives an

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -255,3 +256,75 @@ class TestValidation:
     def test_nonpositive_margin_rejected(self):
         with pytest.raises(ValueError):
             Dataset([DataPoint(np.array([1.0]), 1)], claimed_margin=0.0)
+
+
+class TestPlantedGeneratorDigests:
+    # SHA-256 of X.tobytes() + y.tobytes(), recorded before the generator
+    # wrote its points into preallocated arrays; any drift in the seeded
+    # draw order or in the per-point arithmetic changes them.
+    @pytest.mark.parametrize("n,m,gamma,seed,digest", [
+        (64, 2, 0.1, 0, "ede3397a457790b96a8290b377077d1708e9a863da5b982101f49f59bdc7cacb"),
+        (16, 5, 0.2, 3, "6e411ee543920e3a6bdefb379c1264dc2ffc75b8bfc4406233a3252aa901499f"),
+        (8, 2, 0.2, 1, "fb39f096bd6447e8f5dc078c61f579ec2b0fcd2bab82aea248b9df19d09caf2a"),
+        (1, 1, 0.5, 11, "c68f7f534b0398d1f2bb07750df1faeef6253231f6b3305f0c8d5ae748226035"),
+        (512, 3, 0.05, 7, "95865159c34b0f6f1e67efc5a75ab177a241808ccb4b8b8c9543d5fb94c01b50"),
+    ])
+    def test_arrays_match_recorded_digest(self, n, m, gamma, seed, digest):
+        data, _ = generate_planted_dataset(n, m, gamma, rng_seed=seed)
+        X, y = data.as_arrays()
+        assert X.dtype == np.float64 and y.dtype == np.int64
+        assert X.shape == (n, m) and y.shape == (n,)
+        assert hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest() == digest
+
+
+class TestArrayDataset:
+    def test_points_and_arrays_agree(self):
+        data, _ = generate_planted_dataset(9, 3, 0.2, rng_seed=5)
+        X, y = data.as_arrays()
+        points = data.points
+        assert len(points) == data.n_points == 9 and data.dim == 3
+        assert np.array_equal(np.stack([p.x for p in points]), X)
+        assert [p.y for p in points] == y.tolist()
+        rebuilt = Dataset(points, data.claimed_margin)
+        assert np.array_equal(rebuilt.as_arrays()[0], X)
+        assert np.array_equal(rebuilt.as_arrays()[1], y)
+
+    def test_from_arrays_stores_validated_read_only_arrays(self):
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        data = Dataset.from_arrays(X, [1, -1], 0.5)
+        stored, labels = data.as_arrays()
+        assert stored is data.as_arrays()[0]
+        assert labels.dtype == np.int64 and labels.tolist() == [1, -1]
+        X[0, 0] = 7.0  # the dataset holds its own copy
+        assert stored[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            stored[0, 0] = 7.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_x(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset.from_arrays([[0.5, value]], [1], 0.1)
+
+    @pytest.mark.parametrize("label", [0, 2, 0.5])
+    def test_rejects_labels_other_than_pm_one(self, label):
+        with pytest.raises(ValueError, match="labels"):
+            Dataset.from_arrays([[0.5], [1.0]], [1, label], 0.1)
+
+    @pytest.mark.parametrize("X,y", [
+        ([[1.0, 2.0], [3.0, 4.0]], [1]),
+        ([[1.0, 2.0]], [[1]]),
+        ([1.0, 2.0], [1, 1]),
+        (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+        (np.zeros((2, 0)), [1, 1]),
+    ], ids=["short-y", "2d-y", "1d-x", "no-points", "no-features"])
+    def test_rejects_mismatched_or_empty_shapes(self, X, y):
+        with pytest.raises(ValueError):
+            Dataset.from_arrays(X, y, 0.1)
+
+    def test_rejects_empty_point_list(self):
+        with pytest.raises(ValueError):
+            Dataset([], claimed_margin=0.1)
+
+    def test_rejects_nonpositive_margin_from_arrays(self):
+        with pytest.raises(ValueError):
+            Dataset.from_arrays([[1.0]], [1], 0.0)
