@@ -367,16 +367,16 @@ class TestStateSizeLimit:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[0])["agree"]
 
-    @pytest.mark.parametrize("flags,exponent", [
-        # n = 5, k = 40: 2**45 entries
-        (("--k-max", "40", "--tables", "1"), 45),
-        (("--n-max", "40"), 43),
+    @pytest.mark.parametrize("flags,largest", [
+        # (n_max, k_max) with the other at its default (5 and 3)
+        (("--k-max", "40", "--tables", "1"), (5, 40)),
+        (("--n-max", "40"), (40, 3)),
     ], ids=["k-max", "n-max"])
-    def test_oversized_verify_tables_exit_2_before_drawing(self, flags, exponent):
+    def test_oversized_verify_tables_exit_2_before_drawing(self, flags, largest):
         proc = run_cli_process("verify", *flags, preexec_fn=cap_address_space)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        need = (VERIFY_BYTES_PER_ENTRY << exponent) + cli.VERIFY_SMALL_BYTES
+        need = _verify_table_bytes(*largest)
         assert proc.stderr.startswith(f"verify: the tables need {need} bytes, over the limit of ")
 
     @pytest.mark.parametrize("argv,table", [
