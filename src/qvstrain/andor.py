@@ -1,9 +1,11 @@
 """Two-level AND-OR formula evaluation: the direct Boolean evaluator and the
-reduction that answers it through multi-criterion search."""
+reduction that answers it through multi-criterion search.
+
+An instance is the OR of K AND-blocks of N bits each, held as the N x K
+:class:`~qvstrain.oracles.TruthTable` whose column j is AND-block j; its
+bit string z lists the table column by column, z[i + j*N] = bits[i, j]."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,59 +14,40 @@ from .perceptron import _read_rows
 from .search import BEQConfig, SearchOutcome, multi_criterion_search
 
 
-@dataclass(frozen=True, eq=False)
-class AndOrInstance:
-    """OR of K AND-blocks of N bits each; bit z[i + j*N] feeds row i of
-    block j (column-major against the oracle table)."""
-
-    n_rows: int
-    n_cols: int
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.uint8)
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("fan-ins must be positive")
-        if z.shape != (self.n_rows * self.n_cols,):
-            raise ValueError(
-                f"bit string length {z.size} does not match N*K = {self.n_rows * self.n_cols}"
-            )
-        if not np.isin(z, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "z", z)
-
-    def as_table(self) -> TruthTable:
-        return TruthTable(self.z.reshape(self.n_cols, self.n_rows).T)
+def table_from_blocks(n_rows: int, n_cols: int, z) -> TruthTable:
+    """The N x K table of the column-major bit string z (length N*K)."""
+    return TruthTable(np.asarray(z, dtype=np.uint8).reshape(n_cols, n_rows).T)
 
 
-def evaluate_direct(inst: AndOrInstance) -> int:
+def evaluate_direct(table: TruthTable) -> int:
     """Exact Boolean value of the two-level formula."""
-    blocks = inst.z.reshape(inst.n_cols, inst.n_rows)
-    return int(blocks.all(axis=1).any())
+    return int(table.bits.all(axis=0).any())
 
 
 def evaluate_via_search(
-    inst: AndOrInstance, cfg: BEQConfig | None = None, rng_seed=None
+    table: TruthTable, cfg: BEQConfig | None = None, rng_seed=None
 ) -> tuple[int, SearchOutcome]:
-    """Wrap the bits as an oracle table and run multi-criterion search;
-    Found maps to 1, NotFound to 0.  Correct with probability >= 2/3."""
-    outcome = multi_criterion_search(OracleHandle(inst.as_table()), cfg, rng_seed)
-    value = int(outcome.found and outcome.index < inst.n_cols)
+    """Run multi-criterion search over the table; Found maps to 1, NotFound
+    to 0.  Correct with probability >= 2/3."""
+    outcome = multi_criterion_search(OracleHandle(table), cfg, rng_seed)
+    value = int(outcome.found and outcome.index < table.n_cols)
     return value, outcome
 
 
-def save_instance(inst: AndOrInstance, path) -> None:
-    """Text format: header ``N K`` then the N*K bits as one 0/1 line."""
+def save_instance(table: TruthTable, path) -> None:
+    """Text format: header ``N K`` then the N*K bits of z as one 0/1 line."""
     with open(path, "w") as fh:
-        fh.write(f"{inst.n_rows} {inst.n_cols}\n")
-        fh.write("".join(str(int(v)) for v in inst.z) + "\n")
+        fh.write(f"{table.n_rows} {table.n_cols}\n")
+        fh.write("".join(str(int(v)) for v in table.bits.T.ravel()) + "\n")
 
 
-def load_instance(path) -> AndOrInstance:
+def load_instance(path) -> TruthTable:
     def shape(tokens):
         return (int(tokens[0]), int(tokens[1])), 1, 1
 
     (n, k), (bits,) = _read_rows(path, "N K", shape, lambda fields: [int(c) for c in fields[0]])
+    if n < 1 or k < 1:
+        raise ValueError("line 1: N and K must be positive")
     if len(bits) != n * k:
         raise ValueError(f"line 2: expected N*K = {n * k} bits, got {len(bits)}")
-    return AndOrInstance(n, k, np.array(bits, dtype=np.uint8))
+    return table_from_blocks(n, k, bits)

@@ -53,7 +53,7 @@ def online_train(
     strictly separates the data."""
     if max_updates < 1:
         raise ValueError("max_updates must be >= 1")
-    X, y = data.as_arrays()
+    X, y = data.X, data.y
     w = initial.w.astype(float).copy() if initial is not None else np.zeros(data.dim)
     b = float(initial.b) if initial is not None else 0.0
     updates = 0
@@ -76,7 +76,7 @@ def perceptron_mistake_bound(data: Dataset, separator: Hyperplane) -> float:
     """(R s / gamma)**2 bound on online updates, with R the largest augmented
     point norm, s the augmented norm of the known separator and gamma its
     worst-case functional margin over the data."""
-    X, y = data.as_arrays()
+    X, y = data.X, data.y
     R = float(np.sqrt((np.linalg.norm(X, axis=1) ** 2 + 1.0).max()))
     s = float(np.sqrt(np.linalg.norm(separator.w) ** 2 + separator.b**2))
     functional = float(np.min(y * (X @ separator.w + separator.b)))

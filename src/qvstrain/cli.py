@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .andor import AndOrInstance, evaluate_direct, evaluate_via_search, load_instance
+from .andor import evaluate_direct, evaluate_via_search, load_instance, table_from_blocks
 from .baselines import brute_force_g, classical_version_space_search
 from .counting import phase_gap_bound_check, g_tilde_readout, l_bits
 from .oracles import (
@@ -288,11 +288,10 @@ def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed):
 def _sweep_trial(payload):
     (n_points, n_planes, gamma, seed, cfg) = payload
     data, planes, _ = _single_solution_instance(n_points, n_planes, gamma, seed)
-    table = from_perceptron(data, planes)
-    handle = OracleHandle(table)
+    handle = OracleHandle(from_perceptron(data, planes))
     outcome = multi_criterion_search(handle, cfg, rng_seed=seed)
     sound = (not outcome.found) or bool(brute_force_g(handle)[outcome.index])
-    classical = classical_version_space_search(OracleHandle(table))
+    classical = classical_version_space_search(handle)
     return {
         "quantum_bits": outcome.queries["bit_oracle"],
         "classical": classical.queries["classical_f"],
@@ -308,9 +307,9 @@ def _fit_slope(sizes, medians) -> float:
 def cmd_sweep(args, out) -> int:
     n_grid = [int(v) for v in args.n_grid.split(",")]
     k_grid = [int(v) for v in args.k_grid.split(",")]
-    if not n_grid or not k_grid:
-        print("sweep: empty grid", file=sys.stderr)
-        return 2
+    for flag, grid in (("--n-grid", n_grid), ("--k-grid", k_grid)):
+        for v in grid:
+            _check_count(flag, v)
     if len(set(n_grid)) < len(n_grid) or len(set(k_grid)) < len(k_grid):
         print("sweep: grid values must be distinct", file=sys.stderr)
         return 2
@@ -361,27 +360,25 @@ def cmd_andor(args, out) -> int:
     cfg = _beq_config(args)
     if args.random is None:
         # one instance from a file; a truth table's columns are its AND-blocks
-        if args.table is not None:
-            bits = load_truth_table(args.table).bits
-            inst = AndOrInstance(*bits.shape, bits.T.reshape(-1))
-        else:
-            inst = load_instance(args.file)
-        direct = evaluate_direct(inst)
-        via, outcome = evaluate_via_search(inst, cfg, rng_seed=args.seed)
-        _emit(out, {"N": inst.n_rows, "K": inst.n_cols, "direct": direct,
+        table = (load_truth_table(args.table) if args.table is not None
+                 else load_instance(args.file))
+        direct = evaluate_direct(table)
+        via, outcome = evaluate_via_search(table, cfg, rng_seed=args.seed)
+        _emit(out, {"N": table.n_rows, "K": table.n_cols, "direct": direct,
                     "via_search": via, "agree": direct == via,
                     "index": outcome.result, "queries": outcome.queries})
         return 0
     n, k, count = (int(v) for v in args.random.split(","))
-    _check_count("--random COUNT", count)
+    for name, value in (("N", n), ("K", k), ("COUNT", count)):
+        _check_count(f"--random {name}", value)
     _require_state_fits(n, k)
     rng = np.random.default_rng(args.seed)
     agreements = 0
     for t in range(count):
         z = (rng.random(n * k) < rng.uniform(0.2, 0.95)).astype(np.uint8)
-        inst = AndOrInstance(n, k, z)
-        direct = evaluate_direct(inst)
-        via, outcome = evaluate_via_search(inst, cfg, rng_seed=int(rng.integers(2**63)))
+        table = table_from_blocks(n, k, z)
+        direct = evaluate_direct(table)
+        via, outcome = evaluate_via_search(table, cfg, rng_seed=int(rng.integers(2**63)))
         agree = direct == via
         agreements += agree
         _emit(out, {"instance": t, "direct": direct, "via_search": via,

@@ -71,17 +71,6 @@ def l_bits(n: int) -> int:
     return (n + 1) // 2 + 3
 
 
-def sim_and_query_cost(l: int) -> int:
-    """Bit-oracle queries of one AND-simulation run (estimate + uncompute)."""
-    return 4 * ((1 << l) - 1)
-
-
-def controlled_sim_and_query_cost(l: int) -> int:
-    """Bit-oracle queries of a controlled AND-simulation: every oracle call
-    gains one more control layer, doubling its bit-query cost."""
-    return 8 * ((1 << l) - 1)
-
-
 def meter_phase_estimate(ledger: QueryLedger, l: int, times: int = 1) -> None:
     """2**l - 1 singly-controlled Grover steps per phase estimation."""
     ledger.charge(times * ((1 << l) - 1), controls=1)

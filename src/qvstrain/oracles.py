@@ -88,12 +88,11 @@ def from_perceptron(data: Dataset, planes: list[Hyperplane]) -> TruthTable:
     """bits[i][j] = 1 iff planes[j] strictly correctly classifies point i."""
     if not planes:
         raise ValueError("need at least one hyperplane")
-    X, y = data.as_arrays()
-    if any(p.dim != X.shape[1] for p in planes):
+    if any(p.dim != data.dim for p in planes):
         raise ValueError("hyperplane dimension does not match the data")
     W = np.stack([p.w for p in planes])
     b = np.array([p.b for p in planes])
-    margins = y[:, None] * (X @ W.T + b[None, :])
+    margins = data.y[:, None] * (data.X @ W.T + b[None, :])
     return TruthTable((margins > 0.0).astype(np.uint8))
 
 
@@ -224,15 +223,6 @@ def apply_controlled_phase_oracle(
     apply_bit_oracle(state, layout, handle)
     handle.ledger.record("controlled_phase_oracle", _rows(state))
     return state
-
-
-def column_count(handle: OracleHandle, j: int) -> int:
-    """Exact number of 1s in true column j; meters the classical baseline
-    cost of one full column scan."""
-    if not (0 <= j < handle.n_cols):
-        raise ValueError(f"column {j} out of range")
-    handle.ledger.record("classical_f", handle.n_rows)
-    return int(handle.table.bits[:, j].sum())
 
 
 def controlled_phase_oracle_identity_gap(table: TruthTable) -> float:

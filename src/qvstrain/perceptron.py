@@ -2,11 +2,11 @@
 version-space membership, Gaussian candidate sampling and planted datasets.
 
 A :class:`Dataset` is stored as arrays, ``X`` (N, M) float64 and ``y`` (N,)
-int64, validated once when it is built; :class:`DataPoint` is the per-point
-view for callers that want one.  :func:`generate_planted_dataset` writes its
-accepted points straight into those arrays, and the order of its per-point
-draws (``random``, ``standard_normal(dim)``, ``random`` on each try) is the
-seeded contract: the same seed gives the same dataset bit for bit.
+int64, validated once when it is built.  :func:`generate_planted_dataset`
+writes its accepted points straight into those arrays, and the order of its
+per-point draws (``random``, ``standard_normal(dim)``, ``random`` on each
+try) is the seeded contract: the same seed gives the same dataset bit for
+bit.
 """
 
 from __future__ import annotations
@@ -20,23 +20,6 @@ import numpy as np
 # at most MAX_TRIES_PER_POINT rejection-sampling draws.
 CLUSTER_RADIUS_FACTOR = 4.0
 MAX_TRIES_PER_POINT = 1000
-
-
-@dataclass(frozen=True, eq=False)
-class DataPoint:
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 1 or x.size < 1:
-            raise ValueError("x must be a nonempty vector")
-        if not np.isfinite(x).all():
-            raise ValueError("x must be finite")
-        if self.y not in (+1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.y}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", int(self.y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,28 +48,12 @@ class Dataset:
     """N labeled points held as read-only arrays ``X`` (N, M) float64 and
     ``y`` (N,) int64, plus the margin the data is claimed to have.
 
-    ``Dataset(points, claimed_margin)`` stacks a list of :class:`DataPoint`;
-    :meth:`from_arrays` takes the arrays.  Both run the one check in
-    :meth:`_set`: at least one point, one dimension M >= 1 shared by all,
-    finite coordinates, labels +1 or -1 and a positive claimed margin."""
+    ``Dataset(X, y, claimed_margin)`` keeps its own copies of the arrays and
+    runs the one check: at least one point and one dimension M >= 1, ``y``
+    of shape (N,), finite coordinates, labels +1 or -1 and a positive
+    claimed margin."""
 
-    def __init__(self, points, claimed_margin: float):
-        points = list(points)
-        if not points:
-            raise ValueError("dataset needs at least one point")
-        dims = {p.x.size for p in points}
-        if len(dims) != 1:
-            raise ValueError(f"points have mixed dimensions: {sorted(dims)}")
-        self._set(np.stack([p.x for p in points]), np.array([p.y for p in points]),
-                  claimed_margin)
-
-    @classmethod
-    def from_arrays(cls, X, y, claimed_margin: float) -> Dataset:
-        data = cls.__new__(cls)
-        data._set(X, y, claimed_margin)
-        return data
-
-    def _set(self, X, y, claimed_margin: float) -> None:
+    def __init__(self, X, y, claimed_margin: float):
         X = np.array(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -111,48 +78,22 @@ class Dataset:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def points(self) -> list[DataPoint]:
-        """One :class:`DataPoint` per row, built on each access."""
-        return [DataPoint(x, int(label)) for x, label in zip(self.X, self.y)]
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored (X, y), X of shape (N, M) and y of shape (N,)."""
-        return self.X, self.y
-
-
-def classify(p: Hyperplane, x) -> int:
-    """sgn(w.x + b) with the boundary mapped to +1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != p.w.shape:
-        raise ValueError(f"dimension mismatch: plane {p.w.shape}, point {x.shape}")
-    return +1 if float(p.w @ x) + p.b >= 0.0 else -1
-
-
-def correctly_classifies(p: Hyperplane, d: DataPoint) -> bool:
-    """Strict condition (w.x + b) y > 0; boundary points never count."""
-    if d.x.shape != p.w.shape:
-        raise ValueError("dimension mismatch")
-    return (float(p.w @ d.x) + p.b) * d.y > 0.0
-
 
 def geometric_margin(data: Dataset, p: Hyperplane) -> float:
     """min_i y_i (w.x_i + b) / ||w||; positive iff p is in the version space."""
     wn = float(np.linalg.norm(p.w))
     if wn == 0.0:
         raise ValueError("zero weight vector has no geometric margin")
-    X, y = data.as_arrays()
-    if X.shape[1] != p.dim:
+    if data.dim != p.dim:
         raise ValueError("dimension mismatch")
-    return float(np.min(y * (X @ p.w + p.b)) / wn)
+    return float(np.min(data.y * (data.X @ p.w + p.b)) / wn)
 
 
 def in_version_space(data: Dataset, p: Hyperplane) -> bool:
     """True iff p classifies every point strictly correctly."""
-    X, y = data.as_arrays()
-    if X.shape[1] != p.dim:
+    if data.dim != p.dim:
         raise ValueError("dimension mismatch")
-    return bool(np.all(y * (X @ p.w + p.b) > 0.0))
+    return bool(np.all(data.y * (data.X @ p.w + p.b) > 0.0))
 
 
 def sample_hyperplanes(count: int, dim: int, rng_seed) -> list[Hyperplane]:
@@ -230,7 +171,7 @@ def generate_planted_dataset(
                 f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries; "
                 f"gamma={gamma} is infeasible for this geometry"
             )
-    return Dataset.from_arrays(X, y, claimed_margin=gamma), Hyperplane(w, b)
+    return Dataset(X, y, claimed_margin=gamma), Hyperplane(w, b)
 
 
 def save_dataset(data: Dataset, path) -> None:
@@ -238,7 +179,7 @@ def save_dataset(data: Dataset, path) -> None:
     point.  Floats are written with repr precision so a round trip is
     bit-exact."""
     lines = [f"{data.n_points} {data.dim} {data.claimed_margin!r}"]
-    for x, label in zip(*data.as_arrays()):
+    for x, label in zip(data.X, data.y):
         coords = " ".join(repr(float(v)) for v in x)
         lines.append(f"{coords} {int(label):d}")
     with open(path, "w") as fh:
@@ -279,7 +220,13 @@ def load_dataset(path) -> Dataset:
         return float(tokens[2]), int(tokens[0]), int(tokens[1]) + 1
 
     def point(fields):
-        return DataPoint(np.array([float(v) for v in fields[:-1]]), int(fields[-1]))
+        x, label = [float(v) for v in fields[:-1]], int(fields[-1])
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        if label not in (1, -1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        return x, label
 
-    gamma, points = _read_rows(path, "N M gamma", shape, point)
-    return Dataset(points, claimed_margin=gamma)
+    gamma, rows = _read_rows(path, "N M gamma", shape, point)
+    X, y = zip(*rows)
+    return Dataset(X, y, claimed_margin=gamma)

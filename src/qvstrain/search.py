@@ -1,5 +1,5 @@
-"""Search layer: randomized-schedule Grover search for an unknown number of
-marked items, bounded-error search driven by the AND-simulation oracle,
+"""Search layer: bounded-error search driven by the AND-simulation oracle,
+with a randomized Grover schedule for an unknown number of marked items,
 multi-criterion search, and the end-to-end version-space trainer.
 
 Within one search run the unitary pieces are deterministic, so iterated
@@ -129,61 +129,6 @@ def _schedule(k: int, passes: int):
             if m >= cap:
                 break
             m = min(m * GROWTH, cap)
-
-
-def _normalize_marked(k: int, marked) -> np.ndarray:
-    """Only a predicate or a bool array of length 2**k is a mask; any other
-    collection lists the marked indices, each in [0, 2**k)."""
-    size = 1 << k
-    if callable(marked):
-        return np.array([bool(marked(j)) for j in range(size)])
-    arr = np.asarray(marked if isinstance(marked, np.ndarray) else list(marked))
-    if arr.dtype == bool and arr.shape == (size,):
-        return arr.copy()
-    idx = arr.astype(np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise ValueError(f"marked indices must lie in [0, {size}), got {arr.tolist()}")
-    flags = np.zeros(size, dtype=bool)
-    flags[idx] = True
-    return flags
-
-
-def grover_search_unknown_m(k: int, marked, rng_seed, max_rounds: int = 3) -> SearchOutcome:
-    """Grover search over 2**k items with an unknown number of marked ones:
-    each round applies a uniformly drawn number of iterations below a
-    growing bound, measures, and checks the candidate with one classical
-    oracle query.  ``marked`` may be a predicate, a bool mask of length
-    2**k, or a collection of marked indices."""
-    flags = _normalize_marked(k, marked)
-    rng = np.random.default_rng(rng_seed)
-    size = 1 << k
-    uniform = np.full(size, 1.0 / math.sqrt(size))
-    oracle_queries = 0
-    rounds = 0
-    iterations = 0
-    for m in _schedule(k, max_rounds):
-        rounds += 1
-        r = int(rng.integers(0, max(1, math.ceil(m))))
-        amps = uniform.copy()
-        for _ in range(r):
-            amps[flags] *= -1.0
-            amps = (2.0 * amps.mean()) - amps
-            oracle_queries += 1
-        iterations += r
-        probs = amps**2
-        j = int(rng.choice(size, p=probs / probs.sum()))
-        oracle_queries += 1  # classical check of the candidate
-        if flags[j]:
-            return SearchOutcome(
-                index=j,
-                queries={"h_oracle": oracle_queries},
-                trials={"rounds": rounds, "iterations": iterations},
-            )
-    return SearchOutcome(
-        index=None,
-        queries={"h_oracle": oracle_queries},
-        trials={"rounds": rounds, "iterations": iterations, "reason": "budget_exhausted"},
-    )
 
 
 class SimAndSearchOracle:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qvstrain.andor import AndOrInstance, evaluate_direct
+from qvstrain.andor import evaluate_direct, table_from_blocks
 from qvstrain.baselines import brute_force_g
 from qvstrain.cli import main
 from qvstrain.counting import g_tilde_readout, phase_gap_bound_check, quantum_count
@@ -300,7 +300,7 @@ def test_criterion_8_gamma_sampling_law():
     ok = True
     for gamma in (0.05, 0.1, 0.2, 0.3):
         data, _ = generate_planted_dataset(12, 2, gamma, rng_seed=SUITE_SEED)
-        X, y = data.as_arrays()
+        X, y = data.X, data.y
         W = rng.standard_normal((10_000, 2))
         B = rng.standard_normal(10_000)
         fraction = float(((y[:, None] * (X @ W.T + B[None, :])) > 0).all(axis=0).mean())
@@ -341,14 +341,14 @@ def test_criterion_10_andor_reduction():
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, 9))
         z = (rng.random(n * k) < rng.uniform(0.2, 0.95)).astype(np.uint8)
-        inst = AndOrInstance(n, k, z)
-        expected = evaluate_direct(inst)
-        handle = OracleHandle(inst.as_table())
+        table = table_from_blocks(n, k, z)
+        expected = evaluate_direct(table)
+        handle = OracleHandle(table)
         oracle = SimAndSearchOracle(handle)
         agree = 0
         for _run in range(50):
             out = bounded_error_search(oracle, cfg, rng_seed=int(rng.integers(2**63)))
-            value = int(out.found and out.index < inst.n_cols)
+            value = int(out.found and out.index < table.n_cols)
             agree += value == expected
         if agree < math.ceil(50 * 2 / 3):
             weak += 1

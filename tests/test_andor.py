@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from qvstrain.andor import (
-    AndOrInstance,
     evaluate_direct,
     evaluate_via_search,
     load_instance,
     save_instance,
+    table_from_blocks,
 )
+from qvstrain.oracles import TruthTable
 
 from .conftest import FIXTURE_BITS
 
 
-def fixture_instance() -> AndOrInstance:
-    # column-major flattening: z[i + j*N] = bits[i][j]
-    z = FIXTURE_BITS.T.reshape(-1)
-    return AndOrInstance(4, 3, z)
+def fixture_instance() -> TruthTable:
+    return TruthTable(FIXTURE_BITS.copy())
+
+
+def zeros(n: int, k: int) -> TruthTable:
+    return TruthTable(np.zeros((n, k), dtype=np.uint8))
 
 
 class TestEvaluateDirect:
@@ -23,20 +26,21 @@ class TestEvaluateDirect:
         assert evaluate_direct(fixture_instance()) == 1
 
     def test_all_zero(self):
-        assert evaluate_direct(AndOrInstance(3, 3, np.zeros(9, dtype=np.uint8))) == 0
+        assert evaluate_direct(zeros(3, 3)) == 0
 
     def test_single_full_block(self):
         z = np.zeros(12, dtype=np.uint8)
         z[4:8] = 1  # block j=1 all ones
-        assert evaluate_direct(AndOrInstance(4, 3, z)) == 1
+        assert evaluate_direct(table_from_blocks(4, 3, z)) == 1
 
     def test_bit_to_table_mapping(self):
-        inst = fixture_instance()
-        np.testing.assert_array_equal(inst.as_table().bits, FIXTURE_BITS)
+        # column-major flattening: z[i + j*N] = bits[i][j]
+        table = table_from_blocks(4, 3, FIXTURE_BITS.T.reshape(-1))
+        np.testing.assert_array_equal(table.bits, FIXTURE_BITS)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            AndOrInstance(3, 3, np.zeros(8, dtype=np.uint8))
+            table_from_blocks(3, 3, np.zeros(8, dtype=np.uint8))
 
 
 class TestEvaluateViaSearch:
@@ -46,8 +50,7 @@ class TestEvaluateViaSearch:
         assert outcome.queries["bit_oracle"] > 0
 
     def test_all_zero_agrees(self):
-        inst = AndOrInstance(3, 3, np.zeros(9, dtype=np.uint8))
-        value, _ = evaluate_via_search(inst, rng_seed=1)
+        value, _ = evaluate_via_search(zeros(3, 3), rng_seed=1)
         assert value == 0
 
     def test_random_agreement_smoke(self):
@@ -56,20 +59,18 @@ class TestEvaluateViaSearch:
         for _ in range(15):
             n, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             z = (rng.random(n * k) < rng.uniform(0.3, 0.95)).astype(np.uint8)
-            inst = AndOrInstance(n, k, z)
-            value, _ = evaluate_via_search(inst, rng_seed=int(rng.integers(2**31)))
-            agree += value == evaluate_direct(inst)
+            table = table_from_blocks(n, k, z)
+            value, _ = evaluate_via_search(table, rng_seed=int(rng.integers(2**31)))
+            agree += value == evaluate_direct(table)
         assert agree >= 12
 
 
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
-        inst = fixture_instance()
+        table = fixture_instance()
         path = tmp_path / "inst.txt"
-        save_instance(inst, path)
-        loaded = load_instance(path)
-        assert loaded.n_rows == 4 and loaded.n_cols == 3
-        np.testing.assert_array_equal(loaded.z, inst.z)
+        save_instance(table, path)
+        assert load_instance(path) == table
         header, bits = path.read_text().splitlines()
         assert header == "4 3"
-        assert bits == "".join(str(v) for v in inst.z)
+        assert bits == "".join(str(v) for v in FIXTURE_BITS.T.reshape(-1))

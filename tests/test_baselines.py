@@ -13,7 +13,6 @@ from qvstrain.baselines import (
 )
 from qvstrain.oracles import OracleHandle, TruthTable
 from qvstrain.perceptron import (
-    DataPoint,
     Dataset,
     Hyperplane,
     generate_planted_dataset,
@@ -106,7 +105,7 @@ class TestOnlineTrain:
         )
 
     def test_single_point_one_update(self):
-        data = Dataset([DataPoint(np.array([2.0, 1.0]), +1)], claimed_margin=0.5)
+        data = Dataset([[2.0, 1.0]], [+1], claimed_margin=0.5)
         plane = online_train(data, max_updates=1)
         assert plane is not None
         np.testing.assert_allclose(plane.w, [2.0, 1.0])
@@ -114,20 +113,17 @@ class TestOnlineTrain:
 
     def test_budget_exhaustion_returns_none(self):
         # contradictory labels on the same point can never separate
-        data = Dataset(
-            [DataPoint(np.array([1.0, 0.0]), +1), DataPoint(np.array([1.0, 0.0]), -1)],
-            claimed_margin=0.1,
-        )
+        data = Dataset([[1.0, 0.0], [1.0, 0.0]], [+1, -1], claimed_margin=0.1)
         assert online_train(data, max_updates=50) is None
 
     def test_rejects_bad_budget(self):
-        data = Dataset([DataPoint(np.array([1.0]), +1)], claimed_margin=0.1)
+        data = Dataset([[1.0]], [+1], claimed_margin=0.1)
         with pytest.raises(ValueError):
             online_train(data, max_updates=0)
 
 
 class TestMistakeBound:
     def test_requires_separating_plane(self):
-        data = Dataset([DataPoint(np.array([1.0, 0.0]), -1)], claimed_margin=0.1)
+        data = Dataset([[1.0, 0.0]], [-1], claimed_margin=0.1)
         with pytest.raises(ValueError):
             perceptron_mistake_bound(data, Hyperplane(np.array([1.0, 0.0]), 0.0))

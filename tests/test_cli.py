@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,12 +9,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qvstrain
 
-from qvstrain.andor import AndOrInstance, load_instance, save_instance
+from qvstrain.andor import load_instance, save_instance
 from qvstrain.baselines import classical_version_space_search
 from qvstrain import cli
 from qvstrain.cli import (
@@ -31,7 +32,7 @@ from qvstrain.oracles import (
     load_truth_table,
     save_truth_table,
 )
-from qvstrain.perceptron import DataPoint, Dataset, load_dataset, save_dataset
+from qvstrain.perceptron import Dataset, load_dataset, save_dataset
 from qvstrain.search import search_state_bytes
 
 from .conftest import FIXTURE_BITS
@@ -180,9 +181,8 @@ class TestSweep:
 
 class TestAndor:
     def test_file_mode_fixture(self, tmp_path):
-        z = FIXTURE_BITS.T.reshape(-1)
         path = tmp_path / "inst.txt"
-        save_instance(AndOrInstance(4, 3, z), path)
+        save_instance(TruthTable(FIXTURE_BITS), path)
         rc, out = run_cli("andor", "--file", str(path), "--seed", "5")
         assert rc == 0
         row = json.loads(out.strip().splitlines()[0])
@@ -278,16 +278,29 @@ class TestStrictLoaders:
             assert "Traceback" not in proc.stderr, defect
             assert proc.stderr.startswith(f"{argv[0]}: line {line}: "), (defect, proc.stderr)
 
+    @pytest.mark.parametrize("loader,body,message", [
+        ("dataset", "2 1 0.5\n1.0 1\n-1.0 0\n", "line 3: label must be +1 or -1, got 0"),
+        ("dataset", "2 1 0.5\n1.0 1\nnan -1\n", "line 3: x must be finite"),
+        ("dataset", "2 1 0.5\n1.0 1\n-1.0 1.5\n",
+         "line 3: invalid literal for int() with base 10: '1.5'"),
+        ("instance", "-2 -2\n1111\n", "line 1: N and K must be positive"),
+    ], ids=["label-0", "nan-coordinate", "label-1.5", "negative-fan-ins"])
+    def test_value_defects_name_their_line(self, loader, body, message, tmp_path, capsys):
+        argv, _ = self.CASES[loader]
+        path = tmp_path / "input.txt"
+        path.write_text(body)
+        assert run_cli(*argv, str(path)) == (2, "")
+        assert capsys.readouterr().err == f"{argv[0]}: {message}\n"
+
     @given(seed=st.integers(0, 2**31))
     def test_save_load_round_trip_bit_exact(self, seed):
         rng = np.random.default_rng(seed)
         rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
         table = TruthTable((rng.random((rows, cols)) < 0.5).astype(np.uint8))
-        inst = AndOrInstance(rows, cols, table.bits.T.reshape(-1))
-        data = Dataset([DataPoint(rng.standard_normal(cols), int(rng.choice([-1, 1])))
-                        for _ in range(rows)], claimed_margin=float(rng.uniform(1e-3, 1.0)))
+        data = Dataset(rng.standard_normal((rows, cols)), rng.choice([-1, 1], size=rows),
+                       claimed_margin=float(rng.uniform(1e-3, 1.0)))
         formats = ((save_truth_table, load_truth_table, table),
-                   (save_instance, load_instance, inst),
+                   (save_instance, load_instance, table),
                    (save_dataset, load_dataset, data))
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "first.txt"), os.path.join(tmp, "second.txt")
@@ -321,6 +334,88 @@ class TestCountsBelowOne:
         proc = run_cli_process("verify", flag, "0")
         assert proc.returncode == 2
         assert proc.stderr == f"verify: {flag} must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv,line", [
+        (("sweep", "--k-grid", "0"), "sweep: --k-grid must be >= 1, got 0"),
+        (("sweep", "--k-grid=-3"), "sweep: --k-grid must be >= 1, got -3"),
+        (("sweep", "--n-grid=-8,16"), "sweep: --n-grid must be >= 1, got -8"),
+        (("andor", "--random=-3,2,1"), "andor: --random N must be >= 1, got -3"),
+        (("andor", "--random", "0,3,1"), "andor: --random N must be >= 1, got 0"),
+        (("andor", "--random", "3,0,1"), "andor: --random K must be >= 1, got 0"),
+    ], ids=["k-grid-0", "k-grid-negative", "n-grid-negative", "random-n-negative",
+            "random-n-0", "random-k-0"])
+    def test_sizes_name_the_flag(self, argv, line):
+        proc = run_cli_process(*argv, "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stderr == line + "\n"
+
+
+BELOW_ONE = st.integers(-1000, 0).map(str)
+OUTSIDE_UNIT = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
+                         st.just(float("nan"))).map(repr)
+BAD_GRID = st.one_of(
+    st.tuples(st.integers(1, 64).map(str), BELOW_ONE).map(",".join),
+    st.integers(1, 64).map(lambda v: f"{v},{v}"),
+)
+
+
+@st.composite
+def bad_random(draw):
+    fields = [str(draw(st.integers(1, 4))) for _ in range(3)]
+    if draw(st.booleans()):
+        fields[draw(st.integers(0, 2))] = draw(BELOW_ONE)
+        return ",".join(fields)
+    return draw(st.sampled_from([",".join(fields[:2]), ",".join(fields + ["1"]),
+                                 "a,2,1", "", "2;2;1", "2.5,2,1"]))
+
+
+SEARCH_FIELDS = {
+    "--verify-repeats": st.integers(-20, 40).filter(lambda v: v < 3 or v % 2 == 0).map(str),
+    "--max-rounds": BELOW_ONE,
+}
+# command -> (a small valid argv, invalid values per field)
+ARGV_FIELDS = {
+    "train": (("--n", "8", "--m", "2", "--gamma", "0.3", "--seed", "1"),
+              {"--n": BELOW_ONE, "--m": BELOW_ONE, "--trials": BELOW_ONE,
+               "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT,
+               "--epsilon": OUTSIDE_UNIT, **SEARCH_FIELDS}),
+    "sweep": (("--n-grid", "8", "--k-grid", "4", "--trials", "1", "--seed", "1"),
+              {"--n-grid": BAD_GRID, "--k-grid": BAD_GRID, "--trials": BELOW_ONE,
+               "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT, **SEARCH_FIELDS}),
+    "andor": (("--random", "4,4,1", "--seed", "1"),
+              {"--random": bad_random(), **SEARCH_FIELDS}),
+    "verify": (("--tables", "1", "--n-max", "2", "--k-max", "1", "--gap-n-max", "2",
+                "--identity-tables", "1"),
+               dict.fromkeys(("--tables", "--n-max", "--k-max", "--gap-n-max",
+                              "--identity-tables"), BELOW_ONE)),
+    "gen-dataset": (("--n", "4", "--gamma", "0.3", "--seed", "1", "--out-file", os.devnull),
+                    {"--n": BELOW_ONE, "--m": BELOW_ONE, "--gamma": OUTSIDE_UNIT}),
+}
+
+
+@st.composite
+def invalid_argv(draw):
+    command = draw(st.sampled_from(sorted(ARGV_FIELDS)))
+    valid, fields = ARGV_FIELDS[command]
+    flag = draw(st.sampled_from(sorted(fields)))
+    # the last occurrence of a flag wins, so this replaces the valid value
+    return [command, *valid, f"{flag}={draw(fields[flag])}"]
+
+
+class TestInvalidArgv:
+    def test_valid_argv_exit_0(self):
+        for command, (valid, _) in ARGV_FIELDS.items():
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert run_cli(command, *valid)[0] == 0, command
+
+    @settings(max_examples=200)
+    @given(argv=invalid_argv())
+    def test_one_invalid_field_exits_2(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, _ = run_cli(*argv)
+        assert rc == 2, argv
+        assert err.getvalue().startswith((f"{argv[0]}: ", "usage: ")), (argv, err.getvalue())
 
 
 class TestNonFiniteCConstant:

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 
 from qvstrain.counting import (
     phase_gap_bound_check,
-    controlled_sim_and_query_cost,
     g_tilde_readout,
     grover_operator,
     grover_operator_inverse,
     l_bits,
+    meter_sim_and,
     phase_estimate,
     phase_estimate_inverse,
     phase_register_distribution,
     quantum_count,
     sim_and,
     sim_and_overlap,
-    sim_and_query_cost,
 )
-from qvstrain.oracles import OracleHandle, TruthTable, apply_phase_oracle
+from qvstrain.oracles import OracleHandle, QueryLedger, TruthTable, apply_phase_oracle
 from qvstrain.statevec import (
     apply_hadamards,
     apply_inverse_qft,
@@ -307,7 +306,7 @@ class TestSimAnd:
             layout = handle.layout(l=l)
             state = new_uniform(layout)
             sim_and(state, layout, handle)
-            assert handle.ledger.bit_oracle == sim_and_query_cost(l)
+            assert handle.ledger.bit_oracle == 4 * (2**l - 1)
             assert handle.ledger.controlled_phase_oracle == 2 * ((1 << l) - 1)
 
 
@@ -498,7 +497,12 @@ class TestPhaseGapBound:
 
 class TestControlledSimAndCost:
     def test_doubling(self):
-        assert controlled_sim_and_query_cost(4) == 2 * sim_and_query_cost(4)
+        # a control on every oracle call doubles the bit queries it charges
+        plain, controlled = QueryLedger(), QueryLedger()
+        meter_sim_and(plain, 4)
+        meter_sim_and(controlled, 4, controlled=True)
+        assert plain.bit_oracle == 4 * (2**4 - 1)
+        assert controlled.bit_oracle == 8 * (2**4 - 1)
 
 
 class TestControlledCircuitKickback:

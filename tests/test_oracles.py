@@ -13,7 +13,6 @@ from qvstrain.oracles import (
     apply_bit_oracle,
     apply_controlled_phase_oracle,
     apply_phase_oracle,
-    column_count,
     controlled_phase_oracle_identity_gap,
     from_perceptron,
     load_truth_table,
@@ -78,7 +77,7 @@ class TestFromPerceptron:
         data, _ = generate_planted_dataset(5, 2, 0.1, rng_seed=seed)
         planes = sample_hyperplanes(4, 2, rng_seed=seed + 1)
         table = from_perceptron(data, planes)
-        X, y = data.as_arrays()
+        X, y = data.X, data.y
         for i in range(5):
             for j, p in enumerate(planes):
                 expected = (float(p.w @ X[i]) + p.b) * y[i] > 0
@@ -219,29 +218,6 @@ class TestControlledPhaseOracle:
         for _ in range(20):
             gap = controlled_phase_oracle_identity_gap(random_table(rng))
             assert gap < 1e-10
-
-
-class TestColumnCount:
-    def test_fixture_counts(self, fixture_handle):
-        assert [column_count(fixture_handle, j) for j in range(3)] == [1, 3, 4]
-        assert fixture_handle.ledger.classical_f == 12
-
-    def test_all_ones(self):
-        handle = OracleHandle(TruthTable(np.ones((8, 2), dtype=np.uint8)))
-        assert column_count(handle, 0) == 8
-
-    @settings(max_examples=25)
-    @given(seed=st.integers(0, 2**31))
-    def test_matches_independent_sum(self, seed):
-        rng = np.random.default_rng(seed)
-        table = random_table(rng)
-        handle = OracleHandle(table)
-        j = int(rng.integers(0, table.n_cols))
-        assert column_count(handle, j) == sum(int(v) for v in table.bits[:, j])
-
-    def test_out_of_range(self, fixture_handle):
-        with pytest.raises(ValueError):
-            column_count(fixture_handle, 3)
 
 
 class TestLedger:

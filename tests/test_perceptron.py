@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvstrain.oracles import from_perceptron
 from qvstrain.perceptron import (
-    DataPoint,
     Dataset,
     Hyperplane,
-    classify,
-    correctly_classifies,
     generate_planted_dataset,
     geometric_margin,
     in_version_space,
@@ -34,57 +32,51 @@ def plane_strategy(dim):
     )
 
 
-class TestClassify:
-    def test_positive_halfspace(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
-        assert classify(p, [2.0, 5.0]) == +1
-
-    def test_boundary_maps_to_plus_one(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
-        assert classify(p, [0.0, 3.0]) == +1
-
-    def test_negative_halfspace(self):
-        p = Hyperplane(np.array([1.0, 0.0]), -1.0)
-        assert classify(p, [0.0, 0.0]) == -1
-
-    def test_dimension_mismatch(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(ValueError):
-            classify(p, [1.0])
-
-    @given(p=plane_strategy(3), x=st.lists(finite_floats, min_size=3, max_size=3))
-    def test_matches_direct_recomputation(self, p, x):
-        expected = +1 if float(np.dot(p.w, x)) + p.b >= 0 else -1
-        assert classify(p, x) == expected
-
-
 class TestCorrectlyClassifies:
+    # the strict condition (w.x + b) y > 0, as from_perceptron's bit and
+    # in_version_space's membership of a one-point dataset
+    @staticmethod
+    def holds(p, x, label) -> bool:
+        data = Dataset([x], [label], claimed_margin=0.1)
+        bit = bool(from_perceptron(data, [p]).bits[0, 0])
+        assert bit == in_version_space(data, p)
+        return bit
+
     def test_strictly_positive(self):
         p = Hyperplane(np.array([1.0, 0.0]), 0.0)
-        assert correctly_classifies(p, DataPoint(np.array([1.0, 0.0]), +1))
+        assert self.holds(p, [1.0, 0.0], +1)
 
     def test_boundary_fails_strictness(self):
         p = Hyperplane(np.array([1.0, 0.0]), 0.0)
-        assert not correctly_classifies(p, DataPoint(np.array([0.0, 0.0]), +1))
+        assert not self.holds(p, [0.0, 0.0], +1)
+        assert not self.holds(p, [0.0, 3.0], -1)
 
     def test_negative_class(self):
         p = Hyperplane(np.array([1.0, 0.0]), 0.0)
-        assert correctly_classifies(p, DataPoint(np.array([-1.0, 0.0]), -1))
+        assert self.holds(p, [-1.0, 0.0], -1)
+
+    def test_dimension_mismatch(self):
+        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        data = Dataset([[1.0]], [+1], claimed_margin=0.1)
+        for check in (lambda: from_perceptron(data, [p]), lambda: in_version_space(data, p),
+                      lambda: geometric_margin(data, p)):
+            with pytest.raises(ValueError):
+                check()
 
 
 class TestGeometricMargin:
     def test_single_point(self):
-        data = Dataset([DataPoint(np.array([2.0, 0.0]), +1)], claimed_margin=1.0)
+        data = Dataset([[2.0, 0.0]], [+1], claimed_margin=1.0)
         p = Hyperplane(np.array([1.0, 0.0]), 0.0)
         assert geometric_margin(data, p) == pytest.approx(2.0)
 
     def test_misclassified_flips_sign(self):
-        data = Dataset([DataPoint(np.array([2.0, 0.0]), -1)], claimed_margin=1.0)
+        data = Dataset([[2.0, 0.0]], [-1], claimed_margin=1.0)
         p = Hyperplane(np.array([1.0, 0.0]), 0.0)
         assert geometric_margin(data, p) == pytest.approx(-2.0)
 
     def test_zero_weight_rejected(self):
-        data = Dataset([DataPoint(np.array([1.0, 1.0]), +1)], claimed_margin=0.5)
+        data = Dataset([[1.0, 1.0]], [+1], claimed_margin=0.5)
         with pytest.raises(ValueError):
             geometric_margin(data, Hyperplane(np.array([0.0, 0.0]), 1.0))
 
@@ -104,20 +96,15 @@ class TestVersionSpace:
 
     def test_flipped_labels_never_member(self):
         data, planted = generate_planted_dataset(10, 2, 0.2, rng_seed=4)
-        flipped = Dataset(
-            [DataPoint(p.x, -p.y) for p in data.points], data.claimed_margin
-        )
+        flipped = Dataset(data.X, -data.y, data.claimed_margin)
         assert not in_version_space(flipped, planted)
 
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**31))
     def test_membership_iff_positive_margin(self, seed):
         rng = np.random.default_rng(seed)
-        points = [
-            DataPoint(rng.standard_normal(2), +1 if rng.random() < 0.5 else -1)
-            for _ in range(6)
-        ]
-        data = Dataset(points, claimed_margin=0.1)
+        data = Dataset(rng.standard_normal((6, 2)), np.where(rng.random(6) < 0.5, 1, -1),
+                       claimed_margin=0.1)
         p = Hyperplane(rng.standard_normal(2), float(rng.standard_normal()))
         if np.linalg.norm(p.w) == 0:
             return
@@ -127,11 +114,8 @@ class TestVersionSpace:
     @given(seed=st.integers(0, 2**31), alpha=st.floats(1e-3, 1e3))
     def test_scaling_invariance(self, seed, alpha):
         rng = np.random.default_rng(seed)
-        points = [
-            DataPoint(rng.standard_normal(3), +1 if rng.random() < 0.5 else -1)
-            for _ in range(5)
-        ]
-        data = Dataset(points, claimed_margin=0.1)
+        data = Dataset(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, 1, -1),
+                       claimed_margin=0.1)
         p = Hyperplane(rng.standard_normal(3), float(rng.standard_normal()))
         scaled = Hyperplane(alpha * p.w, alpha * p.b)
         assert in_version_space(data, p) == in_version_space(data, scaled)
@@ -183,8 +167,7 @@ class TestPlantedGenerator:
         d1, p1 = generate_planted_dataset(6, 3, 0.1, rng_seed=9)
         d2, p2 = generate_planted_dataset(6, 3, 0.1, rng_seed=9)
         assert np.array_equal(p1.w, p2.w) and p1.b == p2.b
-        for a, b in zip(d1.points, d2.points):
-            assert np.array_equal(a.x, b.x) and a.y == b.y
+        assert np.array_equal(d1.X, d2.X) and np.array_equal(d1.y, d2.y)
 
     def test_unit_norm_plant(self):
         _, planted = generate_planted_dataset(5, 4, 0.3, rng_seed=2)
@@ -202,7 +185,7 @@ class TestGammaSamplingLaw:
         # quick version of the acceptance sweep: 2000 samples per gamma
         for gamma in (0.1, 0.3):
             data, _ = generate_planted_dataset(12, 2, gamma, rng_seed=5)
-            X, y = data.as_arrays()
+            X, y = data.X, data.y
             rng = np.random.default_rng(99)
             W = rng.standard_normal((2000, 2))
             B = rng.standard_normal(2000)
@@ -214,19 +197,15 @@ class TestGammaSamplingLaw:
 class TestDatasetIO:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
-        points = [
-            DataPoint(rng.standard_normal(3) * rng.uniform(1e-8, 1e8), int(s))
-            for s in np.where(rng.random(9) < 0.5, 1, -1)
-        ]
-        data = Dataset(points, claimed_margin=0.07213000931)
+        labels = np.where(rng.random(9) < 0.5, 1, -1)
+        X = np.stack([rng.standard_normal(3) * rng.uniform(1e-8, 1e8) for _ in labels])
+        data = Dataset(X, labels, claimed_margin=0.07213000931)
         path = tmp_path / "data.txt"
         save_dataset(data, path)
         loaded = load_dataset(path)
         assert loaded.claimed_margin == data.claimed_margin
         assert loaded.n_points == data.n_points
-        for a, b in zip(loaded.points, data.points):
-            assert a.y == b.y
-            assert np.array_equal(a.x, b.x)
+        assert np.array_equal(loaded.X, data.X) and np.array_equal(loaded.y, data.y)
 
     def test_header_format(self, tmp_path):
         data, _ = generate_planted_dataset(4, 2, 0.25, rng_seed=3)
@@ -239,8 +218,8 @@ class TestDatasetIO:
 
 class TestValidation:
     def test_label_must_be_pm_one(self):
-        with pytest.raises(ValueError):
-            DataPoint(np.array([1.0]), 0)
+        with pytest.raises(ValueError, match="labels"):
+            Dataset([[1.0]], [0], claimed_margin=0.1)
 
     def test_zero_plane_rejected(self):
         with pytest.raises(ValueError):
@@ -248,14 +227,11 @@ class TestValidation:
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            Dataset(
-                [DataPoint(np.array([1.0]), 1), DataPoint(np.array([1.0, 2.0]), 1)],
-                claimed_margin=0.1,
-            )
+            Dataset([[1.0], [1.0, 2.0]], [1, 1], claimed_margin=0.1)
 
     def test_nonpositive_margin_rejected(self):
         with pytest.raises(ValueError):
-            Dataset([DataPoint(np.array([1.0]), 1)], claimed_margin=0.0)
+            Dataset([[1.0]], [1], claimed_margin=0.0)
 
 
 class TestPlantedGeneratorDigests:
@@ -271,29 +247,17 @@ class TestPlantedGeneratorDigests:
     ])
     def test_arrays_match_recorded_digest(self, n, m, gamma, seed, digest):
         data, _ = generate_planted_dataset(n, m, gamma, rng_seed=seed)
-        X, y = data.as_arrays()
+        X, y = data.X, data.y
         assert X.dtype == np.float64 and y.dtype == np.int64
         assert X.shape == (n, m) and y.shape == (n,)
         assert hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest() == digest
 
 
 class TestArrayDataset:
-    def test_points_and_arrays_agree(self):
-        data, _ = generate_planted_dataset(9, 3, 0.2, rng_seed=5)
-        X, y = data.as_arrays()
-        points = data.points
-        assert len(points) == data.n_points == 9 and data.dim == 3
-        assert np.array_equal(np.stack([p.x for p in points]), X)
-        assert [p.y for p in points] == y.tolist()
-        rebuilt = Dataset(points, data.claimed_margin)
-        assert np.array_equal(rebuilt.as_arrays()[0], X)
-        assert np.array_equal(rebuilt.as_arrays()[1], y)
-
-    def test_from_arrays_stores_validated_read_only_arrays(self):
+    def test_stores_validated_read_only_arrays(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data = Dataset.from_arrays(X, [1, -1], 0.5)
-        stored, labels = data.as_arrays()
-        assert stored is data.as_arrays()[0]
+        data = Dataset(X, [1, -1], 0.5)
+        stored, labels = data.X, data.y
         assert labels.dtype == np.int64 and labels.tolist() == [1, -1]
         X[0, 0] = 7.0  # the dataset holds its own copy
         assert stored[0, 0] == 1.0
@@ -303,12 +267,12 @@ class TestArrayDataset:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_x(self, value):
         with pytest.raises(ValueError, match="finite"):
-            Dataset.from_arrays([[0.5, value]], [1], 0.1)
+            Dataset([[0.5, value]], [1], 0.1)
 
     @pytest.mark.parametrize("label", [0, 2, 0.5])
     def test_rejects_labels_other_than_pm_one(self, label):
         with pytest.raises(ValueError, match="labels"):
-            Dataset.from_arrays([[0.5], [1.0]], [1, label], 0.1)
+            Dataset([[0.5], [1.0]], [1, label], 0.1)
 
     @pytest.mark.parametrize("X,y", [
         ([[1.0, 2.0], [3.0, 4.0]], [1]),
@@ -319,12 +283,8 @@ class TestArrayDataset:
     ], ids=["short-y", "2d-y", "1d-x", "no-points", "no-features"])
     def test_rejects_mismatched_or_empty_shapes(self, X, y):
         with pytest.raises(ValueError):
-            Dataset.from_arrays(X, y, 0.1)
+            Dataset(X, y, 0.1)
 
     def test_rejects_empty_point_list(self):
         with pytest.raises(ValueError):
-            Dataset([], claimed_margin=0.1)
-
-    def test_rejects_nonpositive_margin_from_arrays(self):
-        with pytest.raises(ValueError):
-            Dataset.from_arrays([[1.0]], [1], 0.0)
+            Dataset([], [], claimed_margin=0.1)

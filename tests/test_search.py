@@ -5,16 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qvstrain.counting import controlled_sim_and_query_cost, l_bits, sim_and, sim_and_query_cost
+from qvstrain.counting import l_bits, sim_and
 from qvstrain.oracles import OracleHandle, TruthTable
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain import search
 from qvstrain.search import (
     BEQConfig,
     SimAndSearchOracle,
-    _normalize_marked,
     bounded_error_search,
-    grover_search_unknown_m,
     multi_criterion_search,
     search_state_bytes,
     train_perceptron,
@@ -31,48 +29,6 @@ class TestBEQConfig:
             BEQConfig(verify_repeats=1)
         with pytest.raises(ValueError):
             BEQConfig(max_rounds=0)
-
-
-class TestGroverSearchUnknownM:
-    def test_single_marked_success_rate(self):
-        hits = 0
-        for seed in range(200):
-            out = grover_search_unknown_m(3, {5}, rng_seed=seed)
-            hits += out.index == 5
-        assert hits >= 2 * 200 / 3
-
-    def test_all_marked_first_round(self):
-        out = grover_search_unknown_m(3, np.ones(8, dtype=bool), rng_seed=0)
-        assert out.found
-        assert out.trials["rounds"] == 1
-
-    def test_index_list_is_not_a_mask(self):
-        # [0, 1] over k = 1 lists both items; it is not the mask "only 1"
-        assert _normalize_marked(1, [0, 1]).tolist() == [True, True]
-        assert _normalize_marked(2, [1, 1, 0, 0]).tolist() == [True, True, False, False]
-        mask = np.array([False, True])
-        assert _normalize_marked(1, mask).tolist() == [False, True]
-
-    def test_index_outside_range_raises(self):
-        # -1 would silently mark the last item and 4 would be a bare IndexError
-        for bad in ([-1], [4], [0, 4]):
-            with pytest.raises(ValueError, match=r"\[0, 4\)"):
-                _normalize_marked(2, bad)
-        assert not _normalize_marked(2, []).any()
-
-    def test_none_marked(self):
-        out = grover_search_unknown_m(3, set(), rng_seed=1)
-        assert not out.found and out.result == -1
-
-    def test_accepts_predicate(self):
-        out = grover_search_unknown_m(2, lambda j: j == 1, rng_seed=2)
-        assert out.index == 1
-
-    def test_found_only_verified(self):
-        # with a single marked item every Found must be that item
-        for seed in range(50):
-            out = grover_search_unknown_m(4, {11}, rng_seed=seed)
-            assert out.index in (None, 11)
 
 
 class TestBoundedErrorSearch:
@@ -96,13 +52,20 @@ class TestBoundedErrorSearch:
         out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=4)
         assert out.found and 0 <= out.index < 4
 
+    def test_all_marked_first_round(self):
+        # every candidate is a solution, so the first round's is accepted
+        handle = OracleHandle(TruthTable(np.ones((8, 8), dtype=np.uint8)))
+        for seed in range(10):
+            out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=seed)
+            assert out.found and out.trials["rounds"] == 1
+
     def test_query_metering_matches_cost_model(self, fixture_handle):
         oracle = SimAndSearchOracle(fixture_handle)
         out = bounded_error_search(oracle, BEQConfig(), rng_seed=5)
         l = l_bits(fixture_handle.n)
         expected = (
-            out.trials["iterations"] * sim_and_query_cost(l)
-            + out.trials["verification_shots"] * controlled_sim_and_query_cost(l)
+            out.trials["iterations"] * 4 * (2**l - 1)
+            + out.trials["verification_shots"] * 8 * (2**l - 1)
         )
         assert out.queries["bit_oracle"] == expected
         assert out.queries["classical_f"] == 0
@@ -258,15 +221,10 @@ class TestTrainPerceptron:
         # a fully contradictory dataset has an empty version space, so the
         # failure must be labeled a sampling failure
         data, planted = generate_planted_dataset(8, 2, 0.2, rng_seed=1)
-        from qvstrain.perceptron import DataPoint, Dataset
+        from qvstrain.perceptron import Dataset
 
-        twisted = Dataset(
-            [
-                DataPoint(p.x, p.y if i % 2 else -p.y)
-                for i, p in enumerate(data.points)
-            ],
-            claimed_margin=0.2,
-        )
+        twisted = Dataset(data.X, np.where(np.arange(8) % 2, data.y, -data.y),
+                          claimed_margin=0.2)
         result = train_perceptron(twisted, epsilon=0.5, rng_seed=2)
         if not result.found:
             assert result.failure_kind == "sampling"
