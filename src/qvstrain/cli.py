@@ -118,6 +118,8 @@ def cmd_train(args, out) -> int:
     _check_count("--trials", args.trials)
     _check_count("--workers", args.workers)
     if args.dataset is None:
+        _check_count("--n", args.n)
+        _check_count("--m", args.m)
         K = required_sample_count(args.gamma, args.epsilon, args.c_constant)
         _require_state_fits(args.n, K)
     cfg = _beq_config(args)
@@ -313,8 +315,12 @@ def cmd_sweep(args, out) -> int:
     if len(set(n_grid)) < len(n_grid) or len(set(k_grid)) < len(k_grid):
         print("sweep: grid values must be distinct", file=sys.stderr)
         return 2
+    if not (0.0 < args.gamma < 1.0):
+        print(f"sweep: gamma must be in (0, 1), got {args.gamma}", file=sys.stderr)
+        return 2
     _check_count("--trials", args.trials)
     _check_count("--workers", args.workers)
+    cfg = _beq_config(args)
     cells = [(n, k) for n in n_grid for k in k_grid]
     for n_points, n_planes in cells:
         _require_state_fits(n_points, n_planes)
@@ -322,7 +328,6 @@ def cmd_sweep(args, out) -> int:
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
-    cfg = _beq_config(args)
     payloads = [
         (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t, cfg)
         for idx, (n_points, n_planes) in enumerate(cells)
@@ -395,6 +400,8 @@ def cmd_gen_dataset(args, out) -> int:
     if not (0.0 < args.gamma < 1.0):
         print(f"gen-dataset: gamma must be in (0, 1), got {args.gamma}", file=sys.stderr)
         return 2
+    _check_count("--n", args.n)
+    _check_count("--m", args.m)
     data, planted = generate_planted_dataset(args.n, args.m, args.gamma, rng_seed=args.seed)
     save_dataset(data, args.out_file)
     _emit(out, {

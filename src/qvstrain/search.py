@@ -14,13 +14,13 @@ alone charges the ledger, by the closed-form cost of what each run
 logically performs: one AND-simulation per Grover iteration and one
 controlled AND-simulation per verification shot (:func:`meter_sim_and`).
 
-The search state is held in three factors, psi(r, j, i) = A[r & 1, j, i] +
-B[r, j, f(i, j)] + C[r, i] (:class:`SimAndSearchOracle`), so it takes
-O(2**(k+n) + 2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes.
-A search whose peak (:func:`search_state_bytes`) would exceed
-:func:`state_byte_limit` (the machine's physical memory, or the process's
-address-space limit if that is smaller) is refused before anything is
-allocated.
+The search state is held in three factors, psi(r, j, i) = P[f, r, j] +
+Q[r, i] + f E[r & 1, i] with f = f(i, j) (:class:`SimAndSearchOracle`), so
+it takes O(2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes,
+and no factor is the size of the table.  A search whose peak
+(:func:`search_state_bytes`) would exceed :func:`state_byte_limit` (the
+machine's physical memory, or the process's address-space limit if that is
+smaller) is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -49,22 +49,23 @@ def state_byte_limit() -> int:
 
 
 def search_state_bytes(n_rows: int, n_cols: int) -> int:
-    """Bytes a search over an N x K table holds at its peak: the oracle
-    handle's padded table and sign matrix (9 bytes per padded entry); the
-    three factors of :class:`SimAndSearchOracle` (2 * 2**(k+n) + 2 * 2**(l+k)
-    + 2**(l+n) complex amplitudes of 16 bytes), its f=1 mask (1 byte per
-    entry) and the marginals of every iteration the schedule can reach; and
-    one iteration's temporaries: six (2**l, 2**k) complex sums and shifts,
-    the (2**l, 2**n) products with the table, numpy's cast buffers (at most
-    one (2**k, 2**n) complex array) and SMALL_ARRAY_BYTES for the vectors."""
+    """Bytes a search over an N x K table holds at its peak: the handle's
+    padded table and sign matrix (9 bytes per entry); P, Q and the rotation
+    spectrum of :class:`SimAndSearchOracle` (3 * 2**(l+k) + 2**(l+n) complex
+    amplitudes) and every reachable marginal; the larger of an iteration's
+    three (2**l, 2**k) complex sums, shifts or products and the diffusion's
+    (2**l, 2**k) complex difference with its (2**l, 2**n) real product;
+    numpy's iterator buffers (three complex operands), 256 bytes per data
+    row for E and the vectors over i, and SMALL_ARRAY_BYTES for the rest."""
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
-    tables = 10 * kn
-    factors = 16 * (2 * kn + 2 * lk + ln)
+    tables = 9 * kn
+    factors = 16 * (3 * lk + ln)
     marginals = 8 * (1 << k) * (_iteration_cap(k) + 1)
-    temporaries = 16 * (kn + 6 * lk + ln)
-    return tables + factors + marginals + temporaries + SMALL_ARRAY_BYTES
+    temporaries = max(48 * lk, 16 * lk + 8 * ln)
+    vectors = 48 * np.getbufsize() + 256 * (1 << n) + SMALL_ARRAY_BYTES
+    return tables + factors + marginals + temporaries + vectors
 
 
 def _require_state_fits(n_rows: int, n_cols: int) -> None:
@@ -138,17 +139,16 @@ class SimAndSearchOracle:
     From the uniform start every (reflection, hyperplane diffusion) iterate
     has the exact form
 
-        psi(r, j, i) = A[r & 1, j, i] + B[r, j, f(i, j)] + C[r, i]
+        psi(r, j, i) = P[f, r, j] + Q[r, i] + f E[r & 1, i],  f = f(i, j)
 
-    over phase row r, hyperplane j and data row i, so the oracle holds the
-    three factors (2 x 2**k x 2**n, 2**l x 2**k x 2 and 2**l x 2**n complex)
-    instead of 2**(l+k+n) amplitudes.  The AND-simulation adds its plain and
-    alternating corrections over r to A and its per-(r, j) shifts
-    (:func:`~qvstrain.counting._rotation_shifts`) to B; the diffusion over j
-    negates A and B and adds twice their mean over j to C.  The only work of
-    order 2**(l+k+n) is two matrix products per iteration: C against the
-    table, which gives the f=1 row sums and the marginal's B.C term, and the
-    change of B against the table, for the diffusion's mean.
+    over phase row r, hyperplane j and data row i, so the oracle holds three
+    factors (2 x 2**l x 2**k, 2**l x 2**n and 2 x 2**n complex) instead of
+    2**(l+k+n) amplitudes.  The AND-simulation updates each in closed form
+    and adds its per-(r, j) shifts (:func:`~qvstrain.counting._rotation_shifts`)
+    to P; the diffusion over j negates P and E and adds twice their mean
+    over j to Q.  The only work of order 2**(l+k+n) is two products with the
+    table per iteration: Q's, for the f=1 row sums, and P[1] - P[0]'s, for
+    the diffusion's mean.
 
     Caches the deterministic pieces per table: the factors, advanced in
     place, the hyperplane marginal after every iteration so far, and the
@@ -163,110 +163,95 @@ class SimAndSearchOracle:
         self.l = l_bits(handle.n)
         _require_state_fits(handle.n_rows, handle.n_cols)
         dl, dk, dn = 1 << self.l, 1 << self.k, 1 << self.n
-        self._is_one = handle.signs < 0
         self._ones, *self._spectrum = _rotation_spectrum(handle.signs, dl)
-        # A[r & 1] as two (2**k, 2**n) arrays, B[f] as (2, 2**l, 2**k), C
-        self._a = [np.zeros((dk, dn), dtype=np.complex128) for _ in range(2)]
-        self._b = np.zeros((2, dl, dk), dtype=np.complex128)
-        self._c = np.full((dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
+        self._cols = (dk - handle.signs.sum(axis=0)) / 2  # f=1 columns per row
+        self._p = [np.zeros((dl, dk), dtype=np.complex128) for _ in range(2)]
+        self._q = np.full((dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
+        self._e = np.zeros((2, dn), dtype=np.complex128)
         self._sums = self._reduce()
         self._marginals = [self._plane_marginal()]
         self._kick: dict[int, float] = {}
 
+    def _ones_sums(self, x: np.ndarray, x_sum: np.ndarray) -> np.ndarray:
+        """Each row of x summed over the f=1 rows of every column, x @ F^T for
+        F = (1 - signs) / 2, as (x_sum - x @ signs^T) / 2 from two real products,
+        where x_sum holds the row sums as a column."""
+        signs = self.handle.signs
+        out = np.empty((x.shape[0], signs.shape[0]), dtype=np.complex128)
+        out.real = x.real @ signs.T
+        out.imag = x.imag @ signs.T
+        np.subtract(x_sum, out, out=out)
+        out *= 0.5
+        return out
+
     def _reduce(self) -> tuple:
-        """The sums of the factors that both the marginal and the next
-        AND-simulation read: per parity, A's row sums over all rows and over
-        the f=1 rows; C's row sums, its sums over the f=1 rows of each column
-        (C @ F^T, taken from the signs as (rowsum - C @ signs^T) / 2), and its
+        """The sums that both the marginal and the next AND-simulation read:
+        psi's sums over the f=0 and over the f=1 rows of each (r, j), and Q's
         sums over the even and the odd phase rows."""
-        signs, c = self.handle.signs, self._c
-        a_sum = np.array([a.sum(axis=1) for a in self._a])
-        a_one = np.array([np.einsum("ji,ji->j", a, signs) for a in self._a])
-        np.subtract(a_sum, a_one, out=a_one)
-        a_one *= 0.5
-        c_sum = c.sum(axis=1)
-        c_one = np.empty((c.shape[0], signs.shape[0]), dtype=np.complex128)
-        c_one.real = c.real @ signs.T
-        c_one.imag = c.imag @ signs.T
-        np.subtract(c_sum[:, None], c_one, out=c_one)
-        c_one *= 0.5
-        c_par = np.array([c[0::2].sum(axis=0), c[1::2].sum(axis=0)])
-        return a_sum, a_one, c_sum, c_one, c_par
+        p, q, e = self._p, self._q, self._e
+        q_sum = q.sum(axis=1)[:, None]
+        sum_b = self._ones_sums(q, q_sum)
+        sum_a = q_sum - sum_b
+        sum_a += (q.shape[1] - self._ones) * p[0]
+        sum_b += self._ones * p[1]
+        sum_b += self._ones_sums(e, e.sum(axis=1)[:, None])[np.arange(q.shape[0]) & 1]
+        q_par = np.array([q[0::2].sum(axis=0), q[1::2].sum(axis=0)])
+        return sum_a, sum_b, q_par
 
     def _step(self) -> None:
         """One AND-simulation, then the diffusion over the hyperplane
-        register, on the factors.  Since 2/2**l times the 2**(l-1) phase
-        rows of one parity is 1, the AND-simulation maps A[p] to
-        -signs * A[1 - p], less 2/2**l times the plain sum over r of the B
-        and C terms on the f=0 rows and (-1)**p times their alternating sum
-        on the f=1 rows.  The diffusion's negation is folded in."""
-        signs, is_one, b, c = self.handle.signs, self._is_one, self._b, self._c
-        dl, dk, dn = c.shape[0], b.shape[2], c.shape[1]
-        a_sum, a_one, c_sum, c_one, c_par = self._sums
-        parity = np.arange(dl) & 1
-        # (r, j) sums of psi over the f=1 rows and over the f=0 rows
-        sum_b = c_one + a_one[parity]
-        sum_b += self._ones * b[1]
-        sum_a = c_sum[:, None] - c_one
-        sum_a += (a_sum - a_one)[parity]
-        sum_a += (dn - self._ones) * b[0]
+        register, on the factors.  With w = 2/2**l, the f=0 rows lose w times
+        the plain sum of psi over r and the f=1 rows (-1)**r w times its
+        alternating sum.  On Q the two differ by 2w times its sum over the
+        phase rows of the other parity, which E takes; since w times the
+        2**(l-1) rows of one parity is 1, E's own term moves to the other
+        parity unchanged."""
+        signs, p, q, e = self.handle.signs, self._p, self._q, self._e
+        dl, dk = p[0].shape
+        sum_a, sum_b, q_par = self._sums
+        self._sums = None  # the shifts are written over the sums, freed below
         shift_a, shift_b = _rotation_shifts(sum_a, sum_b, *self._spectrum)
         w = 2.0 / dl
-        b_plain = w * b[0].sum(axis=0)
-        b_alt = w * (b[1, 0::2].sum(axis=0) - b[1, 1::2].sum(axis=0))
-        c_plain, c_alt = w * (c_par[0] + c_par[1]), w * (c_par[0] - c_par[1])
-        # negated: A[0] = signs * A[1] + (plain | alt), A[1] = signs * A[0]
-        # + (plain | -alt), written over the buffers of A[1] and A[0]
-        a0, a1 = self._a
-        np.multiply(a0, signs, out=a0)
-        np.multiply(a1, signs, out=a1)
-        self._a = [a1, a0]
-        for a, alt_j, alt_i in ((a1, b_alt, c_alt), (a0, -b_alt, -c_alt)):
-            a += b_plain[:, None]
-            a += c_plain
-            np.add(a, (alt_j - b_plain)[:, None], out=a, where=is_one)
-            np.add(a, alt_i - c_plain, out=a, where=is_one)
-        b[0] += shift_a
-        b[1] += shift_b
-        del shift_a, shift_b
-        np.negative(b, out=b)
-        # C less 2/2**k times the sum over j of the negated A and B, where
-        # sum_j B[r, j, f(i, j)] = sum_j B[r, j, 0] + (dB @ F)[r, i] and
-        # dB @ F = (rowsum(dB) - dB @ signs) / 2
-        d_b = b[1] - b[0]
+        p[0] -= w * p[0].sum(axis=0)
+        p[0] += shift_a
+        alt = w * (p[1][0::2].sum(axis=0) - p[1][1::2].sum(axis=0))
+        p[1][0::2] -= alt
+        p[1][1::2] += alt
+        p[1] += shift_b
+        del sum_a, sum_b, shift_a, shift_b
+        e[:] = e[::-1] + 2.0 * w * q_par[::-1]
+        # Q less w times its sum over r, plus 2/2**k times the sum over j of
+        # P[f] + f E, where sum_j P[f(i, j), r, j] = sum_j P[0, r, j] +
+        # (dP @ F)[r, i] and dP @ F = (rowsum(dP) - dP @ signs) / 2
         g = 2.0 / dk
-        c[0::2] -= g * self._a[0].sum(axis=0)
-        c[1::2] -= g * self._a[1].sum(axis=0)
-        c -= (g * (b[0].sum(axis=1) + 0.5 * d_b.sum(axis=1)))[:, None]
-        for part, d_part in ((c.real, d_b.real), (c.imag, d_b.imag)):
-            product = d_part @ signs
-            product *= 0.5 * g
-            part += product
-            del product  # one (2**l, 2**n) product at a time
+        rows = g * self._cols * e - w * (q_par[0] + q_par[1])
+        q[0::2] += rows[0]
+        q[1::2] += rows[1]
+        d_p = p[1] - p[0]
+        q += (g * (p[0].sum(axis=1) + 0.5 * d_p.sum(axis=1)))[:, None]
+        d_p *= -0.5 * g
+        for part, d_part in ((q.real, d_p.real), (q.imag, d_p.imag)):
+            part += d_part @ signs  # one (2**l, 2**n) product at a time
+        for part in (*p, e):
+            np.negative(part, out=part)
 
     def _plane_marginal(self) -> np.ndarray:
-        """The sum over r and i of |A + B + C|**2 for each hyperplane j,
-        expanded into the squared factors and their cross terms, each read
-        off the reductions or one pass over A."""
-        b, c = self._b, self._c
-        dl, dn = c.shape
-        dk = b.shape[2]
-        a_sum, a_one, c_sum, c_one, c_par = self._sums
+        """The sum over r and i of |psi|**2 for each hyperplane j: P's terms
+        read off the row sums, |Q|**2, and the sum over r of |Q + E|**2 -
+        |Q|**2 on the f=1 rows."""
+        p, q, e = self._p, self._q, self._e
+        dl, dk = p[0].shape
+        sum_a, sum_b, q_par = self._sums
         marg = np.zeros(dk)
-        for p, a in enumerate(self._a):
-            flat = a.view(np.float64)
-            marg += (dl // 2) * np.einsum("jx,jx->j", flat, flat)  # |A|^2
-            b_par = b[:, p::2].sum(axis=1)
-            cross = (a_sum[p] - a_one[p]) * b_par[0].conj() + a_one[p] * b_par[1].conj()
-            cross += a @ c_par[p].conj()  # A.B and A.C
-            marg += 2.0 * cross.real
-        pairs = b.view(np.float64).reshape(2, dl, dk, 2)
-        norms = np.einsum("frjx,frjx->fj", pairs, pairs)
-        marg += (dn - self._ones) * norms[0] + self._ones * norms[1]  # |B|^2
-        marg += np.vdot(c, c).real  # |C|^2
-        for f, c_rows in ((0, c_sum[:, None] - c_one), (1, c_one)):  # B.C
-            c_pairs = c_rows.view(np.float64).reshape(dl, dk, 2)
-            marg += 2.0 * np.einsum("rjx,rjx->j", pairs[f], c_pairs)
+        for p_f, sum_f, count in ((p[0], sum_a, q.shape[1] - self._ones),
+                                  (p[1], sum_b, self._ones)):
+            pairs = p_f.view(np.float64).reshape(dl, dk, 2)
+            sums = sum_f.view(np.float64).reshape(dl, dk, 2)
+            marg += 2.0 * np.einsum("rjx,rjx->j", pairs, sums)
+            marg -= count * np.einsum("rjx,rjx->j", pairs, pairs)
+        marg += np.vdot(q, q).real
+        extra = (2.0 * (q_par.conj() * e).real + (dl // 2) * np.abs(e) ** 2).sum(axis=0)
+        marg += 0.5 * (extra.sum() - self.handle.signs @ extra)
         # cancellation can leave a true zero a rounding error below 0
         np.maximum(marg, 0.0, out=marg)
         return marg / marg.sum()

@@ -342,8 +342,15 @@ class TestCountsBelowOne:
         (("andor", "--random=-3,2,1"), "andor: --random N must be >= 1, got -3"),
         (("andor", "--random", "0,3,1"), "andor: --random N must be >= 1, got 0"),
         (("andor", "--random", "3,0,1"), "andor: --random K must be >= 1, got 0"),
+        (("train", "--n", "0", "--m", "2", "--gamma", "0.2"), "train: --n must be >= 1, got 0"),
+        (("train", "--n", "8", "--m", "0", "--gamma", "0.2"), "train: --m must be >= 1, got 0"),
+        (("gen-dataset", "--n", "0", "--gamma", "0.2", "--out-file", os.devnull),
+         "gen-dataset: --n must be >= 1, got 0"),
+        (("gen-dataset", "--n", "4", "--m", "0", "--gamma", "0.2", "--out-file", os.devnull),
+         "gen-dataset: --m must be >= 1, got 0"),
     ], ids=["k-grid-0", "k-grid-negative", "n-grid-negative", "random-n-negative",
-            "random-n-0", "random-k-0"])
+            "random-n-0", "random-k-0", "train-n-0", "train-m-0", "gen-dataset-n-0",
+            "gen-dataset-m-0"])
     def test_sizes_name_the_flag(self, argv, line):
         proc = run_cli_process(*argv, "--seed", "1")
         assert proc.returncode == 2
@@ -413,8 +420,9 @@ class TestInvalidArgv:
     def test_one_invalid_field_exits_2(self, argv):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc, _ = run_cli(*argv)
+            rc, out = run_cli(*argv)
         assert rc == 2, argv
+        assert out == "", argv
         assert err.getvalue().startswith((f"{argv[0]}: ", "usage: ")), (argv, err.getvalue())
 
 
@@ -446,17 +454,18 @@ class TestStateSizeLimit:
     # dataset or random bits it is built from, would end in a MemoryError
     # traceback instead of the usage error.
     def test_oversized_search_exits_2_before_allocating(self):
-        # n = 13, k = 12, l = 10: the A factor alone is 2**26 amplitudes, 1 GiB
-        proc = run_cli_process("andor", "--random", "8192,4096,1", "--seed", "0",
+        # n = 14, k = 13, l = 10: the handle's tables alone are 9 * 2**27
+        # bytes, 1.1 GiB, and the whole state about 2.1 GiB
+        proc = run_cli_process("andor", "--random", "16384,8192,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("andor: ")
-        assert str(search_state_bytes(8192, 4096)) in proc.stderr
+        assert str(search_state_bytes(16384, 8192)) in proc.stderr
 
     def test_dense_sized_search_runs_under_the_cap(self):
         # n = 10, k = 9, l = 8: 2**27 amplitudes (2 GiB) held dense; the
-        # factored search needs about 56 MB (search_state_bytes)
+        # factored search needs about 22 MB (search_state_bytes)
         proc = run_cli_process("andor", "--random", "1024,512,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 0, proc.stderr

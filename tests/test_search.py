@@ -116,20 +116,20 @@ class TestSimAndSearchOracle:
         oracle = SimAndSearchOracle(fixture_handle)
         oracle.plane_marginal(6)
         dim = 1 << (oracle.l + oracle.k + oracle.n)
+        assert max(v.size for v in held_arrays(oracle)) < dim
 
-        def largest(value) -> int:
-            if isinstance(value, np.ndarray):
-                return value.size
-            if isinstance(value, dict):
-                value = list(value.values())
-            if isinstance(value, (list, tuple)):
-                return max((largest(v) for v in value), default=0)
-            return 0
+    def test_holds_no_table_sized_factor(self):
+        # n = k = 8, l = 7: the table has 2**16 entries, each factor at most 2**15
+        bits = (np.random.default_rng(5).random((256, 256)) < 0.9).astype(np.uint8)
+        oracle = SimAndSearchOracle(OracleHandle(TruthTable(bits)))
+        oracle.plane_marginal(2)
+        assert (oracle.n, oracle.k, oracle.l) == (8, 8, 7)
+        sizes = [v.size for v in held_arrays(oracle) if np.iscomplexobj(v)]
+        assert sizes and max(sizes) < 1 << 16
 
-        assert largest(list(vars(oracle).values())) < dim
-
-    @pytest.mark.parametrize("shape", [(4, 3), (64, 47), (16, 200), (300, 4)],
-                             ids=["4x3", "64x47", "16x200", "300x4"])
+    @pytest.mark.parametrize("shape", [(4, 3), (64, 47), (16, 200), (300, 4), (4096, 8),
+                                       (256, 256)],
+                             ids=["4x3", "64x47", "16x200", "300x4", "4096x8", "256x256"])
     def test_peak_allocation_within_search_state_bytes(self, shape):
         rng = np.random.default_rng(3)
         handle = OracleHandle(TruthTable((rng.random(shape) < 0.9).astype(np.uint8)))
@@ -162,12 +162,27 @@ class TestSimAndSearchOracle:
             assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def held_arrays(value):
+    """Every array an oracle (or a container in it) holds."""
+    if isinstance(value, np.ndarray):
+        yield value
+        return
+    if isinstance(value, SimAndSearchOracle):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from held_arrays(v)
+
+
 def dense_iterate(oracle) -> np.ndarray:
-    """psi(r, j, i) = A[r & 1, j, i] + B[r, j, f(i, j)] + C[r, i]."""
+    """psi(r, j, i) = P[f, r, j] + Q[r, i] + f E[r & 1, i], f = f(i, j)."""
     dl = 1 << oracle.l
-    a = np.array(oracle._a)[np.arange(dl) & 1]
-    b = np.where(oracle._is_one, oracle._b[1][:, :, None], oracle._b[0][:, :, None])
-    return a + b + oracle._c[:, None, :]
+    f = oracle.handle.signs < 0
+    p = np.where(f, oracle._p[1][:, :, None], oracle._p[0][:, :, None])
+    e = oracle._e[np.arange(dl) & 1][:, None, :]
+    return p + oracle._q[:, None, :] + f * e
 
 
 class TestFactoredState:
