@@ -10,10 +10,11 @@ Layers, each a median over REPEATS timed calls in this process:
   circuit ``counting.sim_and`` (``phase_estimate`` -> flip of the 10..0
   readout -> ``phase_estimate_inverse``) and the diffusion;
 * the closed-form phase readout ``phase_register_distribution``;
-* building the truth table (``oracles.from_perceptron``);
+* building the truth table (``oracles.from_perceptron`` on the (K, 3) array
+  of sampled planes);
 * building instances (``perceptron.generate_planted_dataset`` and the sweep's
-  ``cli._single_solution_instance``), timed in a child process on each
-  checkout's own package, so with ``--parent`` both sides are recorded.
+  table, ``cli._single_solution_instance``), timed in a child process on
+  each checkout's own package, so with ``--parent`` both sides are recorded.
 
 With ``--parent DIR`` (a checkout of the commit to compare against) it also
 records the query-ledger rows of the pinned seeded CLI runs in both

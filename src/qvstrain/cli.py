@@ -32,6 +32,7 @@ from .oracles import (
     load_truth_table,
 )
 from .perceptron import (
+    _check_gamma,
     generate_planted_dataset,
     geometric_margin,
     in_version_space,
@@ -42,9 +43,9 @@ from .perceptron import (
 )
 from .search import (
     BEQConfig,
+    _require_bytes,
     _require_state_fits,
     multi_criterion_search,
-    state_byte_limit,
     train_perceptron,
 )
 from .statevec import new_uniform
@@ -107,14 +108,11 @@ def _train_trial(payload):
 
 def cmd_train(args, out) -> int:
     if args.dataset is None and (args.n is None or args.m is None or args.gamma is None):
-        print("train: provide --dataset or all of --n/--m/--gamma", file=sys.stderr)
-        return 2
-    if args.gamma is not None and not (0.0 < args.gamma < 1.0):
-        print(f"train: gamma must be in (0, 1), got {args.gamma}", file=sys.stderr)
-        return 2
+        raise ValueError("provide --dataset or all of --n/--m/--gamma")
+    if args.gamma is not None:
+        _check_gamma(args.gamma)
     if not (0.0 < args.epsilon < 1.0):
-        print(f"train: epsilon must be in (0, 1), got {args.epsilon}", file=sys.stderr)
-        return 2
+        raise ValueError(f"epsilon must be in (0, 1), got {args.epsilon}")
     _check_count("--trials", args.trials)
     _check_count("--workers", args.workers)
     if args.dataset is None:
@@ -141,11 +139,11 @@ def cmd_train(args, out) -> int:
 # -- verify --------------------------------------------------------------------
 
 # Peak bytes per entry of a table the sign-and-fidelity suite draws: the
-# uniform draws and their comparison (8 + 1), then the bit table, the
-# handle's padded copy and its float sign matrix (1 + 1 + 8).  On top of
-# that, VERIFY_SMALL_BYTES holds numpy's cast buffer (8192 doubles) for the
-# sign matrix and the per-column vectors.
-VERIFY_BYTES_PER_ENTRY = 10
+# uniform draws and their comparison (8 + 1), then the bit table and the
+# handle's float sign matrix (1 + 8).  On top of that, VERIFY_SMALL_BYTES
+# holds numpy's cast buffer (8192 doubles) for the sign matrix and the
+# per-column vectors.
+VERIFY_BYTES_PER_ENTRY = 9
 VERIFY_SMALL_BYTES = 1 << 17
 # values of m per array expression in the phase-gap suite
 GAP_BLOCK = 1 << 16
@@ -240,9 +238,7 @@ def _oracle_identity_sweep(rng, tables: int):
 def cmd_verify(args, out) -> int:
     for flag in ("--tables", "--n-max", "--k-max", "--gap-n-max", "--identity-tables"):
         _check_count(flag, getattr(args, flag[2:].replace("-", "_")))
-    need, limit = _verify_table_bytes(args.n_max, args.k_max), state_byte_limit()
-    if need > limit:
-        raise ValueError(f"the tables need {need} bytes, over the limit of {limit} bytes")
+    _require_bytes(_verify_table_bytes(args.n_max, args.k_max), "the tables need")
     rng = np.random.default_rng(args.seed)
     fault = bool(args.inject_precision_fault)
     # (suite, sweep, extra row fields), run in order: two share the generator
@@ -270,27 +266,24 @@ def cmd_verify(args, out) -> int:
 # -- sweep ---------------------------------------------------------------------
 
 
-def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed):
-    """Planted dataset plus a candidate list holding exactly one
-    version-space member (the planted plane, at a seeded position).  The
-    other candidates are the first non-members, in draw order, of batches
-    of ``n_planes`` Gaussian planes, each batch classified in one table."""
+def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) -> TruthTable:
+    """N x K truth table of a planted dataset against K planes: the planted
+    one (margin >= gamma, so an all-ones column) at a seeded position, and
+    the first non-member columns, in draw order, of batches of ``n_planes``
+    Gaussian planes, each batch classified in one table."""
     rng = np.random.default_rng(seed)
-    data, planted = generate_planted_dataset(n_points, 2, gamma, rng_seed=int(rng.integers(2**63)))
+    data, _ = generate_planted_dataset(n_points, 2, gamma, rng_seed=int(rng.integers(2**63)))
     position = int(rng.integers(0, n_planes))
-    planes = []
-    while len(planes) < n_planes - 1:
-        batch = sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))
-        members = from_perceptron(data, batch).bits.all(axis=0)
-        planes += [p for p, member in zip(batch, members) if not member][: n_planes - 1 - len(planes)]
-    planes.insert(position, planted)
-    return data, planes, position
+    columns = np.empty((n_points, 0), dtype=np.uint8)
+    while columns.shape[1] < n_planes - 1:
+        bits = from_perceptron(data, sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))).bits
+        columns = np.hstack([columns, bits[:, ~bits.all(axis=0)]])
+    return TruthTable(np.insert(columns[:, : n_planes - 1], position, 1, axis=1))
 
 
 def _sweep_trial(payload):
     (n_points, n_planes, gamma, seed, cfg) = payload
-    data, planes, _ = _single_solution_instance(n_points, n_planes, gamma, seed)
-    handle = OracleHandle(from_perceptron(data, planes))
+    handle = OracleHandle(_single_solution_instance(n_points, n_planes, gamma, seed))
     outcome = multi_criterion_search(handle, cfg, rng_seed=seed)
     sound = (not outcome.found) or bool(brute_force_g(handle)[outcome.index])
     classical = classical_version_space_search(handle)
@@ -313,11 +306,8 @@ def cmd_sweep(args, out) -> int:
         for v in grid:
             _check_count(flag, v)
     if len(set(n_grid)) < len(n_grid) or len(set(k_grid)) < len(k_grid):
-        print("sweep: grid values must be distinct", file=sys.stderr)
-        return 2
-    if not (0.0 < args.gamma < 1.0):
-        print(f"sweep: gamma must be in (0, 1), got {args.gamma}", file=sys.stderr)
-        return 2
+        raise ValueError("grid values must be distinct")
+    _check_gamma(args.gamma)
     _check_count("--trials", args.trials)
     _check_count("--workers", args.workers)
     cfg = _beq_config(args)
@@ -362,6 +352,8 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_andor(args, out) -> int:
+    if sum(v is not None for v in (args.file, args.table, args.random)) != 1:
+        raise ValueError("provide exactly one of --file / --table / --random")
     cfg = _beq_config(args)
     if args.random is None:
         # one instance from a file; a truth table's columns are its AND-blocks
@@ -397,9 +389,7 @@ def cmd_andor(args, out) -> int:
 
 
 def cmd_gen_dataset(args, out) -> int:
-    if not (0.0 < args.gamma < 1.0):
-        print(f"gen-dataset: gamma must be in (0, 1), got {args.gamma}", file=sys.stderr)
-        return 2
+    _check_gamma(args.gamma)
     _check_count("--n", args.n)
     _check_count("--m", args.m)
     data, planted = generate_planted_dataset(args.n, args.m, args.gamma, rng_seed=args.seed)
@@ -484,12 +474,6 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "andor":
-        sources = sum(v is not None for v in (args.file, args.table, args.random))
-        if sources != 1:
-            print("andor: provide exactly one of --file / --table / --random",
-                  file=sys.stderr)
-            return 2
     stream = out if out is not None else sys.stdout
     try:
         return args.func(args, stream)

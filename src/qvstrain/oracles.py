@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perceptron import Dataset, Hyperplane, _read_rows
+from .perceptron import Dataset, _read_rows
 from .statevec import RegisterLayout, StateVector, _bits, _check_qubits
 
 LEDGER_TAGS = ("bit_oracle", "phase_oracle", "controlled_phase_oracle", "classical_f")
@@ -84,16 +84,15 @@ class TruthTable:
         return isinstance(other, TruthTable) and np.array_equal(self.bits, other.bits)
 
 
-def from_perceptron(data: Dataset, planes: list[Hyperplane]) -> TruthTable:
-    """bits[i][j] = 1 iff planes[j] strictly correctly classifies point i."""
-    if not planes:
+def from_perceptron(data: Dataset, planes: np.ndarray) -> TruthTable:
+    """bits[i][j] = 1 iff plane j strictly correctly classifies point i, for
+    ``planes`` the (K, M + 1) array of rows ``[w | b]``, in one product."""
+    if planes.ndim != 2 or planes.shape[0] < 1:
         raise ValueError("need at least one hyperplane")
-    if any(p.dim != data.dim for p in planes):
+    if planes.shape[1] != data.dim + 1:
         raise ValueError("hyperplane dimension does not match the data")
-    W = np.stack([p.w for p in planes])
-    b = np.array([p.b for p in planes])
-    margins = data.y[:, None] * (data.X @ W.T + b[None, :])
-    return TruthTable((margins > 0.0).astype(np.uint8))
+    margins = data.y[:, None] * (data.X @ planes[:, :-1].T + planes[:, -1])
+    return TruthTable(margins > 0.0)
 
 
 def save_truth_table(table: TruthTable, path) -> None:
@@ -120,23 +119,21 @@ def _ceil_log2(x: int) -> int:
 
 
 class OracleHandle:
-    """A truth table bound to a query ledger, with the padded register view
-    used by every quantum application."""
+    """A truth table bound to a query ledger, and the one table-sized array
+    the quantum applications read: ``signs[j, i] = (-1)**f(i, j)``, (2**k,
+    2**n) float64 over the padded registers, the transpose of a C array."""
 
     def __init__(self, table: TruthTable):
         self.table = table
         self.ledger = QueryLedger()
         self.n = _ceil_log2(table.n_rows)
         self.k = _ceil_log2(table.n_cols)
-        dn, dk = 1 << self.n, 1 << self.k
-        padded = np.zeros((dn, dk), dtype=np.uint8)
-        padded[: table.n_rows, : table.n_cols] = table.bits
-        padded[table.n_rows :, : table.n_cols] = 1  # phantom rows pass every real column
-        self.padded = padded
-        # (2**k, 2**n) sign matrix (-1)**f, plane-major to match the packing,
-        # built in place so the handle's peak is its three tables
-        self.signs = padded.T * -2.0
-        self.signs += 1.0
+        f = np.zeros((1 << self.n, 1 << self.k))
+        f[: table.n_rows, : table.n_cols] = table.bits
+        f[table.n_rows :, : table.n_cols] = 1.0  # phantom rows pass every real column
+        f *= -2.0
+        f += 1.0  # in place: the handle's peak is the sign matrix
+        self.signs = f.T
 
     @property
     def n_rows(self) -> int:

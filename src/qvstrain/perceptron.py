@@ -39,10 +39,6 @@ class Hyperplane:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
 
-    @property
-    def dim(self) -> int:
-        return self.w.size
-
 
 class Dataset:
     """N labeled points held as read-only arrays ``X`` (N, M) float64 and
@@ -84,26 +80,30 @@ def geometric_margin(data: Dataset, p: Hyperplane) -> float:
     wn = float(np.linalg.norm(p.w))
     if wn == 0.0:
         raise ValueError("zero weight vector has no geometric margin")
-    if data.dim != p.dim:
+    if data.dim != p.w.size:
         raise ValueError("dimension mismatch")
     return float(np.min(data.y * (data.X @ p.w + p.b)) / wn)
 
 
 def in_version_space(data: Dataset, p: Hyperplane) -> bool:
     """True iff p classifies every point strictly correctly."""
-    if data.dim != p.dim:
+    if data.dim != p.w.size:
         raise ValueError("dimension mismatch")
     return bool(np.all(data.y * (data.X @ p.w + p.b) > 0.0))
 
 
-def sample_hyperplanes(count: int, dim: int, rng_seed) -> list[Hyperplane]:
-    """``count`` hyperplanes with i.i.d. standard normal entries in R^(dim+1),
-    reproducible bit-exact from the seed."""
+def sample_hyperplanes(count: int, dim: int, rng_seed) -> np.ndarray:
+    """``count`` candidate hyperplanes as one (count, dim + 1) float64 array
+    of rows ``[w | b]``: the i.i.d. standard normal draws themselves,
+    reproducible bit-exact from the seed.  A single plane is a Hyperplane."""
     if count < 1 or dim < 1:
         raise ValueError("count and dim must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.standard_normal((count, dim + 1))
-    return [Hyperplane(row[:dim], float(row[dim])) for row in draws]
+    return np.random.default_rng(rng_seed).standard_normal((count, dim + 1))
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (0.0 < gamma < 1.0):
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
 
 
 def required_sample_count(gamma: float, epsilon: float, c: float = 2.0) -> int:
@@ -141,8 +141,7 @@ def generate_planted_dataset(
     """
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    _check_gamma(gamma)
     rng = np.random.default_rng(rng_seed)
     w = rng.standard_normal(dim)
     w /= np.linalg.norm(w)

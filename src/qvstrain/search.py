@@ -19,8 +19,8 @@ Q[r, i] + f E[r & 1, i] with f = f(i, j) (:class:`SimAndSearchOracle`), so
 it takes O(2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes,
 and no factor is the size of the table.  A search whose peak
 (:func:`search_state_bytes`) would exceed :func:`state_byte_limit` (the
-machine's physical memory, or the process's address-space limit if that is
-smaller) is refused before anything is allocated.
+machine's physical memory, or the address-space limit less what the process
+maps, if smaller) is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -41,16 +41,35 @@ SMALL_ARRAY_BYTES = 1 << 15
 
 
 def state_byte_limit() -> int:
-    """Bytes a search state may take: the machine's physical memory, or the
-    process's address-space limit (RLIMIT_AS) if that is smaller."""
+    """Bytes a search state may take: the machine's physical memory, or, if
+    smaller, the address-space limit (RLIMIT_AS) less what the process maps
+    (VmSize; 0 without /proc), read after a 256 x 256 product so that it
+    includes the BLAS work buffer (32 MiB with OpenBLAS, kept once mapped)."""
     limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
+    if soft == resource.RLIM_INFINITY:
+        return limit
+    probe = np.ones((256, 256))
+    np.dot(probe, probe)
+    try:
+        with open("/proc/self/statm") as fh:
+            soft -= int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        pass
+    return min(limit, soft)
+
+
+def _require_bytes(need: int, what: str) -> None:
+    """Raise a ValueError opening with ``what`` ("the tables need") if
+    ``need`` bytes exceed :func:`state_byte_limit`."""
+    limit = state_byte_limit()
+    if need > limit:
+        raise ValueError(f"{what} {need} bytes, over the limit of {limit} bytes")
 
 
 def search_state_bytes(n_rows: int, n_cols: int) -> int:
     """Bytes a search over an N x K table holds at its peak: the handle's
-    padded table and sign matrix (9 bytes per entry); P, Q and the rotation
+    float64 sign matrix (8 bytes per entry); P, Q and the rotation
     spectrum of :class:`SimAndSearchOracle` (3 * 2**(l+k) + 2**(l+n) complex
     amplitudes) and every reachable marginal; the larger of an iteration's
     three (2**l, 2**k) complex sums, shifts or products and the diffusion's
@@ -60,7 +79,7 @@ def search_state_bytes(n_rows: int, n_cols: int) -> int:
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
-    tables = 9 * kn
+    tables = 8 * kn
     factors = 16 * (3 * lk + ln)
     marginals = 8 * (1 << k) * (_iteration_cap(k) + 1)
     temporaries = max(48 * lk, 16 * lk + 8 * ln)
@@ -71,12 +90,7 @@ def search_state_bytes(n_rows: int, n_cols: int) -> int:
 def _require_state_fits(n_rows: int, n_cols: int) -> None:
     """Refuse, before anything is built, a search over an N x K table whose
     state (:func:`search_state_bytes`) would exceed :func:`state_byte_limit`."""
-    need = search_state_bytes(n_rows, n_cols)
-    limit = state_byte_limit()
-    if need > limit:
-        raise ValueError(
-            f"the search state needs {need} bytes, over the limit of {limit} bytes"
-        )
+    _require_bytes(search_state_bytes(n_rows, n_cols), "the search state needs")
 
 
 @dataclass(frozen=True)
@@ -282,11 +296,11 @@ def _majority_vote(oracle: SimAndSearchOracle, j: int, repeats: int, rng, ledger
     ones = zeros = shots = 0
     while ones < need and zeros < need:
         shots += 1
-        meter_sim_and(ledger, oracle.l, controlled=True)
         if rng.random() < p:
             ones += 1
         else:
             zeros += 1
+    meter_sim_and(ledger, oracle.l, times=shots, controlled=True)
     return ones >= need, shots
 
 
@@ -367,7 +381,8 @@ def train_perceptron(
     handle = OracleHandle(from_perceptron(data, planes))
     outcome = multi_criterion_search(handle, cfg, search_seed)
     if outcome.found and outcome.index < K:
-        return TrainResult(plane=planes[outcome.index], outcome=outcome, sampled=K)
+        plane = Hyperplane(planes[outcome.index, :-1], planes[outcome.index, -1])
+        return TrainResult(plane=plane, outcome=outcome, sampled=K)
     kind = "search" if brute_force_g(handle).any() else "sampling"
     return TrainResult(plane=None, outcome=outcome, sampled=K, failure_kind=kind)
 

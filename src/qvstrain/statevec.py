@@ -152,7 +152,10 @@ def _check_qubits(state: StateVector, qubits) -> tuple[int, ...]:
 
 def apply_hadamards(state: StateVector, qubits, controls=()) -> StateVector:
     """Apply H to each listed qubit (in listed order).  With ``controls``,
-    the whole block acts only on the sector where every control bit is 1."""
+    the whole block acts only on the sector where every control bit is 1.
+    Test-only: with :func:`apply_phase_flip_all_zero` it builds the literal
+    diffusion H, flip, H that tests/test_counting.py checks
+    ``counting._diffuse_data`` (in ``grover_operator``) against."""
     qs = _check_qubits(state, qubits)
     cs = _check_qubits(state, controls)
     if set(qs) & set(cs):
@@ -167,8 +170,8 @@ def apply_hadamards(state: StateVector, qubits, controls=()) -> StateVector:
 
 
 def apply_phase_flip_all_zero(state: StateVector, qubits, controls=()) -> StateVector:
-    """Reflection 2|0..0><0..0| - I on the listed qubits: components with all
-    listed bits 0 keep their sign, everything else is negated."""
+    """Reflection 2|0..0><0..0| - I on the listed qubits, negating all but the
+    all-zero components; test-only, the flip of apply_hadamards' diffusion."""
     qs = _check_qubits(state, qubits)
     cs = _check_qubits(state, controls)
     if set(qs) & set(cs):
@@ -223,7 +226,8 @@ def apply_inverse_qft(state: StateVector, qubits) -> StateVector:
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the first argument conjugated."""
+    """<a|b>, first argument conjugated.  Test-only: the literal <in|SimAnd|in>
+    that tests/test_counting.py checks ``counting.sim_and_overlap`` against."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit counts differ")
     return complex(np.vdot(a.amps, b.amps))

@@ -16,7 +16,7 @@ import qvstrain
 
 from qvstrain.andor import load_instance, save_instance
 from qvstrain.baselines import classical_version_space_search
-from qvstrain import cli
+from qvstrain import cli, search
 from qvstrain.cli import (
     VERIFY_BYTES_PER_ENTRY,
     _phase_gap_sweep,
@@ -28,7 +28,6 @@ from qvstrain.cli import (
 from qvstrain.oracles import (
     OracleHandle,
     TruthTable,
-    from_perceptron,
     load_truth_table,
     save_truth_table,
 )
@@ -152,8 +151,7 @@ class TestSweep:
         reported_median = float(cell[6])
         counts = []
         for t in range(trials):
-            data, planes, _ = _single_solution_instance(8, 4, 0.2, seed + t)
-            handle = OracleHandle(from_perceptron(data, planes))
+            handle = OracleHandle(_single_solution_instance(8, 4, 0.2, seed + t))
             counts.append(classical_version_space_search(handle).queries["classical_f"])
         assert reported_median == float(np.median(counts))
 
@@ -348,9 +346,20 @@ class TestCountsBelowOne:
          "gen-dataset: --n must be >= 1, got 0"),
         (("gen-dataset", "--n", "4", "--m", "0", "--gamma", "0.2", "--out-file", os.devnull),
          "gen-dataset: --m must be >= 1, got 0"),
+        (("train", "--n", "8"), "train: provide --dataset or all of --n/--m/--gamma"),
+        (("train", "--n", "8", "--m", "2", "--gamma", "1.5"),
+         "train: gamma must be in (0, 1), got 1.5"),
+        (("train", "--n", "8", "--m", "2", "--gamma", "0.2", "--epsilon", "1"),
+         "train: epsilon must be in (0, 1), got 1.0"),
+        (("sweep", "--n-grid", "8,8"), "sweep: grid values must be distinct"),
+        (("sweep", "--gamma", "0"), "sweep: gamma must be in (0, 1), got 0.0"),
+        (("gen-dataset", "--n", "4", "--gamma", "-0.5", "--out-file", os.devnull),
+         "gen-dataset: gamma must be in (0, 1), got -0.5"),
+        (("andor",), "andor: provide exactly one of --file / --table / --random"),
     ], ids=["k-grid-0", "k-grid-negative", "n-grid-negative", "random-n-negative",
             "random-n-0", "random-k-0", "train-n-0", "train-m-0", "gen-dataset-n-0",
-            "gen-dataset-m-0"])
+            "gen-dataset-m-0", "train-no-source", "train-gamma", "train-epsilon",
+            "sweep-distinct", "sweep-gamma", "gen-dataset-gamma", "andor-no-source"])
     def test_sizes_name_the_flag(self, argv, line):
         proc = run_cli_process(*argv, "--seed", "1")
         assert proc.returncode == 2
@@ -443,9 +452,9 @@ class TestNonFiniteCConstant:
         assert proc.stderr.startswith("train: c ln(1/eps) / gamma overflows at c = 1e+308")
 
 
-def cap_address_space():
+def cap_address_space(limit=1 << 30):
     import resource
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestStateSizeLimit:
@@ -454,8 +463,8 @@ class TestStateSizeLimit:
     # dataset or random bits it is built from, would end in a MemoryError
     # traceback instead of the usage error.
     def test_oversized_search_exits_2_before_allocating(self):
-        # n = 14, k = 13, l = 10: the handle's tables alone are 9 * 2**27
-        # bytes, 1.1 GiB, and the whole state about 2.1 GiB
+        # n = 14, k = 13, l = 10: the handle's signs alone are 8 * 2**27
+        # bytes, 1 GiB, and the whole state about 2.0 GiB
         proc = run_cli_process("andor", "--random", "16384,8192,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 2
@@ -470,6 +479,18 @@ class TestStateSizeLimit:
                                preexec_fn=cap_address_space)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[0])["agree"]
+
+    @pytest.mark.parametrize("table", ["4096,2048,1", "4096,1024,1", "2048,2048,1"])
+    def test_guard_counts_what_the_process_maps(self, table):
+        # 114 to 194 MiB of search state under a 256 MiB cap, where the
+        # interpreter with numpy and the BLAS work buffer already take a
+        # large share: the guard must refuse what cannot fit, not let numpy
+        # or the BLAS library fail to allocate it
+        proc = run_cli_process("andor", "--random", table, "--seed", "0",
+                               preexec_fn=lambda: cap_address_space(256 << 20))
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "OpenBLAS error" not in proc.stderr
 
     @pytest.mark.parametrize("flags,largest", [
         # (n_max, k_max) with the other at its default (5 and 3)
@@ -517,9 +538,9 @@ class TestVerifyTables:
         assert VERIFY_BYTES_PER_ENTRY << 20 < peak <= _verify_table_bytes(10, 10)
 
     def test_tables_at_the_limit_are_drawn(self, monkeypatch):
-        monkeypatch.setattr(cli, "state_byte_limit", lambda: _verify_table_bytes(3, 2))
+        monkeypatch.setattr(search, "state_byte_limit", lambda: _verify_table_bytes(3, 2))
         assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 0
-        monkeypatch.setattr(cli, "state_byte_limit", lambda: _verify_table_bytes(3, 2) - 1)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: _verify_table_bytes(3, 2) - 1)
         assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 2
 
     def test_phase_gap_blocks_split_without_changing_the_count(self, monkeypatch):

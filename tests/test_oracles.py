@@ -18,10 +18,15 @@ from qvstrain.oracles import (
     load_truth_table,
     save_truth_table,
 )
-from qvstrain.perceptron import generate_planted_dataset, in_version_space, sample_hyperplanes
+from qvstrain.perceptron import (
+    Hyperplane,
+    generate_planted_dataset,
+    in_version_space,
+    sample_hyperplanes,
+)
 from qvstrain.statevec import StateVector, apply_open_controlled_z, new_uniform
 
-from .conftest import random_state_amps
+from .conftest import plane_rows, random_state_amps
 
 
 def random_table(rng, n_max=3, k_max=3) -> TruthTable:
@@ -41,7 +46,10 @@ class TestTruthTable:
 
     def test_handle_sign_matrix_is_minus_one_to_the_f(self):
         handle = OracleHandle(TruthTable([[0, 1, 1], [1, 0, 1], [1, 1, 1]]))
-        expected = 1.0 - 2.0 * handle.padded.T
+        padded = np.zeros((4, 4), dtype=np.uint8)
+        padded[:3, :3] = handle.table.bits
+        padded[3, :3] = 1
+        expected = 1.0 - 2.0 * padded.T
         assert handle.signs.dtype == np.float64
         assert np.array_equal(handle.signs, expected)
         assert handle.signs.strides == expected.strides
@@ -57,16 +65,16 @@ class TestFromPerceptron:
         while len(others) < 2:
             (cand,) = sample_hyperplanes(1, 2, rng_seed=1000 + seed)
             seed += 1
-            if not in_version_space(data, cand):
+            if not in_version_space(data, Hyperplane(cand[:-1], cand[-1])):
                 others.append(cand)
-        table = from_perceptron(data, [planted] + others)
+        table = from_perceptron(data, np.vstack([plane_rows(planted), *others]))
         assert table.bits[:, 0].all()
         assert not table.bits[:, 1].all()
         assert not table.bits[:, 2].all()
 
     def test_planted_single_column(self):
         data, planted = generate_planted_dataset(6, 2, 0.2, rng_seed=8)
-        table = from_perceptron(data, [planted])
+        table = from_perceptron(data, plane_rows(planted))
         assert table.bits.shape == (6, 1)
         assert table.bits.all()
 
@@ -79,8 +87,8 @@ class TestFromPerceptron:
         table = from_perceptron(data, planes)
         X, y = data.X, data.y
         for i in range(5):
-            for j, p in enumerate(planes):
-                expected = (float(p.w @ X[i]) + p.b) * y[i] > 0
+            for j, (*w, b) in enumerate(planes):
+                expected = (float(np.dot(w, X[i])) + b) * y[i] > 0
                 assert table.bits[i, j] == int(expected)
 
 
@@ -89,7 +97,7 @@ class TestPadding:
         bits = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)  # 3x3
         handle = OracleHandle(TruthTable(bits))
         assert (handle.n, handle.k) == (2, 2)
-        padded = handle.padded
+        padded = (handle.signs < 0).T
         assert padded.shape == (4, 4)
         # phantom row must not block real columns
         assert padded[3, :3].all()

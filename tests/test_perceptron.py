@@ -19,6 +19,8 @@ from qvstrain.perceptron import (
     save_dataset,
 )
 
+from .conftest import plane_rows
+
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
 
@@ -38,7 +40,7 @@ class TestCorrectlyClassifies:
     @staticmethod
     def holds(p, x, label) -> bool:
         data = Dataset([x], [label], claimed_margin=0.1)
-        bit = bool(from_perceptron(data, [p]).bits[0, 0])
+        bit = bool(from_perceptron(data, plane_rows(p)).bits[0, 0])
         assert bit == in_version_space(data, p)
         return bit
 
@@ -58,8 +60,9 @@ class TestCorrectlyClassifies:
     def test_dimension_mismatch(self):
         p = Hyperplane(np.array([1.0, 0.0]), 0.0)
         data = Dataset([[1.0]], [+1], claimed_margin=0.1)
-        for check in (lambda: from_perceptron(data, [p]), lambda: in_version_space(data, p),
-                      lambda: geometric_margin(data, p)):
+        for check in (lambda: from_perceptron(data, plane_rows(p)),
+                      lambda: from_perceptron(data, np.empty((0, 2))),
+                      lambda: in_version_space(data, p), lambda: geometric_margin(data, p)):
             with pytest.raises(ValueError):
                 check()
 
@@ -125,13 +128,13 @@ class TestSampling:
     def test_deterministic_given_seed(self):
         a = sample_hyperplanes(3, 2, rng_seed=11)
         b = sample_hyperplanes(3, 2, rng_seed=11)
-        assert len(a) == 3 and all(p.dim == 2 for p in a)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.w, pb.w) and pa.b == pb.b
+        assert a.shape == (3, 3) and a.dtype == np.float64
+        assert np.array_equal(a, b)
+        # the rows are the generator's draws themselves, [w | b]
+        assert np.array_equal(a, np.random.default_rng(11).standard_normal((3, 3)))
 
     def test_moments(self):
-        planes = sample_hyperplanes(10_000, 2, rng_seed=123)
-        draws = np.array([[*p.w, p.b] for p in planes])
+        draws = sample_hyperplanes(10_000, 2, rng_seed=123)
         assert np.all(np.abs(draws.mean(axis=0)) < 4 / math.sqrt(10_000))
         assert np.all((draws.var(axis=0) > 0.9) & (draws.var(axis=0) < 1.1))
 
