@@ -11,7 +11,7 @@ import numpy as np
 
 from .oracles import OracleHandle, TruthTable
 from .perceptron import _read_rows
-from .search import BEQConfig, SearchOutcome, multi_criterion_search
+from .search import SearchOutcome, multi_criterion_search
 
 
 def table_from_blocks(n_rows: int, n_cols: int, z) -> TruthTable:
@@ -24,12 +24,10 @@ def evaluate_direct(table: TruthTable) -> int:
     return int(table.bits.all(axis=0).any())
 
 
-def evaluate_via_search(
-    table: TruthTable, cfg: BEQConfig | None = None, rng_seed=None
-) -> tuple[int, SearchOutcome]:
+def evaluate_via_search(table: TruthTable, rng_seed=None) -> tuple[int, SearchOutcome]:
     """Run multi-criterion search over the table; Found maps to 1, NotFound
     to 0.  Correct with probability >= 2/3."""
-    outcome = multi_criterion_search(OracleHandle(table), cfg, rng_seed)
+    outcome = multi_criterion_search(OracleHandle(table), rng_seed)
     value = int(outcome.found and outcome.index < table.n_cols)
     return value, outcome
 

@@ -41,22 +41,12 @@ from .perceptron import (
     sample_hyperplanes,
     save_dataset,
 )
-from .search import (
-    BEQConfig,
-    _require_bytes,
-    _require_state_fits,
-    multi_criterion_search,
-    train_perceptron,
-)
+from .search import _require_bytes, _require_state_fits, multi_criterion_search, train_perceptron
 from .statevec import new_uniform
 
 
 def _emit(stream, obj) -> None:
     stream.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-def _beq_config(args) -> BEQConfig:
-    return BEQConfig(verify_repeats=args.verify_repeats, max_rounds=args.max_rounds)
 
 
 def _check_count(name: str, value: int) -> None:
@@ -73,23 +63,16 @@ def _run_payloads(fn, payloads, workers: int) -> list:
     return [fn(p) for p in payloads]
 
 
-def _add_search_flags(parser) -> None:
-    parser.add_argument("--verify-repeats", type=int, default=15,
-                        help="odd majority-vote width for candidate verification")
-    parser.add_argument("--max-rounds", type=int, default=3,
-                        help="full cutoff schedules before giving up")
-
-
 # -- train ---------------------------------------------------------------------
 
 
 def _train_trial(payload):
-    (trial, seed, dataset_path, n, m, gamma, epsilon, c, cfg) = payload
+    (trial, seed, dataset_path, n, m, gamma, epsilon, c) = payload
     if dataset_path is not None:
         data = load_dataset(dataset_path)
     else:
         data, _ = generate_planted_dataset(n, m, gamma, rng_seed=seed)
-    result = train_perceptron(data, epsilon, cfg, rng_seed=seed, c=c)
+    result = train_perceptron(data, epsilon, rng_seed=seed, c=c)
     ok = result.found and in_version_space(data, result.plane)
     return {
         "trial": trial,
@@ -120,10 +103,9 @@ def cmd_train(args, out) -> int:
         _check_count("--m", args.m)
         K = required_sample_count(args.gamma, args.epsilon, args.c_constant)
         _require_state_fits(args.n, K)
-    cfg = _beq_config(args)
     payloads = [
         (t, args.seed + t, args.dataset, args.n, args.m, args.gamma,
-         args.epsilon, args.c_constant, cfg)
+         args.epsilon, args.c_constant)
         for t in range(args.trials)
     ]
     rows = _run_payloads(_train_trial, payloads, args.workers)
@@ -282,9 +264,9 @@ def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) 
 
 
 def _sweep_trial(payload):
-    (n_points, n_planes, gamma, seed, cfg) = payload
+    (n_points, n_planes, gamma, seed) = payload
     handle = OracleHandle(_single_solution_instance(n_points, n_planes, gamma, seed))
-    outcome = multi_criterion_search(handle, cfg, rng_seed=seed)
+    outcome = multi_criterion_search(handle, rng_seed=seed)
     sound = (not outcome.found) or bool(brute_force_g(handle)[outcome.index])
     classical = classical_version_space_search(handle)
     return {
@@ -310,7 +292,6 @@ def cmd_sweep(args, out) -> int:
     _check_gamma(args.gamma)
     _check_count("--trials", args.trials)
     _check_count("--workers", args.workers)
-    cfg = _beq_config(args)
     cells = [(n, k) for n in n_grid for k in k_grid]
     for n_points, n_planes in cells:
         _require_state_fits(n_points, n_planes)
@@ -319,7 +300,7 @@ def cmd_sweep(args, out) -> int:
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
     payloads = [
-        (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t, cfg)
+        (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t)
         for idx, (n_points, n_planes) in enumerate(cells)
         for t in range(args.trials)
     ]
@@ -354,13 +335,13 @@ def cmd_sweep(args, out) -> int:
 def cmd_andor(args, out) -> int:
     if sum(v is not None for v in (args.file, args.table, args.random)) != 1:
         raise ValueError("provide exactly one of --file / --table / --random")
-    cfg = _beq_config(args)
     if args.random is None:
         # one instance from a file; a truth table's columns are its AND-blocks
         table = (load_truth_table(args.table) if args.table is not None
                  else load_instance(args.file))
+        _require_state_fits(table.n_rows, table.n_cols)
         direct = evaluate_direct(table)
-        via, outcome = evaluate_via_search(table, cfg, rng_seed=args.seed)
+        via, outcome = evaluate_via_search(table, rng_seed=args.seed)
         _emit(out, {"N": table.n_rows, "K": table.n_cols, "direct": direct,
                     "via_search": via, "agree": direct == via,
                     "index": outcome.result, "queries": outcome.queries})
@@ -375,7 +356,7 @@ def cmd_andor(args, out) -> int:
         z = (rng.random(n * k) < rng.uniform(0.2, 0.95)).astype(np.uint8)
         table = table_from_blocks(n, k, z)
         direct = evaluate_direct(table)
-        via, outcome = evaluate_via_search(table, cfg, rng_seed=int(rng.integers(2**63)))
+        via, outcome = evaluate_via_search(table, rng_seed=int(rng.integers(2**63)))
         agree = direct == via
         agreements += agree
         _emit(out, {"instance": t, "direct": direct, "via_search": via,
@@ -425,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    _add_search_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("verify", help="run the property suites")
@@ -447,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=9)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    _add_search_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("andor", help="evaluate two-level AND-OR instances")
@@ -455,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="truth-table file ('N K' header, N bit rows)")
     p.add_argument("--random", help="N,K,COUNT random batch")
     p.add_argument("--seed", type=int, required=True)
-    _add_search_flags(p)
     p.set_defaults(func=cmd_andor)
 
     p = sub.add_parser("gen-dataset", help="write a planted dataset file")
@@ -477,7 +455,9 @@ def main(argv=None, out=None) -> int:
     stream = out if out is not None else sys.stdout
     try:
         return args.func(args, stream)
-    except (ValueError, OSError) as exc:
+    # MemoryError: the checks before a run count its arrays, not what the
+    # allocator keeps mapped after freeing them
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -20,9 +20,14 @@ search applies this closed form to its factored state
 written once in :func:`_rotation_shifts`.  The phase readout on the uniform
 input is the Fejer-kernel law of amplitude estimation,
 1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
-(:func:`phase_register_distribution`), and ``sim_and_overlap`` reads
-<in|SimAnd|in> = 1 - 2 P(readout = 10..0) off it, so the diagnostics run no
-simulation.
+(:func:`phase_register_distribution`, an FFT kept for ``quantum_count``,
+which samples the whole readout).  At the 10..0 readout s = 2**(l-1) the two
+branches are complex conjugates, each 2**-l sum_r (-1)**r e^{2i r theta} =
+mean_r mu_r with mu the rotation spectrum, so P(readout = 10..0) =
+|mean_r mu_r|**2 (:func:`_kick_probabilities`), the probability that a
+phase-kickback shot votes "all ones".  ``sim_and_overlap`` returns
+<in|SimAnd|in> = 1 - 2 |mean_r mu_r|**2 and the search reads the same
+expression for every column at once, so the diagnostics run no simulation.
 
 Each circuit thus runs two ways: the closed forms above in production, and
 the gate engine of :mod:`qvstrain.statevec` and :mod:`qvstrain.oracles` as
@@ -99,19 +104,32 @@ def _rotation_angles(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ones, np.arcsin(np.sqrt(ones / signs.shape[-1]))
 
 
+def _phase_spectrum(theta: np.ndarray, dl: int) -> np.ndarray:
+    """mu[r, j] = (-e^{2i theta_j})**r = sqrt(2**l) w_r lambda**r over a
+    phase register of ``dl`` values, for the Grover angles ``theta``."""
+    r = np.arange(dl)[:, None]
+    return (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
+
+
 def _rotation_spectrum(signs: np.ndarray, dl: int) -> tuple[np.ndarray, ...]:
     """Per column of a (columns, 2**n) sign matrix, under a phase register of
     ``dl`` values: the number of f = 1 rows, and the constants of
-    :func:`_rotation_shifts`: mu[r, j] = (-e^{2i theta_j})**r =
-    sqrt(2**l) w_r lambda**r and the inverse square roots of the f=0 and f=1
-    row counts (0 for an empty count)."""
+    :func:`_rotation_shifts`: mu (:func:`_phase_spectrum`) and the inverse
+    square roots of the f=0 and f=1 row counts (0 for an empty count)."""
     ones, theta = _rotation_angles(signs)
     zeros = signs.shape[-1] - ones
     inv_a = np.divide(1.0, np.sqrt(zeros), out=np.zeros(theta.shape), where=zeros > 0)
     inv_b = np.divide(1.0, np.sqrt(ones), out=np.zeros(theta.shape), where=ones > 0)
-    r = np.arange(dl)[:, None]
-    mu = (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
-    return ones, mu, inv_a, inv_b
+    return ones, _phase_spectrum(theta, dl), inv_a, inv_b
+
+
+def _kick_probabilities(mu: np.ndarray) -> np.ndarray:
+    """P(readout = 10..0) after phase estimation from the uniform data
+    register, per column of the spectrum ``mu`` of :func:`_phase_spectrum`:
+    |mean_r mu[r, j]|**2 (the sum over r divided by its length, which is
+    what ``mean`` computes, without its per-call overhead).  A mean of
+    unit-modulus numbers, so no clip is needed to use it as a probability."""
+    return np.abs(mu.sum(axis=0) / mu.shape[0]) ** 2
 
 
 def _rotation_shifts(sum_a, sum_b, mu, inv_a, inv_b) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +272,27 @@ class GTildeReadout:
     fidelity: float
 
 
-def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
-    """<input| SimAnd |input> for the basis hyperplane j: exactly
-    1 - 2 P(s = 10..0) under :func:`phase_register_distribution`, since
-    SimAnd flips that readout between phase estimation and its uncompute.
-    An exact amplitude diagnostic: charges nothing."""
+def _phase_bits(j: int, handle: OracleHandle, l: int | None) -> int:
+    """The phase-register width for a readout on hyperplane j: ``l``, or
+    :func:`l_bits` if None, after checking j and l."""
+    if not (0 <= j < (1 << handle.k)):
+        raise ValueError(f"hyperplane index {j} out of range")
     if l is None:
         l = l_bits(handle.n)
-    return complex(1.0 - 2.0 * phase_register_distribution(j, handle, l)[1 << (l - 1)])
+    if l < 1:
+        raise ValueError("phase estimation needs a phase register")
+    return l
+
+
+def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
+    """<input| SimAnd |input> for the basis hyperplane j: exactly
+    1 - 2 P(s = 10..0), since SimAnd flips that readout between phase
+    estimation and its uncompute, with P(s = 10..0) = |mean_r mu_r|**2
+    (:func:`_kick_probabilities`).  An exact amplitude diagnostic: charges
+    nothing."""
+    l = _phase_bits(j, handle, l)
+    _, theta = _rotation_angles(handle.signs[j : j + 1])
+    return complex(1.0 - 2.0 * _kick_probabilities(_phase_spectrum(theta, 1 << l))[0])
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
@@ -284,12 +315,7 @@ def phase_register_distribution(
     P(s) = 1/2 Fejer(s | theta_j/pi) + 1/2 Fejer(s | 1 - theta_j/pi), with
     Fejer(s | phi) = |2**-l sum_r e^{2 pi i r (phi - s/2**l)}|**2.  Runs no
     circuit and charges nothing."""
-    if not (0 <= j < (1 << handle.k)):
-        raise ValueError(f"hyperplane index {j} out of range")
-    if l is None:
-        l = l_bits(handle.n)
-    if l < 1:
-        raise ValueError("phase estimation needs a phase register")
+    l = _phase_bits(j, handle, l)
     dl = 1 << l
     _, theta = _rotation_angles(handle.signs[j])
     # phase-register state of each branch lambda = e^{+-2i theta} after the

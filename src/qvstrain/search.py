@@ -3,12 +3,16 @@ with a randomized Grover schedule for an unknown number of marked items,
 multi-criterion search, and the end-to-end version-space trainer.
 
 Within one search run the unitary pieces are deterministic, so iterated
-states and verification overlaps are computed once per table and reused
-across Monte Carlo repetitions.  Each iteration applies the AND-simulation
+states and verification probabilities are computed once per table and
+reused across Monte Carlo repetitions.  Each iteration applies the AND-simulation
 in its closed form from the Grover spectrum, SimAnd = I - 2 sum_lambda
 |u_lambda><u_lambda| (x) Pi_lambda (see :mod:`qvstrain.counting`), so no
-Grover step is executed; a verification shot votes with the probability
-(1 - Re <in|SimAnd|in>) / 2, read off the Fejer-kernel phase readout.  The
+Grover step is executed; a verification shot votes "all ones" with the
+probability P(readout = 10..0) = (1 - Re <in|SimAnd|in>) / 2 =
+|mean_r mu[r, j]|**2, which the oracle reads off its rotation spectrum mu
+for every column j at once (the kick vector).  The search is one fixed
+construction: a majority vote of VERIFY_REPEATS shots per candidate, and at
+most MAX_ROUNDS passes of the randomized-iteration schedule.  The
 amplitude kernels and the overlap diagnostic charge nothing; the search
 alone charges the ledger, by the closed-form cost of what each run
 logically performs: one AND-simulation per Grover iteration and one
@@ -20,7 +24,8 @@ it takes O(2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes,
 and no factor is the size of the table.  A search whose peak
 (:func:`search_state_bytes`) would exceed :func:`state_byte_limit` (the
 machine's physical memory, or the address-space limit less what the process
-maps, if smaller) is refused before anything is allocated.
+maps, if smaller) is refused before anything is allocated; the oracle checks
+again when it is built, less the handle's sign matrix, which is then mapped.
 """
 
 from __future__ import annotations
@@ -32,12 +37,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import _rotation_shifts, _rotation_spectrum, l_bits, meter_sim_and, sim_and_overlap
+from .counting import (_kick_probabilities, _rotation_shifts, _rotation_spectrum, l_bits,
+                       meter_sim_and)
 from .oracles import OracleHandle, QueryLedger, _ceil_log2, from_perceptron
 from .perceptron import Dataset, Hyperplane, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
 SMALL_ARRAY_BYTES = 1 << 15
+# Kickback shots in a candidate's majority vote: odd, so no vote ties; if
+# each shot errs with probability at most 1/3, the vote errs with at most 0.09.
+VERIFY_REPEATS = 15
+# Passes of the full randomized-iteration schedule before the search reports
+# NotFound.
+MAX_ROUNDS = 3
 
 
 def state_byte_limit() -> int:
@@ -71,17 +83,18 @@ def search_state_bytes(n_rows: int, n_cols: int) -> int:
     """Bytes a search over an N x K table holds at its peak: the handle's
     float64 sign matrix (8 bytes per entry); P, Q and the rotation
     spectrum of :class:`SimAndSearchOracle` (3 * 2**(l+k) + 2**(l+n) complex
-    amplitudes) and every reachable marginal; the larger of an iteration's
-    three (2**l, 2**k) complex sums, shifts or products and the diffusion's
-    (2**l, 2**k) complex difference with its (2**l, 2**n) real product;
-    numpy's iterator buffers (three complex operands), 256 bytes per data
-    row for E and the vectors over i, and SMALL_ARRAY_BYTES for the rest."""
+    amplitudes), every reachable marginal and the kick vector; the larger of
+    an iteration's three (2**l, 2**k) complex sums, shifts or products and
+    the diffusion's (2**l, 2**k) complex difference with its (2**l, 2**n)
+    real product; numpy's iterator buffers (three complex operands), 256
+    bytes per data row for E and the vectors over i, and SMALL_ARRAY_BYTES
+    for the rest."""
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
     tables = 8 * kn
     factors = 16 * (3 * lk + ln)
-    marginals = 8 * (1 << k) * (_iteration_cap(k) + 1)
+    marginals = 8 * (1 << k) * (_iteration_cap(k) + 2)
     temporaries = max(48 * lk, 16 * lk + 8 * ln)
     vectors = 48 * np.getbufsize() + 256 * (1 << n) + SMALL_ARRAY_BYTES
     return tables + factors + marginals + temporaries + vectors
@@ -91,22 +104,6 @@ def _require_state_fits(n_rows: int, n_cols: int) -> None:
     """Refuse, before anything is built, a search over an N x K table whose
     state (:func:`search_state_bytes`) would exceed :func:`state_byte_limit`."""
     _require_bytes(search_state_bytes(n_rows, n_cols), "the search state needs")
-
-
-@dataclass(frozen=True)
-class BEQConfig:
-    """Knobs of the bounded-error search: odd majority-vote width for
-    candidate verification and number of full cutoff schedules to run
-    before giving up."""
-
-    verify_repeats: int = 15
-    max_rounds: int = 3
-
-    def __post_init__(self):
-        if self.verify_repeats < 3 or self.verify_repeats % 2 == 0:
-            raise ValueError("verify_repeats must be odd and >= 3")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
 @dataclass
@@ -132,12 +129,12 @@ def _iteration_cap(k: int) -> int:
     return max(1, math.ceil(math.pi / 4.0 * math.sqrt(1 << k)))
 
 
-def _schedule(k: int, passes: int):
+def _schedule(k: int):
     """Yield the randomized-iteration bound m per round: grows by 6/5 each
     round, capped at ceil(pi/4 * sqrt(2**k)); the full growth schedule is
-    repeated ``passes`` times."""
+    repeated MAX_ROUNDS times."""
     cap = float(_iteration_cap(k))
-    for _ in range(passes):
+    for _ in range(MAX_ROUNDS):
         m = 1.0
         while True:
             yield m
@@ -166,8 +163,9 @@ class SimAndSearchOracle:
 
     Caches the deterministic pieces per table: the factors, advanced in
     place, the hyperplane marginal after every iteration so far, and the
-    per-column verification overlaps.  Nothing here charges the ledger; the
-    search charges each run through :func:`meter_sim_and`.
+    kick vector, every column's verification probability, read once off the
+    rotation spectrum.  Nothing here charges the ledger; the search charges
+    each run through :func:`meter_sim_and`.
     """
 
     def __init__(self, handle: OracleHandle):
@@ -175,16 +173,18 @@ class SimAndSearchOracle:
         self.n = handle.n
         self.k = handle.k
         self.l = l_bits(handle.n)
-        _require_state_fits(handle.n_rows, handle.n_cols)
+        # the handle's sign matrix is already mapped, so inside the limit
+        need = search_state_bytes(handle.n_rows, handle.n_cols) - handle.signs.nbytes
+        _require_bytes(need, "the search state needs")
         dl, dk, dn = 1 << self.l, 1 << self.k, 1 << self.n
         self._ones, *self._spectrum = _rotation_spectrum(handle.signs, dl)
+        self._kicks = _kick_probabilities(self._spectrum[0])
         self._cols = (dk - handle.signs.sum(axis=0)) / 2  # f=1 columns per row
         self._p = [np.zeros((dl, dk), dtype=np.complex128) for _ in range(2)]
         self._q = np.full((dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
         self._e = np.zeros((2, dn), dtype=np.complex128)
         self._sums = self._reduce()
         self._marginals = [self._plane_marginal()]
-        self._kick: dict[int, float] = {}
 
     def _ones_sums(self, x: np.ndarray, x_sum: np.ndarray) -> np.ndarray:
         """Each row of x summed over the f=1 rows of every column, x @ F^T for
@@ -281,18 +281,16 @@ class SimAndSearchOracle:
 
     def kick_probability(self, j: int) -> float:
         """Probability that one phase-kickback shot votes "column j is all
-        ones": (1 - Re <in|SimAnd|in>) / 2 on the |j> component."""
-        if j not in self._kick:
-            eta = sim_and_overlap(j, self.handle, self.l)
-            self._kick[j] = min(1.0, max(0.0, (1.0 - eta.real) / 2.0))
-        return self._kick[j]
+        ones": (1 - Re <in|SimAnd|in>) / 2 = |mean_r mu[r, j]|**2 on the |j>
+        component."""
+        return self._kicks[j]
 
 
-def _majority_vote(oracle: SimAndSearchOracle, j: int, repeats: int, rng, ledger: QueryLedger):
-    """Majority of ``repeats`` kickback shots, stopping early once decided;
+def _majority_vote(oracle: SimAndSearchOracle, j: int, rng, ledger: QueryLedger):
+    """Majority of VERIFY_REPEATS kickback shots, stopping early once decided;
     each drawn shot is metered as one controlled AND-simulation."""
     p = oracle.kick_probability(j)
-    need = repeats // 2 + 1
+    need = VERIFY_REPEATS // 2 + 1
     ones = zeros = shots = 0
     while ones < need and zeros < need:
         shots += 1
@@ -304,9 +302,7 @@ def _majority_vote(oracle: SimAndSearchOracle, j: int, repeats: int, rng, ledger
     return ones >= need, shots
 
 
-def bounded_error_search(
-    oracle: SimAndSearchOracle, cfg: BEQConfig, rng_seed=None
-) -> SearchOutcome:
+def bounded_error_search(oracle: SimAndSearchOracle, rng_seed=None) -> SearchOutcome:
     """Search for a hyperplane index whose entire column is 1, using the
     AND-simulation circuit both as the (imperfect) Grover reflection and,
     through majority-voted phase-kickback shots, as the verifier of each
@@ -317,14 +313,14 @@ def bounded_error_search(
     iterations = 0
     verifications = 0
     found = None
-    for m in _schedule(oracle.k, cfg.max_rounds):
+    for m in _schedule(oracle.k):
         rounds += 1
         r = int(rng.integers(0, max(1, math.ceil(m))))
         marginal = oracle.plane_marginal(r)
         meter_sim_and(ledger, oracle.l, times=r)
         iterations += r
         j = int(rng.choice(marginal.size, p=marginal))
-        accepted, shots = _majority_vote(oracle, j, cfg.verify_repeats, rng, ledger)
+        accepted, shots = _majority_vote(oracle, j, rng, ledger)
         verifications += shots
         if accepted:
             found = j
@@ -337,13 +333,10 @@ def bounded_error_search(
     return SearchOutcome(index=found, queries=ledger.snapshot(), trials=trials)
 
 
-def multi_criterion_search(
-    handle: OracleHandle, cfg: BEQConfig | None = None, rng_seed=None
-) -> SearchOutcome:
+def multi_criterion_search(handle: OracleHandle, rng_seed=None) -> SearchOutcome:
     """Find j with f(i, j) = 1 for every data row i, with bounded error on
     both the Found and NotFound branches."""
-    cfg = cfg if cfg is not None else BEQConfig()
-    return bounded_error_search(SimAndSearchOracle(handle), cfg, rng_seed)
+    return bounded_error_search(SimAndSearchOracle(handle), rng_seed)
 
 
 @dataclass
@@ -363,7 +356,6 @@ class TrainResult:
 def train_perceptron(
     data: Dataset,
     epsilon: float,
-    cfg: BEQConfig | None = None,
     rng_seed=None,
     c: float = 2.0,
 ) -> TrainResult:
@@ -379,7 +371,7 @@ def train_perceptron(
     plane_seed, search_seed = (int(s) for s in rng.integers(0, 2**63, size=2))
     planes = sample_hyperplanes(K, data.dim, plane_seed)
     handle = OracleHandle(from_perceptron(data, planes))
-    outcome = multi_criterion_search(handle, cfg, search_seed)
+    outcome = multi_criterion_search(handle, search_seed)
     if outcome.found and outcome.index < K:
         plane = Hyperplane(planes[outcome.index, :-1], planes[outcome.index, -1])
         return TrainResult(plane=plane, outcome=outcome, sampled=K)

@@ -25,7 +25,6 @@ from qvstrain.oracles import (
 )
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain.search import (
-    BEQConfig,
     SimAndSearchOracle,
     bounded_error_search,
     train_perceptron,
@@ -151,11 +150,10 @@ def test_criterion_4_controlled_oracle_identity():
 
 
 def test_criterion_5_search_correctness():
-    cfg = BEQConfig()
     fixture = OracleHandle(TruthTable(FIXTURE_BITS))
     oracle = SimAndSearchOracle(fixture)
     hits = sum(
-        bounded_error_search(oracle, cfg, rng_seed=SUITE_SEED + run).index == 2
+        bounded_error_search(oracle, rng_seed=SUITE_SEED + run).index == 2
         for run in range(200)
     )
     fixture_ok = hits >= math.ceil(200 * 2 / 3)
@@ -168,7 +166,7 @@ def test_criterion_5_search_correctness():
         oracle = SimAndSearchOracle(handle)
         good = 0
         for run in range(50):
-            out = bounded_error_search(oracle, cfg, rng_seed=int(rng.integers(2**63)))
+            out = bounded_error_search(oracle, rng_seed=int(rng.integers(2**63)))
             if out.found:
                 good += out.index < handle.n_cols and truth[out.index] == 1
             else:
@@ -273,7 +271,6 @@ def test_criterion_6c_desk_scale_dominance(sweep_results):
 
 
 def test_criterion_7_end_to_end_trainer():
-    cfg = BEQConfig()
     details = []
     ok = True
     for gamma in (0.1, 0.2):
@@ -282,7 +279,7 @@ def test_criterion_7_end_to_end_trainer():
             for trial in range(100):
                 seed = SUITE_SEED + 7000 + trial
                 data, _ = generate_planted_dataset(n_points, 2, gamma, rng_seed=seed)
-                result = train_perceptron(data, epsilon=0.1, cfg=cfg, rng_seed=seed)
+                result = train_perceptron(data, epsilon=0.1, rng_seed=seed)
                 wins += result.found and in_version_space(data, result.plane)
             details.append(f"gamma={gamma} N={n_points}: {wins}/100")
             ok &= wins >= 55
@@ -335,7 +332,6 @@ def test_criterion_9_quantum_counting_fixture():
 
 def test_criterion_10_andor_reduction():
     rng = np.random.default_rng(SUITE_SEED + 10)
-    cfg = BEQConfig()
     weak = 0
     for _ in range(100):
         n = int(rng.integers(1, 9))
@@ -347,7 +343,7 @@ def test_criterion_10_andor_reduction():
         oracle = SimAndSearchOracle(handle)
         agree = 0
         for _run in range(50):
-            out = bounded_error_search(oracle, cfg, rng_seed=int(rng.integers(2**63)))
+            out = bounded_error_search(oracle, rng_seed=int(rng.integers(2**63)))
             value = int(out.found and out.index < table.n_cols)
             agree += value == expected
         if agree < math.ceil(50 * 2 / 3):

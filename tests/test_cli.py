@@ -385,21 +385,17 @@ def bad_random(draw):
                                  "a,2,1", "", "2;2;1", "2.5,2,1"]))
 
 
-SEARCH_FIELDS = {
-    "--verify-repeats": st.integers(-20, 40).filter(lambda v: v < 3 or v % 2 == 0).map(str),
-    "--max-rounds": BELOW_ONE,
-}
 # command -> (a small valid argv, invalid values per field)
 ARGV_FIELDS = {
     "train": (("--n", "8", "--m", "2", "--gamma", "0.3", "--seed", "1"),
               {"--n": BELOW_ONE, "--m": BELOW_ONE, "--trials": BELOW_ONE,
                "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT,
-               "--epsilon": OUTSIDE_UNIT, **SEARCH_FIELDS}),
+               "--epsilon": OUTSIDE_UNIT}),
     "sweep": (("--n-grid", "8", "--k-grid", "4", "--trials", "1", "--seed", "1"),
               {"--n-grid": BAD_GRID, "--k-grid": BAD_GRID, "--trials": BELOW_ONE,
-               "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT, **SEARCH_FIELDS}),
+               "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT}),
     "andor": (("--random", "4,4,1", "--seed", "1"),
-              {"--random": bad_random(), **SEARCH_FIELDS}),
+              {"--random": bad_random()}),
     "verify": (("--tables", "1", "--n-max", "2", "--k-max", "1", "--gap-n-max", "2",
                 "--identity-tables", "1"),
                dict.fromkeys(("--tables", "--n-max", "--k-max", "--gap-n-max",
@@ -433,6 +429,19 @@ class TestInvalidArgv:
         assert rc == 2, argv
         assert out == "", argv
         assert err.getvalue().startswith((f"{argv[0]}: ", "usage: ")), (argv, err.getvalue())
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "andor"])
+    @pytest.mark.parametrize("flag", [("--verify-repeats", "15"), ("--max-rounds", "3")],
+                             ids=["verify-repeats", "max-rounds"])
+    def test_search_flags_are_unrecognized(self, command, flag):
+        # the search's vote width and schedule passes are fixed constants
+        err, stdout = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+            rc, out = run_cli(command, *ARGV_FIELDS[command][0], *flag)
+        assert rc == 2
+        assert out == stdout.getvalue() == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestNonFiniteCConstant:
@@ -520,6 +529,38 @@ class TestStateSizeLimit:
         assert "Traceback" not in proc.stderr
         need = search_state_bytes(*table)
         assert proc.stderr.startswith(f"{argv[0]}: the search state needs {need} bytes")
+
+
+    @pytest.mark.parametrize("mode,save", [("--file", save_instance),
+                                           ("--table", save_truth_table)],
+                             ids=["file", "table"])
+    def test_file_instance_refused_before_its_handle_is_built(
+        self, tmp_path, monkeypatch, mode, save
+    ):
+        path = tmp_path / "instance.txt"
+        save(TruthTable(FIXTURE_BITS), path)
+        need = search_state_bytes(4, 3)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
+        built = []
+        monkeypatch.setattr(OracleHandle, "__init__", lambda self, table: built.append(table))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = run_cli("andor", mode, str(path), "--seed", "1")
+        assert rc == 2 and out == "" and built == []
+        assert err.getvalue().startswith(f"andor: the search state needs {need} bytes")
+
+    def test_late_memory_error_exits_2(self, monkeypatch):
+        # past the checks, the allocator's own retention can still exhaust
+        # an address-space cap; that ends in a usage error, not a traceback
+        def exhausted(*_args, **_kwargs):
+            raise MemoryError("Unable to allocate 16.0 MiB for an array")
+
+        monkeypatch.setattr(cli, "evaluate_via_search", exhausted)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = run_cli("andor", "--random", "4,4,1", "--seed", "1")
+        assert rc == 2 and out == ""
+        assert err.getvalue() == "andor: Unable to allocate 16.0 MiB for an array\n"
 
 
 class TestVerifyTables:

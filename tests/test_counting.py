@@ -20,6 +20,7 @@ from qvstrain.counting import (
     sim_and_overlap,
 )
 from qvstrain.oracles import OracleHandle, QueryLedger, TruthTable, apply_phase_oracle
+from qvstrain.search import SimAndSearchOracle
 from qvstrain.statevec import (
     apply_hadamards,
     apply_inverse_qft,
@@ -259,20 +260,25 @@ class TestSimAnd:
 
     @given(rows=st.integers(1, 16), cols=st.integers(1, 4), seed=st.integers(0, 2**31))
     def test_overlap_readout_equals_circuit_random_tables(self, rows, cols, seed):
-        # sim_and_overlap reads 1 - 2 P(10..0) off phase estimation; the
+        # sim_and_overlap reads 1 - 2 P(10..0) off the rotation spectrum; the
         # public sim_and circuit must give the same <in|out> on every column,
-        # at the working register width and at the too-narrow ceil(n/2)
+        # at the working register width and at the too-narrow ceil(n/2), and
+        # at the working width the search's kick probability must be
+        # (1 - Re <in|out>) / 2, phantom columns included
         rng = np.random.default_rng(seed)
         bits = (rng.random((rows, cols)) < rng.uniform(0.2, 1.0)).astype(np.uint8)
         if rng.random() < 0.5:
             bits[:, int(rng.integers(0, cols))] = 1
         handle = OracleHandle(TruthTable(bits))
+        oracle = SimAndSearchOracle(handle)
         for l in {l_bits(handle.n), max(1, math.ceil(handle.n / 2))}:
             layout = handle.layout(l=l)
             for j in range(1 << handle.k):
                 ref = new_uniform(layout, fixed_j=j)
-                out = sim_and(ref.copy(), layout, handle)
-                assert abs(sim_and_overlap(j, handle, l) - inner_product(ref, out)) < 1e-12
+                eta = inner_product(ref, sim_and(ref.copy(), layout, handle))
+                assert abs(sim_and_overlap(j, handle, l) - eta) < 1e-12
+                if l == oracle.l:
+                    assert abs(oracle.kick_probability(j) - (1.0 - eta.real) / 2.0) < 1e-12
 
     def test_block_diagonal_and_coherent(self, fixture_handle):
         # on a superposed hyperplane register every |j> block is scaled by

@@ -10,7 +10,6 @@ from qvstrain.oracles import OracleHandle, TruthTable
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain import search
 from qvstrain.search import (
-    BEQConfig,
     SimAndSearchOracle,
     bounded_error_search,
     multi_criterion_search,
@@ -21,47 +20,36 @@ from qvstrain.statevec import new_uniform
 
 from .conftest import random_kernel_table
 
-class TestBEQConfig:
-    def test_rejects_even_or_small_repeats(self):
-        with pytest.raises(ValueError):
-            BEQConfig(verify_repeats=4)
-        with pytest.raises(ValueError):
-            BEQConfig(verify_repeats=1)
-        with pytest.raises(ValueError):
-            BEQConfig(max_rounds=0)
-
-
 class TestBoundedErrorSearch:
     def test_fixture_finds_solution_column(self, fixture_handle):
         oracle = SimAndSearchOracle(fixture_handle)
-        cfg = BEQConfig()
         hits = sum(
-            bounded_error_search(oracle, cfg, rng_seed=seed).index == 2
+            bounded_error_search(oracle, rng_seed=seed).index == 2
             for seed in range(60)
         )
         assert hits >= 40
 
     def test_all_zero_table_not_found(self):
         handle = OracleHandle(TruthTable(np.zeros((4, 4), dtype=np.uint8)))
-        out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=3)
+        out = bounded_error_search(SimAndSearchOracle(handle), rng_seed=3)
         assert not out.found
         assert out.trials["reason"] == "budget_exhausted"
 
     def test_all_ones_table_finds_anything(self):
         handle = OracleHandle(TruthTable(np.ones((4, 4), dtype=np.uint8)))
-        out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=4)
+        out = bounded_error_search(SimAndSearchOracle(handle), rng_seed=4)
         assert out.found and 0 <= out.index < 4
 
     def test_all_marked_first_round(self):
         # every candidate is a solution, so the first round's is accepted
         handle = OracleHandle(TruthTable(np.ones((8, 8), dtype=np.uint8)))
         for seed in range(10):
-            out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=seed)
+            out = bounded_error_search(SimAndSearchOracle(handle), rng_seed=seed)
             assert out.found and out.trials["rounds"] == 1
 
     def test_query_metering_matches_cost_model(self, fixture_handle):
         oracle = SimAndSearchOracle(fixture_handle)
-        out = bounded_error_search(oracle, BEQConfig(), rng_seed=5)
+        out = bounded_error_search(oracle, rng_seed=5)
         l = l_bits(fixture_handle.n)
         expected = (
             out.trials["iterations"] * 4 * (2**l - 1)
@@ -73,7 +61,7 @@ class TestBoundedErrorSearch:
     def test_handle_ledger_accumulates(self, fixture_handle):
         oracle = SimAndSearchOracle(fixture_handle)
         before = fixture_handle.ledger.snapshot()["bit_oracle"]
-        out = bounded_error_search(oracle, BEQConfig(), rng_seed=6)
+        out = bounded_error_search(oracle, rng_seed=6)
         after = fixture_handle.ledger.snapshot()["bit_oracle"]
         assert after - before == out.queries["bit_oracle"]
 
@@ -84,9 +72,8 @@ class TestBoundedErrorSearch:
             k = int(rng.integers(1, 4))
             bits = (rng.random((1 << n, 1 << k)) < rng.uniform(0.3, 0.9)).astype(np.uint8)
             handle = OracleHandle(TruthTable(bits))
-            out = bounded_error_search(
-                SimAndSearchOracle(handle), BEQConfig(), rng_seed=int(rng.integers(2**31))
-            )
+            seed = int(rng.integers(2**31))
+            out = bounded_error_search(SimAndSearchOracle(handle), rng_seed=seed)
             if out.found:
                 assert bits[:, out.index].all()
 
@@ -98,7 +85,7 @@ class TestBoundedErrorSearch:
         assert handle.n == 0
         hits = 0
         for seed in range(30):
-            out = bounded_error_search(SimAndSearchOracle(handle), BEQConfig(), rng_seed=seed)
+            out = bounded_error_search(SimAndSearchOracle(handle), rng_seed=seed)
             hits += out.index == 1
         assert hits >= 20
 
@@ -142,7 +129,8 @@ class TestSimAndSearchOracle:
         assert peak <= search_state_bytes(*shape)
 
     def test_state_size_limit_checked_first(self, fixture_handle, monkeypatch):
-        need = search_state_bytes(4, 3)
+        # the handle's sign matrix is already mapped when the oracle is built
+        need = search_state_bytes(4, 3) - fixture_handle.signs.nbytes
         monkeypatch.setattr(search, "state_byte_limit", lambda: need)
         assert SimAndSearchOracle(fixture_handle).plane_marginal(0).size == 4
         monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
