@@ -13,8 +13,13 @@ Layers, each a median over REPEATS timed calls in this process:
 * building the truth table (``oracles.from_perceptron`` on the (K, 3) array
   of sampled planes);
 * building instances (``perceptron.generate_planted_dataset`` and the sweep's
-  table, ``cli._single_solution_instance``), timed in a child process on
-  each checkout's own package, so with ``--parent`` both sides are recorded.
+  table, ``cli._single_solution_instance``), and ``verify``'s two gate-level
+  and readout layers: the controlled-oracle identity check
+  (``oracles.controlled_phase_oracle_identity_gap``) on 16 x 16 and 8 x 16
+  tables, and the sign-and-fidelity suite at ``verify``'s defaults
+  (``cli._sign_fidelity_sweep``, which reads each table's AND-simulation
+  overlaps).  These are timed in a child process on each checkout's own
+  package, so with ``--parent`` both sides are recorded.
 
 With ``--parent DIR`` (a checkout of the commit to compare against) it also
 records the query-ledger rows of the pinned seeded CLI runs in both
@@ -22,8 +27,8 @@ checkouts, and, with ``--pairs P``, runs ``perfbench/run.py`` on every
 workload in P alternating parent/change pairs of SECONDS each, at seeds
 FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.  Run from anywhere:
 
-    python scripts/bench_kernels.py --out BENCH_8.json
-    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_8.json
+    python scripts/bench_kernels.py --out BENCH_13.json
+    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_13.json
 
 The record holds nproc, the numpy version and the git sha of this checkout.
 """
@@ -52,7 +57,7 @@ from qvstrain.search import SimAndSearchOracle, search_state_bytes  # noqa: E402
 from qvstrain.statevec import new_uniform  # noqa: E402
 
 REPEATS = 7
-INSTANCE_REPEATS = 21  # seeds 0..20, one call each
+INSTANCE_REPEATS = 21  # seeds 0..20, one call each, for the child-process rows
 FIRST_SEED = 20001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 
@@ -66,12 +71,23 @@ INSTANCE_CALLS = (
     "_single_solution_instance(64, 8, 0.2, seed)",
     "_single_solution_instance(16, 512, 0.2, seed)",
 )
+# seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, and verify's
+# default sign-and-fidelity suite (50 tables, n <= 5, k <= 3)
+VERIFY_CALLS = (
+    "controlled_phase_oracle_identity_gap(half_table(seed, 16, 16))",
+    "controlled_phase_oracle_identity_gap(half_table(seed, 8, 16))",
+    "_sign_fidelity_sweep(np.random.default_rng(seed), 50, 5, 3, False)",
+)
 # Run as ``python -c`` with a checkout's src on PYTHONPATH: the median
 # milliseconds of each call over the seeds, as one JSON object.
-INSTANCE_TIMER = """
+CHILD_TIMER = """
 import json, statistics, sys, time
-from qvstrain.cli import _single_solution_instance
+import numpy as np
+from qvstrain.cli import _sign_fidelity_sweep, _single_solution_instance
+from qvstrain.oracles import TruthTable, controlled_phase_oracle_identity_gap
 from qvstrain.perceptron import generate_planted_dataset
+def half_table(seed, rows, cols):
+    return TruthTable(np.random.default_rng(seed).random((rows, cols)) < 0.5)
 medians = {}
 for call in sys.argv[2:]:
     times = []
@@ -153,16 +169,26 @@ def table_rows() -> list[dict]:
     return rows
 
 
-def instance_rows(parent: Path | None) -> list[dict]:
+def child_rows(calls, parent: Path | None) -> list[dict]:
+    """The median milliseconds of each call, timed by CHILD_TIMER in a
+    child process on this checkout and, when given, on ``parent``."""
     sides = [("change", ROOT)] + ([("parent", parent)] if parent is not None else [])
     medians = {}
     for side, checkout in sides:
         proc = subprocess.run(
-            [sys.executable, "-c", INSTANCE_TIMER, str(INSTANCE_REPEATS), *INSTANCE_CALLS],
+            [sys.executable, "-c", CHILD_TIMER, str(INSTANCE_REPEATS), *calls],
             capture_output=True, text=True, env=child_env(checkout), check=True)
         medians[side] = json.loads(proc.stdout)
     return [{"call": call, **{f"{side}_ms": medians[side][call] for side, _ in sides}}
-            for call in INSTANCE_CALLS]
+            for call in calls]
+
+
+def instance_rows(parent: Path | None) -> list[dict]:
+    return child_rows(INSTANCE_CALLS, parent)
+
+
+def verify_rows(parent: Path | None) -> list[dict]:
+    return child_rows(VERIFY_CALLS, parent)
 
 
 def child_env(checkout: Path) -> dict[str, str]:
@@ -227,7 +253,7 @@ def git_sha() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default="BENCH_8.json")
+    parser.add_argument("--out", default="BENCH_13.json")
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare against")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench pairs per workload")
     args = parser.parse_args()
@@ -242,6 +268,7 @@ def main() -> int:
         "phase_register_distribution": readout_rows(),
         "from_perceptron": table_rows(),
         "instances": instance_rows(args.parent and args.parent.resolve()),
+        "verify_layers": verify_rows(args.parent and args.parent.resolve()),
     }
     if args.parent is not None:
         here, there = pinned_rows(ROOT), pinned_rows(args.parent.resolve())

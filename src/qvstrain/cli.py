@@ -15,14 +15,13 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .andor import evaluate_direct, evaluate_via_search, load_instance, table_from_blocks
 from .baselines import brute_force_g, classical_version_space_search
-from .counting import phase_gap_bound_check, g_tilde_readout, l_bits
+from .counting import g_tilde_readouts, l_bits, phase_gap_bound_check
 from .oracles import (
     OracleHandle,
     TruthTable,
@@ -58,6 +57,9 @@ def _run_payloads(fn, payloads, workers: int) -> list:
     """``fn`` over every payload in order, through one process pool when
     ``workers > 1``."""
     if workers > 1:
+        # imported here: it loads multiprocessing, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, payloads))
     return [fn(p) for p in payloads]
@@ -124,7 +126,8 @@ def cmd_train(args, out) -> int:
 # uniform draws and their comparison (8 + 1), then the bit table and the
 # handle's float sign matrix (1 + 8).  On top of that, VERIFY_SMALL_BYTES
 # holds numpy's cast buffer (8192 doubles) for the sign matrix and the
-# per-column vectors.
+# per-column vectors, among them one block of the table's readout
+# (counting.READOUT_BLOCK_AMPS values per temporary).
 VERIFY_BYTES_PER_ENTRY = 9
 VERIFY_SMALL_BYTES = 1 << 17
 # values of m per array expression in the phase-gap suite
@@ -163,9 +166,8 @@ def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool
         l = max(1, (handle.n + 1) // 2 if fault_l else l_bits(handle.n))
         g = np.zeros(1 << handle.k, dtype=np.uint8)
         g[: handle.n_cols] = brute_force_g(handle)
-        for j in range(1 << handle.k):
+        for j, readout in enumerate(g_tilde_readouts(handle, l)):
             checked += 1
-            readout = g_tilde_readout(j, handle, l=l)
             expected_sign = -1 if g[j] else +1
             bad_sign = readout.sign != expected_sign
             bad_fid = readout.fidelity < 2.0 / 3.0

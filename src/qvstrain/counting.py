@@ -53,6 +53,7 @@ charge nothing.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,10 @@ from .statevec import (
     apply_open_controlled_z,
     apply_qft,
 )
+
+
+# values per block of columns in g_tilde_readouts: a few 32 KiB temporaries
+READOUT_BLOCK_AMPS = 1 << 11
 
 
 def l_bits(n: int) -> int:
@@ -104,10 +109,9 @@ def _rotation_angles(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ones, np.arcsin(np.sqrt(ones / signs.shape[-1]))
 
 
-def _phase_spectrum(theta: np.ndarray, dl: int) -> np.ndarray:
-    """mu[r, j] = (-e^{2i theta_j})**r = sqrt(2**l) w_r lambda**r over a
-    phase register of ``dl`` values, for the Grover angles ``theta``."""
-    r = np.arange(dl)[:, None]
+def _phase_spectrum(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """mu = (-e^{2i theta})**r = sqrt(2**l) w_r lambda**r, broadcast over the
+    Grover angles ``theta`` and the phase register values ``r``."""
     return (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
 
 
@@ -120,16 +124,17 @@ def _rotation_spectrum(signs: np.ndarray, dl: int) -> tuple[np.ndarray, ...]:
     zeros = signs.shape[-1] - ones
     inv_a = np.divide(1.0, np.sqrt(zeros), out=np.zeros(theta.shape), where=zeros > 0)
     inv_b = np.divide(1.0, np.sqrt(ones), out=np.zeros(theta.shape), where=ones > 0)
-    return ones, _phase_spectrum(theta, dl), inv_a, inv_b
+    return ones, _phase_spectrum(theta, np.arange(dl)[:, None]), inv_a, inv_b
 
 
-def _kick_probabilities(mu: np.ndarray) -> np.ndarray:
+def _kick_probabilities(mu: np.ndarray, axis: int = 0) -> np.ndarray:
     """P(readout = 10..0) after phase estimation from the uniform data
-    register, per column of the spectrum ``mu`` of :func:`_phase_spectrum`:
-    |mean_r mu[r, j]|**2 (the sum over r divided by its length, which is
-    what ``mean`` computes, without its per-call overhead).  A mean of
-    unit-modulus numbers, so no clip is needed to use it as a probability."""
-    return np.abs(mu.sum(axis=0) / mu.shape[0]) ** 2
+    register, per column of the spectrum ``mu`` of :func:`_phase_spectrum`
+    with r on ``axis``: |mean_r mu_r|**2 (the sum over r divided by its
+    length, which is what ``mean`` computes, without its per-call overhead).
+    A mean of unit-modulus numbers, so no clip is needed to use it as a
+    probability."""
+    return np.abs(mu.sum(axis=axis) / mu.shape[axis]) ** 2
 
 
 def _rotation_shifts(sum_a, sum_b, mu, inv_a, inv_b) -> tuple[np.ndarray, np.ndarray]:
@@ -272,6 +277,12 @@ class GTildeReadout:
     fidelity: float
 
 
+def _readout(eta: float) -> GTildeReadout:
+    """The readout of a real overlap eta = <in|out>; see :func:`g_tilde_readout`."""
+    sign = 0 if abs(eta) <= 1e-12 else (-1 if eta < 0.0 else +1)
+    return GTildeReadout(sign=sign, fidelity=abs(eta) ** 2)
+
+
 def _phase_bits(j: int, handle: OracleHandle, l: int | None) -> int:
     """The phase-register width for a readout on hyperplane j: ``l``, or
     :func:`l_bits` if None, after checking j and l."""
@@ -284,15 +295,28 @@ def _phase_bits(j: int, handle: OracleHandle, l: int | None) -> int:
     return l
 
 
+def _sim_and_overlaps(signs: np.ndarray, l: int) -> np.ndarray:
+    """<input| SimAnd |input> for every column of a (columns, 2**n) sign
+    matrix, under a phase register of l bits: exactly 1 - 2 P(s = 10..0),
+    since SimAnd flips that readout between phase estimation and its
+    uncompute, with P(s = 10..0) = |mean_r mu_r|**2
+    (:func:`_kick_probabilities`).  The overlaps are real.
+
+    The spectrum is held as (columns, 2**l), so each column's sum over r
+    runs along the contiguous last axis, in the same (pairwise) order for
+    one column as for a whole table; an axis-0 sum over a (2**l, columns)
+    spectrum adds row by row, which moves some overlaps by an ulp."""
+    _, theta = _rotation_angles(signs)
+    mu = _phase_spectrum(theta[:, None], np.arange(1 << l))
+    return 1.0 - 2.0 * _kick_probabilities(mu, axis=-1)
+
+
 def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
-    """<input| SimAnd |input> for the basis hyperplane j: exactly
-    1 - 2 P(s = 10..0), since SimAnd flips that readout between phase
-    estimation and its uncompute, with P(s = 10..0) = |mean_r mu_r|**2
-    (:func:`_kick_probabilities`).  An exact amplitude diagnostic: charges
+    """<input| SimAnd |input> for the basis hyperplane j
+    (:func:`_sim_and_overlaps`).  An exact amplitude diagnostic: charges
     nothing."""
     l = _phase_bits(j, handle, l)
-    _, theta = _rotation_angles(handle.signs[j : j + 1])
-    return complex(1.0 - 2.0 * _kick_probabilities(_phase_spectrum(theta, 1 << l))[0])
+    return complex(_sim_and_overlaps(handle.signs[j : j + 1], l)[0])
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
@@ -301,9 +325,21 @@ def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTild
     |Re <in|out>| <= 1e-12, the tolerance the kernels are tested to: there
     the overlap may be 0 in exact arithmetic, and the sign of its computed
     value would be the sign of a rounding error.  Charges nothing."""
-    eta = sim_and_overlap(j, handle, l)
-    sign = 0 if abs(eta.real) <= 1e-12 else (-1 if eta.real < 0.0 else +1)
-    return GTildeReadout(sign=sign, fidelity=abs(eta) ** 2)
+    return _readout(sim_and_overlap(j, handle, l).real)
+
+
+def g_tilde_readouts(handle: OracleHandle, l: int | None = None) -> Iterator[GTildeReadout]:
+    """:func:`g_tilde_readout` of every hyperplane of the padded table, in
+    order, equal to the readouts taken one column at a time.  The columns
+    go through :func:`_sim_and_overlaps` in blocks whose sign rows and
+    spectrum hold at most READOUT_BLOCK_AMPS values each (one block for
+    every table of ``verify``'s defaults), and the readouts are yielded as
+    they are read, so no table-sized list is held.  Charges nothing."""
+    l = _phase_bits(0, handle, l)
+    cols = max(1, READOUT_BLOCK_AMPS >> max(handle.n, l))
+    blocks = (_sim_and_overlaps(handle.signs[first : first + cols], l)
+              for first in range(0, 1 << handle.k, cols))
+    return (_readout(eta) for block in blocks for eta in block.tolist())
 
 
 def phase_register_distribution(

@@ -19,8 +19,9 @@ from .statevec import RegisterLayout, StateVector, _bits, _check_qubits
 
 LEDGER_TAGS = ("bit_oracle", "phase_oracle", "controlled_phase_oracle", "classical_f")
 
-# amplitudes per batch of basis states in controlled_phase_oracle_identity_gap
-GAP_BLOCK_AMPS = 1 << 12
+# amplitudes per batch of basis states in controlled_phase_oracle_identity_gap:
+# 512 KiB, the whole buffer the check reuses for every batch of a table
+GAP_BLOCK_AMPS = 1 << 15
 
 
 @dataclass
@@ -167,17 +168,18 @@ def _sign_tensor(handle: OracleHandle) -> np.ndarray:
 
 
 def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
-    """XOR the scratch qubit with f(i, j) on every basis state.  Each row of
-    a batch is one call."""
+    """XOR the scratch qubit with f(i, j) on every basis state: swap the
+    scratch-0 and scratch-1 amplitudes of the marked (i, j) entries, through
+    one copy of those entries.  Each row of a batch is one call."""
     _check_table_layout(layout, handle)
     if layout.scratch_qubit is None:
         raise ValueError("bit oracle needs a scratch qubit in the layout")
-    s = layout.scratch_qubit
-    lo, hi = _bits(state, zeros=(s,)), _bits(state, ones=(s,))
-    marked = _sign_tensor(handle) < 0
-    kept = lo.copy()
-    np.copyto(lo, hi, where=marked)
-    np.copyto(hi, kept, where=marked)
+    s, low = layout.scratch_qubit, layout.n + layout.k
+    # (row, qubits above the scratch, scratch bit, qubits between, (j, i))
+    above, between = 1 << (state.num_qubits - s - 1), 1 << (s - low)
+    pairs = state.amps.reshape(-1, above, 2, between, 1 << low)
+    marked = np.flatnonzero(handle.signs < 0)  # j * 2**n + i, the last axis of pairs
+    pairs[..., marked] = pairs[..., marked][:, :, ::-1]
     handle.ledger.record("bit_oracle", _rows(state))
     return state
 
@@ -229,21 +231,28 @@ def controlled_phase_oracle_identity_gap(table: TruthTable) -> float:
     states run in batches of at most GAP_BLOCK_AMPS amplitudes through the
     literal construction and then the direct oracle, its own inverse and a
     +-1 per amplitude, so what is left off each input is exactly the
-    difference of the two.  The oracle calls are charged to the handle's
-    own throwaway ledger."""
+    difference of the two.  Every batch is written into one block buffer
+    allocated once per table, so the traced peak is that block plus the
+    largest temporary of one gate: at (n, k) = (4, 4), a 512 KiB block and
+    the phase oracle's iterator buffers (``48 * np.getbufsize()`` bytes),
+    about 0.9 MiB.  The oracle calls are charged to the handle's own
+    throwaway ledger."""
     handle = OracleHandle(table)
     layout = handle.layout(l=1, scratch=True)
     control = layout.phase_qubits[0]
     dim = 1 << layout.num_qubits
     inputs = dim // 2  # the scratch is the top qubit: x < dim / 2 holds it at |0>
-    rows = max(1, GAP_BLOCK_AMPS // dim)
+    block = np.empty((min(inputs, max(1, GAP_BLOCK_AMPS // dim)), dim), dtype=np.complex128)
     gap = 0.0
-    for first in range(0, inputs, rows):
-        basis = np.arange(first, min(first + rows, inputs))
-        state = StateVector(layout.num_qubits, np.zeros((basis.size, dim), dtype=np.complex128))
-        state.amps[np.arange(basis.size), basis] = 1.0
+    for first in range(0, inputs, block.shape[0]):
+        amps = block[: inputs - first]
+        # row r holds basis state first + r: flat entries first + r * (dim + 1)
+        ones = amps.reshape(-1)[first :: dim + 1]
+        amps.fill(0.0)
+        ones[...] = 1.0
+        state = StateVector(layout.num_qubits, amps)
         apply_controlled_phase_oracle(state, control, layout, handle)
         apply_phase_oracle(state, layout, handle, controls=(control,))
-        state.amps[np.arange(basis.size), basis] -= 1.0
-        gap = max(gap, float(np.abs(state.amps).max()))
+        ones -= 1.0
+        gap = max(gap, float(np.abs(amps).max()))
     return gap

@@ -1,7 +1,7 @@
 """``scripts/bench_kernels.py`` times the package's layers and records them
 in ``BENCH_*.json``; nothing else runs it, so a change to what the timed
 functions accept or return would break it unseen.  The script is loaded from
-its file and two of its layers run at their smallest sizes."""
+its file and three of its layers run at their smallest sizes."""
 
 import importlib.util
 import sys
@@ -32,4 +32,11 @@ def test_instance_timer_runs_every_call(bench, monkeypatch):
     monkeypatch.setattr(bench, "INSTANCE_REPEATS", 1)
     rows = bench.instance_rows(None)
     assert [row["call"] for row in rows] == list(bench.INSTANCE_CALLS)
+    assert all(row["change_ms"] > 0 for row in rows)
+
+
+def test_verify_rows_time_identity_and_readout(bench, monkeypatch):
+    monkeypatch.setattr(bench, "INSTANCE_REPEATS", 1)
+    rows = bench.verify_rows(None)
+    assert [row["call"] for row in rows] == list(bench.VERIFY_CALLS)
     assert all(row["change_ms"] > 0 for row in rows)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvstrain import cli
 from qvstrain.counting import (
     phase_gap_bound_check,
     g_tilde_readout,
+    g_tilde_readouts,
     grover_operator,
     grover_operator_inverse,
     l_bits,
@@ -413,6 +415,21 @@ class TestGTildeReadout:
         assert readout.sign == -1  # wrong: g(0) = 0
         healthy = g_tilde_readout(0, handle)
         assert healthy.sign == +1 and healthy.fidelity >= 2 / 3
+
+    def test_table_readout_equals_per_column_readout(self):
+        # verify reads a whole table at once; on verify's own table draws,
+        # at the working and the too-narrow register width, every column
+        # must read bit for bit what the one-column readout reads (summing
+        # the spectrum in another order moves some fidelities by an ulp)
+        rng = np.random.default_rng(13)
+        columns = 0
+        for _ in range(500):
+            handle = OracleHandle(cli._random_table(rng, 6, 6, force_close_column=True))
+            for l in (l_bits(handle.n), (handle.n + 1) // 2):
+                table = list(g_tilde_readouts(handle, l))
+                assert table == [g_tilde_readout(j, handle, l) for j in range(1 << handle.k)]
+                columns += len(table)
+        assert columns > 20_000
 
 
 class TestQuantumCount:

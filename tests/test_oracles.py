@@ -323,6 +323,27 @@ class TestIdentityGap:
         assert peak < 1 << 20, f"peak {peak} B"
 
 
+@pytest.mark.parametrize("rows", [4, 256])
+def test_controlled_phase_oracle_buffers_do_not_grow_with_the_state(rows):
+    # the sign multiply on the control-1 view goes through numpy's buffered
+    # iterator: three buffers of at most np.getbufsize() complex values,
+    # 48 * getbufsize() bytes, whether the batch is 64 KiB or 4 MiB; the rest
+    # is the reshaped sign tensor, a table-sized array
+    table = TruthTable((np.random.default_rng(5).random((16, 16)) < 0.5).astype(np.uint8))
+    handle = OracleHandle(table)
+    layout = handle.layout(l=1, scratch=True)
+    state = StateVector(layout.num_qubits, np.ones((rows, 1 << layout.num_qubits), complex))
+    controls = (layout.phase_qubits[0],)
+    apply_phase_oracle(state, layout, handle, controls=controls)  # warm caches
+    tracemalloc.start()
+    try:
+        apply_phase_oracle(state, layout, handle, controls=controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * np.getbufsize() + 4 * handle.signs.nbytes, f"peak {peak} B"
+
+
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), data=st.data())
 def test_batch_oracle_equals_oracle_on_each_row(seed, rows, data):
     """An oracle on a batch acts on every row as on that row alone, and
