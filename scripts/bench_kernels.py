@@ -22,10 +22,11 @@ Layers, each a median over REPEATS timed calls in this process:
   package, so with ``--parent`` both sides are recorded.
 
 With ``--parent DIR`` (a checkout of the commit to compare against) it also
-records the query-ledger rows of the pinned seeded CLI runs in both
-checkouts, and, with ``--pairs P``, runs ``perfbench/run.py`` on every
-workload in P alternating parent/change pairs of SECONDS each, at seeds
-FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.  Run from anywhere:
+records the exit code and stdout of the pinned seeded CLI runs, at least one
+per subcommand, in both checkouts, and, with ``--pairs P``, runs
+``perfbench/run.py`` on every workload in P alternating parent/change pairs
+of SECONDS each, at seeds FIRST_SEED, FIRST_SEED + 1, ..., and keeps each
+pair's end-to-end metrics.  Run from anywhere:
 
     python scripts/bench_kernels.py --out BENCH_13.json
     python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_13.json
@@ -104,7 +105,13 @@ PINNED_RUNS = (
     ("train", "--n", "24", "--m", "2", "--gamma", "0.15", "--trials", "2", "--seed", "101"),
     ("train", "--n", "64", "--m", "2", "--gamma", "0.1", "--trials", "3", "--seed", "0"),
     ("andor", "--random", "4,4,5", "--seed", "4"),
+    ("andor", "--random", "64,64,3", "--seed", "4"),
     ("sweep", "--n-grid", "8,16", "--k-grid", "4", "--trials", "3", "--seed", "1"),
+    ("sweep", "--n-grid", "16", "--k-grid", "8,64,512", "--trials", "2", "--seed", "4"),
+    ("verify",),
+    ("verify", "--inject-precision-fault"),  # exits 1: its violations are the point
+    ("gen-dataset", "--n", "12", "--m", "2", "--gamma", "0.195", "--seed", "7",
+     "--out-file", os.devnull),
 )
 
 
@@ -197,12 +204,17 @@ def child_env(checkout: Path) -> dict[str, str]:
     return env
 
 
-def pinned_rows(checkout: Path) -> dict[str, list[str]]:
+def pinned_rows(checkout: Path) -> dict[str, dict]:
+    """Exit code and stdout lines (JSON, or CSV for sweep) of each pinned run;
+    a run that ends in a usage error or a crash (exit 2 or more) raises."""
     out = {}
     for argv in PINNED_RUNS:
         proc = subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv], capture_output=True,
-                              text=True, env=child_env(checkout), check=True)
-        out[" ".join(argv)] = proc.stdout.splitlines()  # JSON lines, or CSV for sweep
+                              text=True, env=child_env(checkout))
+        if proc.returncode not in (0, 1):
+            raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {proc.returncode}: "
+                               f"{proc.stderr}")
+        out[" ".join(argv)] = {"exit": proc.returncode, "stdout": proc.stdout.splitlines()}
     return out
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .oracles import OracleHandle
-from .perceptron import Dataset, Hyperplane
+from .perceptron import Dataset, _functional_margins
 from .search import SearchOutcome
 
 
@@ -43,19 +43,19 @@ def brute_force_g(handle: OracleHandle) -> np.ndarray:
 
 
 def online_train(
-    data: Dataset, max_updates: int, initial: Hyperplane | None = None
-) -> Hyperplane | None:
+    data: Dataset, max_updates: int, initial: np.ndarray | None = None
+) -> np.ndarray | None:
     """Additive-update online training: every point with y (w.x + b) <= 0
     triggers w += y x, b += y; returns the first hyperplane surviving a full
-    clean pass, or None if the update budget runs out.  Starts from the zero
-    vector unless ``initial`` is given; the nonstrict trigger makes the very
-    first point an update from zero and guarantees any returned plane
-    strictly separates the data."""
+    clean pass, as its row [w | b], or None if the update budget runs out.
+    Starts from the zero vector unless the row ``initial`` is given; the
+    nonstrict trigger makes the very first point an update from zero and
+    guarantees any returned plane strictly separates the data."""
     if max_updates < 1:
         raise ValueError("max_updates must be >= 1")
     X, y = data.X, data.y
-    w = initial.w.astype(float).copy() if initial is not None else np.zeros(data.dim)
-    b = float(initial.b) if initial is not None else 0.0
+    w = initial[:-1].astype(float) if initial is not None else np.zeros(data.dim)
+    b = float(initial[-1]) if initial is not None else 0.0
     updates = 0
     while updates <= max_updates:
         clean = True
@@ -68,18 +68,17 @@ def online_train(
                 if updates > max_updates:
                     return None
         if clean:
-            return Hyperplane(w, b)
+            return np.append(w, b)
     return None
 
 
-def perceptron_mistake_bound(data: Dataset, separator: Hyperplane) -> float:
+def perceptron_mistake_bound(data: Dataset, separator: np.ndarray) -> float:
     """(R s / gamma)**2 bound on online updates, with R the largest augmented
-    point norm, s the augmented norm of the known separator and gamma its
-    worst-case functional margin over the data."""
-    X, y = data.X, data.y
-    R = float(np.sqrt((np.linalg.norm(X, axis=1) ** 2 + 1.0).max()))
-    s = float(np.sqrt(np.linalg.norm(separator.w) ** 2 + separator.b**2))
-    functional = float(np.min(y * (X @ separator.w + separator.b)))
+    point norm, s the augmented norm of the known separator row [w | b] and
+    gamma its worst-case functional margin over the data."""
+    R = float(np.sqrt((np.linalg.norm(data.X, axis=1) ** 2 + 1.0).max()))
+    s = float(np.sqrt(np.linalg.norm(separator[:-1]) ** 2 + separator[-1] ** 2))
+    functional = float(np.min(_functional_margins(data, separator)))
     if functional <= 0.0:
         raise ValueError("separator must classify the data with positive margin")
     return (R * s / functional) ** 2

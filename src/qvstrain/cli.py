@@ -124,8 +124,8 @@ def cmd_train(args, out) -> int:
 
 # Peak bytes per entry of a table the sign-and-fidelity suite draws: the
 # uniform draws and their comparison (8 + 1), then the bit table and the
-# handle's float sign matrix (1 + 8).  On top of that, VERIFY_SMALL_BYTES
-# holds numpy's cast buffer (8192 doubles) for the sign matrix and the
+# handle's float64 table f (1 + 8).  On top of that, VERIFY_SMALL_BYTES
+# holds numpy's cast buffer (8192 doubles) for f and the
 # per-column vectors, among them one block of the table's readout
 # (counting.READOUT_BLOCK_AMPS values per temporary).
 VERIFY_BYTES_PER_ENTRY = 9
@@ -381,7 +381,7 @@ def cmd_gen_dataset(args, out) -> int:
         "file": args.out_file, "n": data.n_points, "m": data.dim,
         "gamma": data.claimed_margin,
         "planted_margin": geometric_margin(data, planted),
-        "planted_w": [float(v) for v in planted.w], "planted_b": planted.b,
+        "planted_w": [float(v) for v in planted[:-1]], "planted_b": float(planted[-1]),
     })
     return 0
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import OracleHandle, QueryLedger, apply_phase_oracle
+from .oracles import OracleHandle, QueryLedger, _check_table_layout, apply_phase_oracle
 from .statevec import (
     RegisterLayout,
     StateVector,
@@ -102,11 +102,12 @@ def _diffuse_data(view: np.ndarray, d: int, axis=-1) -> None:
     view += total * (2.0 / d)
 
 
-def _rotation_angles(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a (columns, 2**n) sign matrix: the number of f = 1 rows
-    and the Grover angle theta with sin theta = sqrt(ones / 2**n)."""
-    ones = (signs < 0).sum(axis=-1)
-    return ones, np.arcsin(np.sqrt(ones / signs.shape[-1]))
+def _rotation_angles(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a (columns, 2**n) block of the handle's f: the number
+    of f = 1 rows and the Grover angle theta with sin theta =
+    sqrt(ones / 2**n)."""
+    ones = f.sum(axis=-1)
+    return ones, np.arcsin(np.sqrt(ones / f.shape[-1]))
 
 
 def _phase_spectrum(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -115,26 +116,32 @@ def _phase_spectrum(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
 
 
-def _rotation_spectrum(signs: np.ndarray, dl: int) -> tuple[np.ndarray, ...]:
-    """Per column of a (columns, 2**n) sign matrix, under a phase register of
+def _rotation_spectrum(f: np.ndarray, dl: int) -> tuple[np.ndarray, ...]:
+    """Per column of a (columns, 2**n) block of f, under a phase register of
     ``dl`` values: the number of f = 1 rows, and the constants of
     :func:`_rotation_shifts`: mu (:func:`_phase_spectrum`) and the inverse
     square roots of the f=0 and f=1 row counts (0 for an empty count)."""
-    ones, theta = _rotation_angles(signs)
-    zeros = signs.shape[-1] - ones
+    ones, theta = _rotation_angles(f)
+    zeros = f.shape[-1] - ones
     inv_a = np.divide(1.0, np.sqrt(zeros), out=np.zeros(theta.shape), where=zeros > 0)
     inv_b = np.divide(1.0, np.sqrt(ones), out=np.zeros(theta.shape), where=ones > 0)
     return ones, _phase_spectrum(theta, np.arange(dl)[:, None]), inv_a, inv_b
 
 
-def _kick_probabilities(mu: np.ndarray, axis: int = 0) -> np.ndarray:
+def _kick_probabilities(f: np.ndarray, l: int) -> np.ndarray:
     """P(readout = 10..0) after phase estimation from the uniform data
-    register, per column of the spectrum ``mu`` of :func:`_phase_spectrum`
-    with r on ``axis``: |mean_r mu_r|**2 (the sum over r divided by its
-    length, which is what ``mean`` computes, without its per-call overhead).
-    A mean of unit-modulus numbers, so no clip is needed to use it as a
-    probability."""
-    return np.abs(mu.sum(axis=axis) / mu.shape[axis]) ** 2
+    register, per column of a (columns, 2**n) block of f, under a phase
+    register of l bits: |mean_r mu_r|**2 with mu the spectrum of
+    :func:`_phase_spectrum` (the sum over r divided by its length, which is
+    what ``mean`` computes, without its per-call overhead).  A mean of
+    unit-modulus numbers, so no clip is needed to use it as a probability.
+
+    The spectrum is held as (columns, 2**l), so each column's sum over r
+    runs along the contiguous last axis, in the same (pairwise) order for
+    one column as for a whole table."""
+    _, theta = _rotation_angles(f)
+    mu = _phase_spectrum(theta[:, None], np.arange(1 << l))
+    return np.abs(mu.sum(axis=-1) / mu.shape[-1]) ** 2
 
 
 def _rotation_shifts(sum_a, sum_b, mu, inv_a, inv_b) -> tuple[np.ndarray, np.ndarray]:
@@ -182,8 +189,7 @@ def _rotation_shifts(sum_a, sum_b, mu, inv_a, inv_b) -> tuple[np.ndarray, np.nda
 
 
 def _check(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> None:
-    if layout.n != handle.n or layout.k != handle.k:
-        raise ValueError("layout does not match the padded table registers")
+    _check_table_layout(layout, handle)
     if state.num_qubits != layout.num_qubits:
         raise ValueError("state size does not match the layout")
     if layout.a != 0:
@@ -295,20 +301,13 @@ def _phase_bits(j: int, handle: OracleHandle, l: int | None) -> int:
     return l
 
 
-def _sim_and_overlaps(signs: np.ndarray, l: int) -> np.ndarray:
-    """<input| SimAnd |input> for every column of a (columns, 2**n) sign
-    matrix, under a phase register of l bits: exactly 1 - 2 P(s = 10..0),
-    since SimAnd flips that readout between phase estimation and its
-    uncompute, with P(s = 10..0) = |mean_r mu_r|**2
-    (:func:`_kick_probabilities`).  The overlaps are real.
-
-    The spectrum is held as (columns, 2**l), so each column's sum over r
-    runs along the contiguous last axis, in the same (pairwise) order for
-    one column as for a whole table; an axis-0 sum over a (2**l, columns)
-    spectrum adds row by row, which moves some overlaps by an ulp."""
-    _, theta = _rotation_angles(signs)
-    mu = _phase_spectrum(theta[:, None], np.arange(1 << l))
-    return 1.0 - 2.0 * _kick_probabilities(mu, axis=-1)
+def _sim_and_overlaps(f: np.ndarray, l: int) -> np.ndarray:
+    """<input| SimAnd |input> for every column of a (columns, 2**n) block of
+    f, under a phase register of l bits: exactly 1 - 2 P(s = 10..0), since
+    SimAnd flips that readout between phase estimation and its uncompute,
+    with P(s = 10..0) the kick probability (:func:`_kick_probabilities`).
+    The overlaps are real."""
+    return 1.0 - 2.0 * _kick_probabilities(f, l)
 
 
 def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
@@ -316,7 +315,7 @@ def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> compl
     (:func:`_sim_and_overlaps`).  An exact amplitude diagnostic: charges
     nothing."""
     l = _phase_bits(j, handle, l)
-    return complex(_sim_and_overlaps(handle.signs[j : j + 1], l)[0])
+    return complex(_sim_and_overlaps(handle.f[j : j + 1], l)[0])
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
@@ -331,13 +330,13 @@ def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTild
 def g_tilde_readouts(handle: OracleHandle, l: int | None = None) -> Iterator[GTildeReadout]:
     """:func:`g_tilde_readout` of every hyperplane of the padded table, in
     order, equal to the readouts taken one column at a time.  The columns
-    go through :func:`_sim_and_overlaps` in blocks whose sign rows and
+    go through :func:`_sim_and_overlaps` in blocks whose rows of f and
     spectrum hold at most READOUT_BLOCK_AMPS values each (one block for
     every table of ``verify``'s defaults), and the readouts are yielded as
     they are read, so no table-sized list is held.  Charges nothing."""
     l = _phase_bits(0, handle, l)
     cols = max(1, READOUT_BLOCK_AMPS >> max(handle.n, l))
-    blocks = (_sim_and_overlaps(handle.signs[first : first + cols], l)
+    blocks = (_sim_and_overlaps(handle.f[first : first + cols], l)
               for first in range(0, 1 << handle.k, cols))
     return (_readout(eta) for block in blocks for eta in block.tolist())
 
@@ -353,7 +352,7 @@ def phase_register_distribution(
     circuit and charges nothing."""
     l = _phase_bits(j, handle, l)
     dl = 1 << l
-    _, theta = _rotation_angles(handle.signs[j])
+    _, theta = _rotation_angles(handle.f[j])
     # phase-register state of each branch lambda = e^{+-2i theta} after the
     # ladder, sum_r lambda**r |r> / sqrt(2**l), then the inverse Fourier transform
     branches = np.exp(np.outer((2j, -2j), np.arange(dl) * theta)) / math.sqrt(dl)
@@ -380,12 +379,11 @@ def quantum_count(
     estimate.  Each shot is metered as one full phase estimation."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if l is None:
-        l = l_bits(handle.n)
-    probs = phase_register_distribution(j, handle, l)
+    probs = phase_register_distribution(j, handle, l)  # checks j and l
+    dl = probs.size
+    l = dl.bit_length() - 1
     meter_phase_estimate(handle.ledger, l, times=shots)
     rng = np.random.default_rng(rng_seed)
-    dl = 1 << l
     samples = rng.choice(dl, size=shots, p=probs / probs.sum())
     folded = np.minimum(samples, dl - samples)
     mode = int(np.bincount(folded, minlength=(dl // 2) + 1).argmax())

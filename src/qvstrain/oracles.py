@@ -121,8 +121,9 @@ def _ceil_log2(x: int) -> int:
 
 class OracleHandle:
     """A truth table bound to a query ledger, and the one table-sized array
-    the quantum applications read: ``signs[j, i] = (-1)**f(i, j)``, (2**k,
-    2**n) float64 over the padded registers, the transpose of a C array."""
+    the quantum applications read: ``f[j, i] = f(i, j)``, the 0/1
+    classification matrix over the padded registers, (2**k, 2**n) float64,
+    the transpose of a C array."""
 
     def __init__(self, table: TruthTable):
         self.table = table
@@ -132,9 +133,7 @@ class OracleHandle:
         f = np.zeros((1 << self.n, 1 << self.k))
         f[: table.n_rows, : table.n_cols] = table.bits
         f[table.n_rows :, : table.n_cols] = 1.0  # phantom rows pass every real column
-        f *= -2.0
-        f += 1.0  # in place: the handle's peak is the sign matrix
-        self.signs = f.T
+        self.f = f.T
 
     @property
     def n_rows(self) -> int:
@@ -162,9 +161,10 @@ def _rows(state: StateVector) -> int:
 
 
 def _sign_tensor(handle: OracleHandle) -> np.ndarray:
-    """(-1)**f(i, j) with one axis per plane and data qubit, highest first,
-    so it broadcasts against the trailing axes of a :func:`_bits` view."""
-    return handle.signs.reshape((2,) * (handle.n + handle.k))
+    """(-1)**f(i, j), formed per call from the handle's f, with one axis
+    per plane and data qubit, highest first, so it broadcasts against the
+    trailing axes of a :func:`_bits` view."""
+    return (1.0 - 2.0 * handle.f).reshape((2,) * (handle.n + handle.k))
 
 
 def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
@@ -178,7 +178,7 @@ def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleH
     # (row, qubits above the scratch, scratch bit, qubits between, (j, i))
     above, between = 1 << (state.num_qubits - s - 1), 1 << (s - low)
     pairs = state.amps.reshape(-1, above, 2, between, 1 << low)
-    marked = np.flatnonzero(handle.signs < 0)  # j * 2**n + i, the last axis of pairs
+    marked = np.flatnonzero(handle.f)  # j * 2**n + i, the last axis of pairs
     pairs[..., marked] = pairs[..., marked][:, :, ::-1]
     handle.ledger.record("bit_oracle", _rows(state))
     return state
@@ -214,7 +214,11 @@ def apply_controlled_phase_oracle(
     if layout.scratch_qubit is None:
         raise ValueError("controlled phase oracle needs a scratch qubit")
     s = layout.scratch_qubit
-    if np.linalg.norm(_bits(state, ones=(s,))) > 1e-9:
+    # the scratch-1 half's squared norm over the whole batch, summed through
+    # a float view of the strided half without copying it
+    parts = _bits(state, ones=(s,)).view(np.float64)
+    axes = range(parts.ndim)
+    if np.einsum(parts, axes, parts, axes, []) > 1e-9**2:
         raise AssertionError("scratch qubit must be |0> at entry")
     apply_bit_oracle(state, layout, handle)
     cz = _bits(state, ones=_check_qubits(state, (control, s)))

@@ -6,13 +6,13 @@ int64, validated once when it is built.  :func:`generate_planted_dataset`
 writes its accepted points straight into those arrays, and the order of its
 per-point draws (``random``, ``standard_normal(dim)``, ``random`` on each
 try) is the seeded contract: the same seed gives the same dataset bit for
-bit.
+bit.  A hyperplane is one (M + 1,) row ``[w | b]``, and a set of K of them
+one (K, M + 1) array of such rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,24 +20,6 @@ import numpy as np
 # at most MAX_TRIES_PER_POINT rejection-sampling draws.
 CLUSTER_RADIUS_FACTOR = 4.0
 MAX_TRIES_PER_POINT = 1000
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
-    w: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        b = float(self.b)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("w must be a nonempty vector")
-        if not (np.isfinite(w).all() and math.isfinite(b)):
-            raise ValueError("hyperplane entries must be finite")
-        if not (w.any() or b != 0.0):
-            raise ValueError("(w, b) must not be the zero vector")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
 
 
 class Dataset:
@@ -75,27 +57,32 @@ class Dataset:
         return self.X.shape[1]
 
 
-def geometric_margin(data: Dataset, p: Hyperplane) -> float:
-    """min_i y_i (w.x_i + b) / ||w||; positive iff p is in the version space."""
-    wn = float(np.linalg.norm(p.w))
+def _functional_margins(data: Dataset, plane: np.ndarray) -> np.ndarray:
+    """y_i (w.x_i + b) for every point, for the row ``plane`` = [w | b]."""
+    if plane.shape != (data.dim + 1,):
+        raise ValueError("dimension mismatch")
+    return data.y * (data.X @ plane[:-1] + plane[-1])
+
+
+def geometric_margin(data: Dataset, plane: np.ndarray) -> float:
+    """min_i y_i (w.x_i + b) / ||w||; positive iff the plane is in the
+    version space."""
+    wn = float(np.linalg.norm(plane[:-1]))
     if wn == 0.0:
         raise ValueError("zero weight vector has no geometric margin")
-    if data.dim != p.w.size:
-        raise ValueError("dimension mismatch")
-    return float(np.min(data.y * (data.X @ p.w + p.b)) / wn)
+    return float(np.min(_functional_margins(data, plane)) / wn)
 
 
-def in_version_space(data: Dataset, p: Hyperplane) -> bool:
-    """True iff p classifies every point strictly correctly."""
-    if data.dim != p.w.size:
-        raise ValueError("dimension mismatch")
-    return bool(np.all(data.y * (data.X @ p.w + p.b) > 0.0))
+def in_version_space(data: Dataset, plane: np.ndarray) -> bool:
+    """True iff the row ``plane`` = [w | b] classifies every point strictly
+    correctly."""
+    return bool(np.all(_functional_margins(data, plane) > 0.0))
 
 
 def sample_hyperplanes(count: int, dim: int, rng_seed) -> np.ndarray:
     """``count`` candidate hyperplanes as one (count, dim + 1) float64 array
     of rows ``[w | b]``: the i.i.d. standard normal draws themselves,
-    reproducible bit-exact from the seed.  A single plane is a Hyperplane."""
+    reproducible bit-exact from the seed."""
     if count < 1 or dim < 1:
         raise ValueError("count and dim must be >= 1")
     return np.random.default_rng(rng_seed).standard_normal((count, dim + 1))
@@ -125,9 +112,10 @@ def generate_planted_dataset(
     dim: int,
     gamma: float,
     rng_seed,
-) -> tuple[Dataset, Hyperplane]:
-    """Dataset labeled by a planted unit-norm hyperplane whose geometric
-    margin is at least ``gamma``.
+) -> tuple[Dataset, np.ndarray]:
+    """Dataset labeled by a planted hyperplane, returned as its row
+    ``[w | b]`` with unit-norm w, whose geometric margin is at least
+    ``gamma``.
 
     Points form two clusters of radius ``CLUSTER_RADIUS_FACTOR * gamma``
     centered on either side of the plane, then rejection-sampled so that no
@@ -170,7 +158,7 @@ def generate_planted_dataset(
                 f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries; "
                 f"gamma={gamma} is infeasible for this geometry"
             )
-    return Dataset(X, y, claimed_margin=gamma), Hyperplane(w, b)
+    return Dataset(X, y, claimed_margin=gamma), np.append(w, b)
 
 
 def save_dataset(data: Dataset, path) -> None:

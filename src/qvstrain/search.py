@@ -9,8 +9,8 @@ in its closed form from the Grover spectrum, SimAnd = I - 2 sum_lambda
 |u_lambda><u_lambda| (x) Pi_lambda (see :mod:`qvstrain.counting`), so no
 Grover step is executed; a verification shot votes "all ones" with the
 probability P(readout = 10..0) = (1 - Re <in|SimAnd|in>) / 2 =
-|mean_r mu[r, j]|**2, which the oracle reads off its rotation spectrum mu
-for every column j at once (the kick vector).  The search is one fixed
+|mean_r mu[r, j]|**2, which the oracle reads for every column j at once
+through the readouts' own kernel (the kick vector).  The search is one fixed
 construction: a majority vote of VERIFY_REPEATS shots per candidate, and at
 most MAX_ROUNDS passes of the randomized-iteration schedule.  The
 amplitude kernels and the overlap diagnostic charge nothing; the search
@@ -25,7 +25,7 @@ and no factor is the size of the table.  A search whose peak
 (:func:`search_state_bytes`) would exceed :func:`state_byte_limit` (the
 machine's physical memory, or the address-space limit less what the process
 maps, if smaller) is refused before anything is allocated; the oracle checks
-again when it is built, less the handle's sign matrix, which is then mapped.
+again when it is built, less the handle's table f, which is then mapped.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .counting import (_kick_probabilities, _rotation_shifts, _rotation_spectrum, l_bits,
                        meter_sim_and)
 from .oracles import OracleHandle, QueryLedger, _ceil_log2, from_perceptron
-from .perceptron import Dataset, Hyperplane, required_sample_count, sample_hyperplanes
+from .perceptron import Dataset, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
 SMALL_ARRAY_BYTES = 1 << 15
@@ -81,7 +81,7 @@ def _require_bytes(need: int, what: str) -> None:
 
 def search_state_bytes(n_rows: int, n_cols: int) -> int:
     """Bytes a search over an N x K table holds at its peak: the handle's
-    float64 sign matrix (8 bytes per entry); P, Q and the rotation
+    float64 table f (8 bytes per entry); P, Q and the rotation
     spectrum of :class:`SimAndSearchOracle` (3 * 2**(l+k) + 2**(l+n) complex
     amplitudes), every reachable marginal and the kick vector; the larger of
     an iteration's three (2**l, 2**k) complex sums, shifts or products and
@@ -163,8 +163,8 @@ class SimAndSearchOracle:
 
     Caches the deterministic pieces per table: the factors, advanced in
     place, the hyperplane marginal after every iteration so far, and the
-    kick vector, every column's verification probability, read once off the
-    rotation spectrum.  Nothing here charges the ledger; the search charges
+    kick vector, every column's verification probability, read once through
+    :func:`~qvstrain.counting._kick_probabilities`.  Nothing here charges the ledger; the search charges
     each run through :func:`meter_sim_and`.
     """
 
@@ -173,29 +173,26 @@ class SimAndSearchOracle:
         self.n = handle.n
         self.k = handle.k
         self.l = l_bits(handle.n)
-        # the handle's sign matrix is already mapped, so inside the limit
-        need = search_state_bytes(handle.n_rows, handle.n_cols) - handle.signs.nbytes
+        # the handle's table is already mapped, so inside the limit
+        need = search_state_bytes(handle.n_rows, handle.n_cols) - handle.f.nbytes
         _require_bytes(need, "the search state needs")
         dl, dk, dn = 1 << self.l, 1 << self.k, 1 << self.n
-        self._ones, *self._spectrum = _rotation_spectrum(handle.signs, dl)
-        self._kicks = _kick_probabilities(self._spectrum[0])
-        self._cols = (dk - handle.signs.sum(axis=0)) / 2  # f=1 columns per row
+        self._ones, *self._spectrum = _rotation_spectrum(handle.f, dl)
+        self._kicks = _kick_probabilities(handle.f, self.l)
+        self._cols = handle.f.sum(axis=0)  # f=1 columns per row
         self._p = [np.zeros((dl, dk), dtype=np.complex128) for _ in range(2)]
         self._q = np.full((dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
         self._e = np.zeros((2, dn), dtype=np.complex128)
         self._sums = self._reduce()
         self._marginals = [self._plane_marginal()]
 
-    def _ones_sums(self, x: np.ndarray, x_sum: np.ndarray) -> np.ndarray:
-        """Each row of x summed over the f=1 rows of every column, x @ F^T for
-        F = (1 - signs) / 2, as (x_sum - x @ signs^T) / 2 from two real products,
-        where x_sum holds the row sums as a column."""
-        signs = self.handle.signs
-        out = np.empty((x.shape[0], signs.shape[0]), dtype=np.complex128)
-        out.real = x.real @ signs.T
-        out.imag = x.imag @ signs.T
-        np.subtract(x_sum, out, out=out)
-        out *= 0.5
+    def _ones_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each row of x summed over the f=1 rows of every column, x @ f^T,
+        from two real products."""
+        f = self.handle.f
+        out = np.empty((x.shape[0], f.shape[0]), dtype=np.complex128)
+        out.real = x.real @ f.T
+        out.imag = x.imag @ f.T
         return out
 
     def _reduce(self) -> tuple:
@@ -203,12 +200,11 @@ class SimAndSearchOracle:
         psi's sums over the f=0 and over the f=1 rows of each (r, j), and Q's
         sums over the even and the odd phase rows."""
         p, q, e = self._p, self._q, self._e
-        q_sum = q.sum(axis=1)[:, None]
-        sum_b = self._ones_sums(q, q_sum)
-        sum_a = q_sum - sum_b
+        sum_b = self._ones_sums(q)
+        sum_a = q.sum(axis=1)[:, None] - sum_b
         sum_a += (q.shape[1] - self._ones) * p[0]
         sum_b += self._ones * p[1]
-        sum_b += self._ones_sums(e, e.sum(axis=1)[:, None])[np.arange(q.shape[0]) & 1]
+        sum_b += self._ones_sums(e)[np.arange(q.shape[0]) & 1]
         q_par = np.array([q[0::2].sum(axis=0), q[1::2].sum(axis=0)])
         return sum_a, sum_b, q_par
 
@@ -220,7 +216,7 @@ class SimAndSearchOracle:
         phase rows of the other parity, which E takes; since w times the
         2**(l-1) rows of one parity is 1, E's own term moves to the other
         parity unchanged."""
-        signs, p, q, e = self.handle.signs, self._p, self._q, self._e
+        f, p, q, e = self.handle.f, self._p, self._q, self._e
         dl, dk = p[0].shape
         sum_a, sum_b, q_par = self._sums
         self._sums = None  # the shifts are written over the sums, freed below
@@ -236,16 +232,16 @@ class SimAndSearchOracle:
         e[:] = e[::-1] + 2.0 * w * q_par[::-1]
         # Q less w times its sum over r, plus 2/2**k times the sum over j of
         # P[f] + f E, where sum_j P[f(i, j), r, j] = sum_j P[0, r, j] +
-        # (dP @ F)[r, i] and dP @ F = (rowsum(dP) - dP @ signs) / 2
+        # ((P[1] - P[0]) @ f)[r, i]
         g = 2.0 / dk
         rows = g * self._cols * e - w * (q_par[0] + q_par[1])
         q[0::2] += rows[0]
         q[1::2] += rows[1]
+        q += (g * p[0].sum(axis=1))[:, None]
         d_p = p[1] - p[0]
-        q += (g * (p[0].sum(axis=1) + 0.5 * d_p.sum(axis=1)))[:, None]
-        d_p *= -0.5 * g
+        d_p *= g
         for part, d_part in ((q.real, d_p.real), (q.imag, d_p.imag)):
-            part += d_part @ signs  # one (2**l, 2**n) product at a time
+            part += d_part @ f  # one (2**l, 2**n) product at a time
         for part in (*p, e):
             np.negative(part, out=part)
 
@@ -265,7 +261,7 @@ class SimAndSearchOracle:
             marg -= count * np.einsum("rjx,rjx->j", pairs, pairs)
         marg += np.vdot(q, q).real
         extra = (2.0 * (q_par.conj() * e).real + (dl // 2) * np.abs(e) ** 2).sum(axis=0)
-        marg += 0.5 * (extra.sum() - self.handle.signs @ extra)
+        marg += self.handle.f @ extra
         # cancellation can leave a true zero a rounding error below 0
         np.maximum(marg, 0.0, out=marg)
         return marg / marg.sum()
@@ -343,7 +339,7 @@ def multi_criterion_search(handle: OracleHandle, rng_seed=None) -> SearchOutcome
 class TrainResult:
     """Outcome of one version-space training run."""
 
-    plane: Hyperplane | None
+    plane: np.ndarray | None  # the found row [w | b] of the sampled planes
     outcome: SearchOutcome
     sampled: int
     failure_kind: str | None = None  # "sampling" | "search" | None
@@ -373,8 +369,7 @@ def train_perceptron(
     handle = OracleHandle(from_perceptron(data, planes))
     outcome = multi_criterion_search(handle, search_seed)
     if outcome.found and outcome.index < K:
-        plane = Hyperplane(planes[outcome.index, :-1], planes[outcome.index, -1])
-        return TrainResult(plane=plane, outcome=outcome, sampled=K)
+        return TrainResult(plane=planes[outcome.index], outcome=outcome, sampled=K)
     kind = "search" if brute_force_g(handle).any() else "sampling"
     return TrainResult(plane=None, outcome=outcome, sampled=K, failure_kind=kind)
 

@@ -22,12 +22,6 @@ FIXTURE_BITS = np.array(
 )
 
 
-def plane_rows(*planes) -> np.ndarray:
-    """Hyperplanes as the (K, M + 1) array of rows [w | b] that
-    from_perceptron reads."""
-    return np.array([[*p.w, p.b] for p in planes])
-
-
 @pytest.fixture
 def fixture_table() -> TruthTable:
     return TruthTable(FIXTURE_BITS.copy())

@@ -62,7 +62,7 @@ def test_criterion_1_sign_fidelity_sweep():
     checked = 0
     for _ in range(50):
         handle = OracleHandle(random_table(rng, n_max=5, k_max=3))
-        g_padded = (handle.signs < 0).all(axis=1)
+        g_padded = handle.f.all(axis=1)
         for j in range(1 << handle.k):
             checked += 1
             readout = g_tilde_readout(j, handle)

@@ -1,9 +1,11 @@
 """``scripts/bench_kernels.py`` times the package's layers and records them
 in ``BENCH_*.json``; nothing else runs it, so a change to what the timed
 functions accept or return would break it unseen.  The script is loaded from
-its file and three of its layers run at their smallest sizes."""
+its file, three of its layers run at their smallest sizes, and its pinned-run
+recorder runs one small argv per subcommand."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -40,3 +42,21 @@ def test_verify_rows_time_identity_and_readout(bench, monkeypatch):
     rows = bench.verify_rows(None)
     assert [row["call"] for row in rows] == list(bench.VERIFY_CALLS)
     assert all(row["change_ms"] > 0 for row in rows)
+
+
+def test_pinned_rows_run_every_subcommand(bench, monkeypatch):
+    subcommands = {"train", "verify", "sweep", "andor", "gen-dataset"}
+    assert {argv[0] for argv in bench.PINNED_RUNS} == subcommands
+    argvs = (
+        ("train", "--n", "8", "--m", "2", "--gamma", "0.2", "--seed", "1"),
+        ("verify", "--tables", "2", "--n-max", "2", "--gap-n-max", "2", "--identity-tables", "1"),
+        ("verify", "--seed", "1", "--tables", "2", "--n-max", "4", "--inject-precision-fault"),
+        ("sweep", "--n-grid", "8", "--k-grid", "4,8", "--trials", "1", "--seed", "1"),
+        ("andor", "--random", "4,4,1", "--seed", "1"),
+        ("gen-dataset", "--n", "4", "--gamma", "0.2", "--seed", "1", "--out-file", os.devnull),
+    )
+    monkeypatch.setattr(bench, "PINNED_RUNS", argvs)
+    rows = bench.pinned_rows(bench.ROOT)
+    assert list(rows) == [" ".join(argv) for argv in argvs]
+    assert [row["exit"] for row in rows.values()] == [0, 0, 1, 0, 0, 0]
+    assert all(row["stdout"] for row in rows.values())

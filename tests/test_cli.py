@@ -472,7 +472,7 @@ class TestStateSizeLimit:
     # dataset or random bits it is built from, would end in a MemoryError
     # traceback instead of the usage error.
     def test_oversized_search_exits_2_before_allocating(self):
-        # n = 14, k = 13, l = 10: the handle's signs alone are 8 * 2**27
+        # n = 14, k = 13, l = 10: the handle's f alone is 8 * 2**27
         # bytes, 1 GiB, and the whole state about 2.0 GiB
         proc = run_cli_process("andor", "--random", "16384,8192,1", "--seed", "0",
                                preexec_fn=cap_address_space)

@@ -18,15 +18,10 @@ from qvstrain.oracles import (
     load_truth_table,
     save_truth_table,
 )
-from qvstrain.perceptron import (
-    Hyperplane,
-    generate_planted_dataset,
-    in_version_space,
-    sample_hyperplanes,
-)
+from qvstrain.perceptron import generate_planted_dataset, in_version_space, sample_hyperplanes
 from qvstrain.statevec import StateVector, apply_open_controlled_z, new_uniform
 
-from .conftest import plane_rows, random_state_amps
+from .conftest import random_state_amps
 
 
 def random_table(rng, n_max=3, k_max=3) -> TruthTable:
@@ -44,15 +39,15 @@ class TestTruthTable:
     def test_keeps_zero_one_entries(self):
         assert TruthTable([[0, 1], [1, 1]]).bits.tolist() == [[0, 1], [1, 1]]
 
-    def test_handle_sign_matrix_is_minus_one_to_the_f(self):
+    def test_handle_matrix_is_the_padded_f(self):
         handle = OracleHandle(TruthTable([[0, 1, 1], [1, 0, 1], [1, 1, 1]]))
         padded = np.zeros((4, 4), dtype=np.uint8)
         padded[:3, :3] = handle.table.bits
         padded[3, :3] = 1
-        expected = 1.0 - 2.0 * padded.T
-        assert handle.signs.dtype == np.float64
-        assert np.array_equal(handle.signs, expected)
-        assert handle.signs.strides == expected.strides
+        expected = padded.T.astype(np.float64)
+        assert handle.f.dtype == np.float64
+        assert np.array_equal(handle.f, expected)
+        assert handle.f.strides == expected.strides
 
 
 class TestFromPerceptron:
@@ -65,16 +60,16 @@ class TestFromPerceptron:
         while len(others) < 2:
             (cand,) = sample_hyperplanes(1, 2, rng_seed=1000 + seed)
             seed += 1
-            if not in_version_space(data, Hyperplane(cand[:-1], cand[-1])):
+            if not in_version_space(data, cand):
                 others.append(cand)
-        table = from_perceptron(data, np.vstack([plane_rows(planted), *others]))
+        table = from_perceptron(data, np.vstack([planted, *others]))
         assert table.bits[:, 0].all()
         assert not table.bits[:, 1].all()
         assert not table.bits[:, 2].all()
 
     def test_planted_single_column(self):
         data, planted = generate_planted_dataset(6, 2, 0.2, rng_seed=8)
-        table = from_perceptron(data, plane_rows(planted))
+        table = from_perceptron(data, planted[None])
         assert table.bits.shape == (6, 1)
         assert table.bits.all()
 
@@ -97,7 +92,7 @@ class TestPadding:
         bits = np.array([[1, 1, 0], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)  # 3x3
         handle = OracleHandle(TruthTable(bits))
         assert (handle.n, handle.k) == (2, 2)
-        padded = (handle.signs < 0).T
+        padded = handle.f.T
         assert padded.shape == (4, 4)
         # phantom row must not block real columns
         assert padded[3, :3].all()
@@ -183,7 +178,7 @@ class TestPhaseOracle:
         }
         # only the sector with both phase bits set picks up (-1)**f
         flipped = ref.reshape(4, 4, 4).copy()
-        flipped[3] *= fixture_handle.signs
+        flipped[3] *= 1.0 - 2.0 * fixture_handle.f
         np.testing.assert_allclose(state.amps, flipped.reshape(-1), atol=1e-12)
 
 
@@ -220,6 +215,21 @@ class TestControlledPhaseOracle:
         state = StateVector.basis(layout.num_qubits, 1 << layout.scratch_qubit)
         with pytest.raises(AssertionError):
             apply_controlled_phase_oracle(state, layout.phase_qubits[0], layout, fixture_handle)
+
+    @pytest.mark.parametrize("leak,dirty", [(5e-10, False), (2e-9, True)])
+    def test_scratch_norm_tolerance_is_batch_wide(self, fixture_handle, leak, dirty):
+        # the scratch-1 norm over both rows of a batch against 1e-9
+        layout = fixture_handle.layout(l=1, scratch=True)
+        amps = np.zeros((2, 1 << layout.num_qubits), dtype=complex)
+        amps[:, 0] = 1.0
+        amps[1, (1 << layout.scratch_qubit) + 5] = leak * (0.6 + 0.8j)
+        state = StateVector(layout.num_qubits, amps)
+        control = layout.phase_qubits[0]
+        if dirty:
+            with pytest.raises(AssertionError):
+                apply_controlled_phase_oracle(state, control, layout, fixture_handle)
+        else:
+            apply_controlled_phase_oracle(state, control, layout, fixture_handle)
 
     def test_dense_identity_random_tables(self):
         rng = np.random.default_rng(11)
@@ -310,7 +320,7 @@ class TestIdentityGap:
     def test_peak_allocation_is_blocked(self):
         # n + k = 8, so q = 10: one batch of all 512 scratch-|0> basis
         # states would take 8 MiB per copy; blocks of GAP_BLOCK_AMPS
-        # amplitudes (64 KiB) keep the peak a few times one block
+        # amplitudes (512 KiB) keep the peak under two blocks
         table = TruthTable((np.random.default_rng(4).random((16, 16)) < 0.5).astype(np.uint8))
         controlled_phase_oracle_identity_gap(table)  # warm imports and caches
         tracemalloc.start()
@@ -328,7 +338,7 @@ def test_controlled_phase_oracle_buffers_do_not_grow_with_the_state(rows):
     # the sign multiply on the control-1 view goes through numpy's buffered
     # iterator: three buffers of at most np.getbufsize() complex values,
     # 48 * getbufsize() bytes, whether the batch is 64 KiB or 4 MiB; the rest
-    # is the reshaped sign tensor, a table-sized array
+    # is the sign tensor (-1)**f formed from the handle's f, a table-sized array
     table = TruthTable((np.random.default_rng(5).random((16, 16)) < 0.5).astype(np.uint8))
     handle = OracleHandle(table)
     layout = handle.layout(l=1, scratch=True)
@@ -341,7 +351,7 @@ def test_controlled_phase_oracle_buffers_do_not_grow_with_the_state(rows):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * np.getbufsize() + 4 * handle.signs.nbytes, f"peak {peak} B"
+    assert peak <= 48 * np.getbufsize() + 4 * handle.f.nbytes, f"peak {peak} B"
 
 
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 4), data=st.data())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qvstrain.oracles import from_perceptron
 from qvstrain.perceptron import (
     Dataset,
-    Hyperplane,
     generate_planted_dataset,
     geometric_margin,
     in_version_space,
@@ -19,48 +18,33 @@ from qvstrain.perceptron import (
     save_dataset,
 )
 
-from .conftest import plane_rows
-
-finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
-
-
-def plane_strategy(dim):
-    return st.builds(
-        lambda w, b: Hyperplane(np.array(w), b),
-        st.lists(finite_floats, min_size=dim, max_size=dim).filter(
-            lambda w: any(abs(v) > 1e-6 for v in w)
-        ),
-        finite_floats,
-    )
-
-
 class TestCorrectlyClassifies:
     # the strict condition (w.x + b) y > 0, as from_perceptron's bit and
     # in_version_space's membership of a one-point dataset
     @staticmethod
     def holds(p, x, label) -> bool:
         data = Dataset([x], [label], claimed_margin=0.1)
-        bit = bool(from_perceptron(data, plane_rows(p)).bits[0, 0])
+        bit = bool(from_perceptron(data, p[None]).bits[0, 0])
         assert bit == in_version_space(data, p)
         return bit
 
     def test_strictly_positive(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        p = np.array([1.0, 0.0, 0.0])
         assert self.holds(p, [1.0, 0.0], +1)
 
     def test_boundary_fails_strictness(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        p = np.array([1.0, 0.0, 0.0])
         assert not self.holds(p, [0.0, 0.0], +1)
         assert not self.holds(p, [0.0, 3.0], -1)
 
     def test_negative_class(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        p = np.array([1.0, 0.0, 0.0])
         assert self.holds(p, [-1.0, 0.0], -1)
 
     def test_dimension_mismatch(self):
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        p = np.array([1.0, 0.0, 0.0])
         data = Dataset([[1.0]], [+1], claimed_margin=0.1)
-        for check in (lambda: from_perceptron(data, plane_rows(p)),
+        for check in (lambda: from_perceptron(data, p[None]),
                       lambda: from_perceptron(data, np.empty((0, 2))),
                       lambda: in_version_space(data, p), lambda: geometric_margin(data, p)):
             with pytest.raises(ValueError):
@@ -70,18 +54,18 @@ class TestCorrectlyClassifies:
 class TestGeometricMargin:
     def test_single_point(self):
         data = Dataset([[2.0, 0.0]], [+1], claimed_margin=1.0)
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        p = np.array([1.0, 0.0, 0.0])
         assert geometric_margin(data, p) == pytest.approx(2.0)
 
     def test_misclassified_flips_sign(self):
         data = Dataset([[2.0, 0.0]], [-1], claimed_margin=1.0)
-        p = Hyperplane(np.array([1.0, 0.0]), 0.0)
+        p = np.array([1.0, 0.0, 0.0])
         assert geometric_margin(data, p) == pytest.approx(-2.0)
 
     def test_zero_weight_rejected(self):
         data = Dataset([[1.0, 1.0]], [+1], claimed_margin=0.5)
         with pytest.raises(ValueError):
-            geometric_margin(data, Hyperplane(np.array([0.0, 0.0]), 1.0))
+            geometric_margin(data, np.array([0.0, 0.0, 1.0]))
 
     def test_planted_margin_close_to_requested(self):
         # regenerated instance at the reference figure's parameters
@@ -108,8 +92,8 @@ class TestVersionSpace:
         rng = np.random.default_rng(seed)
         data = Dataset(rng.standard_normal((6, 2)), np.where(rng.random(6) < 0.5, 1, -1),
                        claimed_margin=0.1)
-        p = Hyperplane(rng.standard_normal(2), float(rng.standard_normal()))
-        if np.linalg.norm(p.w) == 0:
+        p = rng.standard_normal(3)
+        if np.linalg.norm(p[:-1]) == 0:
             return
         assert in_version_space(data, p) == (geometric_margin(data, p) > 0)
 
@@ -119,8 +103,8 @@ class TestVersionSpace:
         rng = np.random.default_rng(seed)
         data = Dataset(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, 1, -1),
                        claimed_margin=0.1)
-        p = Hyperplane(rng.standard_normal(3), float(rng.standard_normal()))
-        scaled = Hyperplane(alpha * p.w, alpha * p.b)
+        p = rng.standard_normal(4)
+        scaled = alpha * p
         assert in_version_space(data, p) == in_version_space(data, scaled)
 
 
@@ -169,12 +153,12 @@ class TestPlantedGenerator:
     def test_deterministic(self):
         d1, p1 = generate_planted_dataset(6, 3, 0.1, rng_seed=9)
         d2, p2 = generate_planted_dataset(6, 3, 0.1, rng_seed=9)
-        assert np.array_equal(p1.w, p2.w) and p1.b == p2.b
+        assert np.array_equal(p1, p2)
         assert np.array_equal(d1.X, d2.X) and np.array_equal(d1.y, d2.y)
 
     def test_unit_norm_plant(self):
         _, planted = generate_planted_dataset(5, 4, 0.3, rng_seed=2)
-        assert np.linalg.norm(planted.w) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(planted[:-1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
@@ -223,10 +207,6 @@ class TestValidation:
     def test_label_must_be_pm_one(self):
         with pytest.raises(ValueError, match="labels"):
             Dataset([[1.0]], [0], claimed_margin=0.1)
-
-    def test_zero_plane_rejected(self):
-        with pytest.raises(ValueError):
-            Hyperplane(np.array([0.0, 0.0]), 0.0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):

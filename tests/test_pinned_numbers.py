@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
@@ -61,6 +62,15 @@ PINNED_JSON = [
             {"agreement_fraction": 1.0, "instances": 5, "summary": True},
         ],
     ),
+    (
+        ("gen-dataset", "--n", "12", "--m", "2", "--gamma", "0.195", "--seed", "7",
+         "--out-file", os.devnull),
+        [
+            {"file": os.devnull, "gamma": 0.195, "m": 2, "n": 12,
+             "planted_b": 0.03225522575868764, "planted_margin": 0.5144464841894006,
+             "planted_w": [0.0041176947405490065, 0.9999915222590758]},
+        ],
+    ),
 ]
 
 
@@ -70,7 +80,7 @@ def run(argv) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("argv,expected", PINNED_JSON, ids=["train-n12", "train-n24", "andor"])
+@pytest.mark.parametrize("argv,expected", PINNED_JSON, ids=["train-n12", "train-n24", "andor", "gen-dataset"])
 def test_json_rows_pinned(argv, expected):
     rows = [json.loads(line) for line in run(argv).splitlines()]
     assert rows == expected

@@ -129,8 +129,8 @@ class TestSimAndSearchOracle:
         assert peak <= search_state_bytes(*shape)
 
     def test_state_size_limit_checked_first(self, fixture_handle, monkeypatch):
-        # the handle's sign matrix is already mapped when the oracle is built
-        need = search_state_bytes(4, 3) - fixture_handle.signs.nbytes
+        # the handle's table f is already mapped when the oracle is built
+        need = search_state_bytes(4, 3) - fixture_handle.f.nbytes
         monkeypatch.setattr(search, "state_byte_limit", lambda: need)
         assert SimAndSearchOracle(fixture_handle).plane_marginal(0).size == 4
         monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
@@ -167,7 +167,7 @@ def held_arrays(value):
 def dense_iterate(oracle) -> np.ndarray:
     """psi(r, j, i) = P[f, r, j] + Q[r, i] + f E[r & 1, i], f = f(i, j)."""
     dl = 1 << oracle.l
-    f = oracle.handle.signs < 0
+    f = oracle.handle.f > 0
     p = np.where(f, oracle._p[1][:, :, None], oracle._p[0][:, :, None])
     e = oracle._e[np.arange(dl) & 1][:, None, :]
     return p + oracle._q[:, None, :] + f * e
