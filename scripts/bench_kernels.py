@@ -3,12 +3,14 @@
 
 Layers, each a median over REPEATS timed calls in this process:
 
-* one search iteration (AND-simulation, diffusion over the hyperplane
-  register, hyperplane marginal): the production factored state of
-  ``search.SimAndSearchOracle``, timed as successive ``plane_marginal(r)``
-  calls, against its reference, the dense state run through the literal
-  circuit ``counting.sim_and`` (``phase_estimate`` -> flip of the 10..0
-  readout -> ``phase_estimate_inverse``) and the diffusion;
+* building the search oracle (``search.SimAndSearchOracle(handle)``: the
+  rotation spectrum, the kick vector, the factors and the first marginal),
+  and one search iteration (AND-simulation, diffusion over the hyperplane
+  register, hyperplane marginal): the production factored state, timed as
+  successive ``plane_marginal(r)`` calls, against its reference, the dense
+  state run through the literal circuit ``counting.sim_and``
+  (``phase_estimate`` -> flip of the 10..0 readout ->
+  ``phase_estimate_inverse``) and the diffusion;
 * the closed-form phase readout ``phase_register_distribution``;
 * building the truth table (``oracles.from_perceptron`` on the (K, 3) array
   of sampled planes);
@@ -23,13 +25,14 @@ Layers, each a median over REPEATS timed calls in this process:
 
 With ``--parent DIR`` (a checkout of the commit to compare against) it also
 records the exit code and stdout of the pinned seeded CLI runs, at least one
-per subcommand, in both checkouts, and, with ``--pairs P``, runs
-``perfbench/run.py`` on every workload in P alternating parent/change pairs
-of SECONDS each, at seeds FIRST_SEED, FIRST_SEED + 1, ..., and keeps each
-pair's end-to-end metrics.  Run from anywhere:
+per subcommand, in both checkouts, with the ledger counts their JSON lines
+report, and, with ``--pairs P``, runs ``perfbench/run.py`` on every
+workload in P alternating parent/change pairs of SECONDS each, at seeds
+FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.
+Run from anywhere:
 
-    python scripts/bench_kernels.py --out BENCH_13.json
-    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_13.json
+    python scripts/bench_kernels.py --out BENCH_15.json
+    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_15.json
 
 The record holds nproc, the numpy version and the git sha of this checkout.
 """
@@ -62,8 +65,9 @@ INSTANCE_REPEATS = 21  # seeds 0..20, one call each, for the child-process rows
 FIRST_SEED = 20001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 
-# (n, k): train-n64's table, and one of 2**(7+7+8) amplitudes held dense
-SEARCH_GRID = ((6, 6), (8, 7))
+# (n, k): train-n64's table, sweep-n's largest cell (N = 64, K = 8), and
+# one of 2**(7+7+8) amplitudes held dense
+SEARCH_GRID = ((6, 6), (6, 3), (8, 7))
 READOUT_WIDTHS = (4, 6, 7, 9)
 TABLE_SIZES = ((64, 47), (512, 64), (2048, 512))
 INSTANCE_CALLS = (
@@ -155,6 +159,7 @@ def search_rows() -> list[dict]:
         rows.append({"n": n, "k": k, "l": layout.l, "amplitudes": state.amps.size,
                      "dense_bytes": state.amps.nbytes,
                      "search_state_bytes": search_state_bytes(1 << n, 1 << k),
+                     "oracle_build_ms": median_ms(lambda: SimAndSearchOracle(handle)),
                      "factored_ms": factored, "ladder_ms": ladder,
                      "speedup": ladder / factored})
     return rows
@@ -218,6 +223,25 @@ def pinned_rows(checkout: Path) -> dict[str, dict]:
     return out
 
 
+def ledger_counts(rows: dict[str, dict]) -> dict[str, dict[str, int]]:
+    """Per pinned run, the ledger counts its JSON output lines report under
+    ``queries``, summed over the lines (sweep's CSV lines report medians and
+    are left to the stdout comparison)."""
+    counts = {}
+    for argv, row in rows.items():
+        total = {}
+        for line in row["stdout"]:
+            try:
+                queries = json.loads(line).get("queries", {})
+            except (json.JSONDecodeError, AttributeError):
+                continue
+            for tag, value in queries.items():
+                total[tag] = total.get(tag, 0) + value
+        if total:
+            counts[argv] = total
+    return counts
+
+
 def perfbench_metrics(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -265,7 +289,7 @@ def git_sha() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default="BENCH_13.json")
+    parser.add_argument("--out", default="BENCH_15.json")
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare against")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench pairs per workload")
     args = parser.parse_args()
@@ -285,6 +309,8 @@ def main() -> int:
     if args.parent is not None:
         here, there = pinned_rows(ROOT), pinned_rows(args.parent.resolve())
         record["pinned_runs"] = {"identical_to_parent": here == there, "rows": here}
+        record["ledger"] = {"identical_to_parent": ledger_counts(here) == ledger_counts(there),
+                            "counts": ledger_counts(here)}
     if args.pairs:
         record["end_to_end"] = end_to_end(args.parent.resolve(), args.pairs)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -52,6 +52,7 @@ charge nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -116,73 +117,142 @@ def _phase_spectrum(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
 
 
-def _rotation_spectrum(f: np.ndarray, dl: int) -> tuple[np.ndarray, ...]:
-    """Per column of a (columns, 2**n) block of f, under a phase register of
-    ``dl`` values: the number of f = 1 rows, and the constants of
-    :func:`_rotation_shifts`: mu (:func:`_phase_spectrum`) and the inverse
-    square roots of the f=0 and f=1 row counts (0 for an empty count)."""
+def _column_spectrum(f: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a (columns, 2**n) block of f: the number of f = 1 rows,
+    and the spectrum mu (:func:`_phase_spectrum`) under a phase register of
+    l bits, held as (columns, 2**l), so that each column's sum over r runs
+    along the contiguous last axis, in the same (pairwise) order for one
+    column as for a whole table."""
     ones, theta = _rotation_angles(f)
-    zeros = f.shape[-1] - ones
-    inv_a = np.divide(1.0, np.sqrt(zeros), out=np.zeros(theta.shape), where=zeros > 0)
-    inv_b = np.divide(1.0, np.sqrt(ones), out=np.zeros(theta.shape), where=ones > 0)
-    return ones, _phase_spectrum(theta, np.arange(dl)[:, None]), inv_a, inv_b
+    return ones, _phase_spectrum(theta[:, None], np.arange(1 << l))
+
+
+def _kicks(mu: np.ndarray) -> np.ndarray:
+    """|mean_r mu_r|**2 per row of a (columns, 2**l) spectrum: the sum over
+    r divided by its length, which is what ``mean`` computes, without its
+    per-call overhead.  A mean of unit-modulus numbers, so no clip is
+    needed to use it as a probability."""
+    return np.abs(mu.sum(axis=-1) / mu.shape[-1]) ** 2
 
 
 def _kick_probabilities(f: np.ndarray, l: int) -> np.ndarray:
     """P(readout = 10..0) after phase estimation from the uniform data
     register, per column of a (columns, 2**n) block of f, under a phase
     register of l bits: |mean_r mu_r|**2 with mu the spectrum of
-    :func:`_phase_spectrum` (the sum over r divided by its length, which is
-    what ``mean`` computes, without its per-call overhead).  A mean of
-    unit-modulus numbers, so no clip is needed to use it as a probability.
-
-    The spectrum is held as (columns, 2**l), so each column's sum over r
-    runs along the contiguous last axis, in the same (pairwise) order for
-    one column as for a whole table."""
-    _, theta = _rotation_angles(f)
-    mu = _phase_spectrum(theta[:, None], np.arange(1 << l))
-    return np.abs(mu.sum(axis=-1) / mu.shape[-1]) ** 2
+    :func:`_phase_spectrum`, summed as :func:`_column_spectrum` holds it."""
+    return _kicks(_column_spectrum(f, l)[1])
 
 
-def _rotation_shifts(sum_a, sum_b, mu, inv_a, inv_b) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_spectrum(f: np.ndarray, l: int) -> tuple[np.ndarray, ...]:
+    """Per column of a (columns, 2**n) block of f, under a phase register of
+    l bits, from one evaluation of the spectrum: the f=0 and the f=1 row
+    counts as one (2, columns) array; the kick probabilities, equal to
+    :func:`_kick_probabilities` bit for bit, as they are summed in its
+    order; and the constants of :func:`_rotation_shifts`, mu as a
+    (2**l, columns) C array and its (5, 2, columns) complex weights per
+    column.  With a and b the inverse square roots of the two row counts
+    (0 for an empty count) and c = 2/2**l, the weights' rows are [a, ib]
+    and [a, -ib] (kx and ky from the rotation-plane sums),
+    [c a**2, c b**2] (the row means), and [-c a/2, -c a/2] and
+    [ic b/2, -ic b/2] (the f=0 and the f=1 rows' factors of dx and dy).
+    The (columns, 2**l) layout is freed before this returns."""
+    ones, mu = _column_spectrum(f, l)
+    kicks = _kicks(mu)
+    mu = np.ascontiguousarray(mu.T)
+    counts = np.array([f.shape[-1] - ones, ones])
+    inv = np.divide(1.0, np.sqrt(counts), out=np.zeros(counts.shape), where=counts > 0)
+    coef = inv[[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]].reshape(5, 2, -1)  # [a, b] ... [b, b]
+    coef[2] **= 2
+    c = 2.0 / mu.shape[0]
+    scale = np.array([[1.0, 1j], [1.0, -1j], [c, c], [-0.5 * c, -0.5 * c], [0.5j * c, -0.5j * c]])
+    return counts, kicks, mu, coef * scale[:, :, None]
+
+
+@functools.cache
+def _phase_rows(dl: int) -> np.ndarray:
+    """Real weights over the dl values r of a phase register, as the rows of
+    one read-only (4, dl) array: 1, (-1)**r, 1 on the even r and 1 on the
+    odd r."""
+    rows = np.zeros((4, dl))
+    rows[0] = 1.0
+    rows[1] = 1.0 - 2.0 * (np.arange(dl) & 1)
+    rows[2, 0::2] = 1.0
+    rows[3, 1::2] = 1.0
+    rows.flags.writeable = False
+    return rows
+
+
+def _row_sums(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``weights @ x`` for a complex (2**l, m) C array x and real weights
+    over r (one row, or a stack of rows of :func:`_phase_rows`), from one
+    real product with x's float view: numpy's sums over a leading axis cost
+    more than the product."""
+    return (weights @ x.view(np.float64)).view(np.complex128)
+
+
+def _by_parity(x: np.ndarray) -> np.ndarray:
+    """A (2**l, ...) array viewed as (2**(l-1), 2, ...), with axis 1 the
+    parity of the phase row r."""
+    return x.reshape(-1, 2, *x.shape[1:])
+
+
+def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
     """The part of SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda
     that is constant over the f=0 rows and over the f=1 rows of each (r, j).
 
     ``sum_a`` and ``sum_b`` are the (2**l, columns) complex sums of the state
-    over the f=0 and the f=1 rows; the rest is :func:`_rotation_spectrum`.
-    The -1 eigenspace (zero-sum part of the f=0 rows) pairs with
-    u_r = 1/sqrt(2**l), so the f=0 rows lose 2/2**l times the plain sum
-    over r; the +1 eigenspace (zero-sum part of the f=1 rows) pairs with
-    u_r = w_r, the alternating sum.  Those two corrections are the caller's;
-    they also remove the row means, which ``shift_a`` and ``shift_b`` put
-    back.  The rotation plane is handled in its eigenbasis x = alpha + i beta
-    (lambda = e^{2i theta}), y = alpha - i beta (lambda = e^{-2i theta}),
-    with alpha, beta the normalized f=0 and f=1 row sums.
+    over the f=0 and the f=1 rows; ``mu`` and ``coef`` are
+    :func:`_rotation_spectrum`'s.  The -1 eigenspace (zero-sum part of the
+    f=0 rows) pairs with u_r = 1/sqrt(2**l), so the f=0 rows lose 2/2**l
+    times the plain sum over r; the +1 eigenspace (zero-sum part of the f=1
+    rows) pairs with u_r = w_r, the alternating sum.  Those two corrections
+    are the caller's; they also remove the row means, which ``shift_a`` and
+    ``shift_b`` put back.  The rotation plane is handled in its eigenbasis
+    x = alpha + i beta (lambda = e^{2i theta}), y = alpha - i beta
+    (lambda = e^{-2i theta}), with alpha, beta the normalized f=0 and f=1
+    row sums.
+
+    The six sums over r (of mu and conj(mu) times each row sum, and the row
+    sums' plain and alternating sums) are products with rows of
+    :func:`_phase_rows` into one array, weighted per column by ``coef`` in
+    one product; each product with mu or conj(mu) is written into one
+    buffer or over the consumed sums, so the kernel holds one
+    (2**l, columns) temporary besides the sums.
 
     Returns what each f=0 row (``shift_a``) and each f=1 row (``shift_b``)
     of (r, j) gains, written over ``sum_a`` and ``sum_b``."""
-    c = 2.0 / mu.shape[0]
-    mu_bar = mu.conj()
-    # sqrt(2**(l+1)) times the rotation-plane amplitudes on <u_lambda|
-    kx = inv_a * np.einsum("rj,rj->j", mu, sum_a) + 1j * inv_b * np.einsum("rj,rj->j", mu, sum_b)
-    ky = inv_a * np.einsum("rj,rj->j", mu_bar, sum_a) - 1j * inv_b * np.einsum(
-        "rj,rj->j", mu_bar, sum_b
-    )
-    mean_a = sum_a.sum(axis=0) * inv_a**2
-    mean_b = (sum_b[0::2].sum(axis=0) - sum_b[1::2].sum(axis=0)) * inv_b**2
-    # dx = conj(mu) kx into sum_a, dy = mu ky into sum_b
-    np.multiply(mu_bar, kx, out=sum_a)
-    np.multiply(mu, ky, out=sum_b)
-    shift_a = np.add(sum_a, sum_b, out=sum_a)  # dx + dy
-    shift_b = sum_b
-    shift_b *= 2.0
-    shift_b -= shift_a  # dy - dx
-    shift_a *= -0.5 * c * inv_a
-    shift_a += c * mean_a
-    shift_b *= -0.5j * c * inv_b
-    shift_b[0::2] += c * mean_b
-    shift_b[1::2] -= c * mean_b
-    return shift_a, shift_b
+    ones, signs = _phase_rows(mu.shape[0])[:2]
+    pairs_a, pairs_b = sum_a.view(np.float64), sum_b.view(np.float64)
+    buf = np.multiply(mu, sum_a)
+    pairs = buf.view(np.float64)
+    sums = np.empty((6, pairs.shape[1]))
+    np.matmul(ones, pairs, out=sums[0])
+    np.multiply(mu, sum_b, out=buf)
+    np.matmul(ones, pairs, out=sums[1])
+    np.matmul(ones, pairs_a, out=sums[4])
+    np.matmul(signs, pairs_b, out=sums[5])
+    np.conjugate(mu, out=buf)
+    np.multiply(buf, sum_a, out=sum_a)
+    np.matmul(ones, pairs_a, out=sums[2])
+    np.multiply(buf, sum_b, out=sum_b)
+    np.matmul(ones, pairs_b, out=sums[3])
+    # [[a mu.a, ib mu.b], [a mu~.a, -ib mu~.b], [c a**2 sum a, c b**2 alt b]]:
+    # the first two rows sum to kx and ky, sqrt(2**(l+1)) times the
+    # rotation-plane amplitudes on <u_lambda|; the last holds the row means
+    sums = sums.view(np.complex128).reshape(3, 2, -1)
+    sums *= coef[:3]
+    # factors[h] scales dx = conj(mu) kx and dy = mu ky into the f=h rows' shift
+    factors = coef[3:] * sums[:2].sum(axis=1)
+    np.multiply(buf, factors[0, 0], out=sum_a)
+    np.multiply(buf, factors[1, 0], out=sum_b)
+    np.multiply(mu, factors[0, 1], out=buf)
+    buf += sums[2, 0]
+    sum_a += buf
+    np.multiply(mu, factors[1, 1], out=buf)
+    alternating = _by_parity(buf)
+    alternating += np.multiply.outer(signs[:2], sums[2, 1])
+    sum_b += buf
+    return sum_a, sum_b
 
 
 # -- public operations ---------------------------------------------------------

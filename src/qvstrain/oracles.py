@@ -169,17 +169,21 @@ def _sign_tensor(handle: OracleHandle) -> np.ndarray:
 
 def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
     """XOR the scratch qubit with f(i, j) on every basis state: swap the
-    scratch-0 and scratch-1 amplitudes of the marked (i, j) entries, through
-    one copy of those entries.  Each row of a batch is one call."""
+    scratch-0 and scratch-1 amplitudes of the marked (i, j) entries, in one
+    gather and one scatter on the (rows, 2**q) view of the amplitudes.  Each
+    row of a batch is one call."""
     _check_table_layout(layout, handle)
     if layout.scratch_qubit is None:
         raise ValueError("bit oracle needs a scratch qubit in the layout")
     s, low = layout.scratch_qubit, layout.n + layout.k
-    # (row, qubits above the scratch, scratch bit, qubits between, (j, i))
-    above, between = 1 << (state.num_qubits - s - 1), 1 << (s - low)
-    pairs = state.amps.reshape(-1, above, 2, between, 1 << low)
-    marked = np.flatnonzero(handle.f)  # j * 2**n + i, the last axis of pairs
-    pairs[..., marked] = pairs[..., marked][:, :, ::-1]
+    # basis indices with the scratch bit 0 and a marked (j, i) in the low
+    # bits (j * 2**n + i), over every value of the qubits above and between
+    above = np.arange(1 << (state.num_qubits - s - 1)) << (s + 1)
+    between = np.arange(1 << (s - low)) << low
+    zero = (above[:, None, None] + between[:, None] + np.flatnonzero(handle.f)).ravel()
+    one = zero + (1 << s)
+    flat = state.amps.reshape(-1, 1 << state.num_qubits)
+    flat[:, np.concatenate((zero, one))] = flat[:, np.concatenate((one, zero))]
     handle.ledger.record("bit_oracle", _rows(state))
     return state
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (_kick_probabilities, _rotation_shifts, _rotation_spectrum, l_bits,
-                       meter_sim_and)
+from .counting import (_by_parity, _phase_rows, _rotation_shifts, _rotation_spectrum, _row_sums,
+                       l_bits, meter_sim_and)
 from .oracles import OracleHandle, QueryLedger, _ceil_log2, from_perceptron
 from .perceptron import Dataset, required_sample_count, sample_hyperplanes
 
@@ -83,20 +83,21 @@ def search_state_bytes(n_rows: int, n_cols: int) -> int:
     """Bytes a search over an N x K table holds at its peak: the handle's
     float64 table f (8 bytes per entry); P, Q and the rotation
     spectrum of :class:`SimAndSearchOracle` (3 * 2**(l+k) + 2**(l+n) complex
-    amplitudes), every reachable marginal and the kick vector; the larger of
-    an iteration's three (2**l, 2**k) complex sums, shifts or products and
-    the diffusion's (2**l, 2**k) complex difference with its (2**l, 2**n)
-    real product; numpy's iterator buffers (three complex operands), 256
-    bytes per data row for E and the vectors over i, and SMALL_ARRAY_BYTES
-    for the rest."""
+    amplitudes), every reachable marginal with its CDF and the kick vector;
+    the larger of an iteration's three (2**l, 2**k) complex sums, shifts or
+    products and the diffusion's (2**l, 2**k) complex difference with its
+    (2**l, 2**n) real product; numpy's iterator buffers (three complex
+    operands), 256 bytes per data row for E and the vectors over i, 256
+    bytes per plane for the vectors over j (the shifts' weights and sums
+    over r), and SMALL_ARRAY_BYTES for the rest."""
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
     tables = 8 * kn
     factors = 16 * (3 * lk + ln)
-    marginals = 8 * (1 << k) * (_iteration_cap(k) + 2)
+    marginals = 8 * (1 << k) * (2 * _iteration_cap(k) + 2)
     temporaries = max(48 * lk, 16 * lk + 8 * ln)
-    vectors = 48 * np.getbufsize() + 256 * (1 << n) + SMALL_ARRAY_BYTES
+    vectors = 48 * np.getbufsize() + 256 * ((1 << n) + (1 << k)) + SMALL_ARRAY_BYTES
     return tables + factors + marginals + temporaries + vectors
 
 
@@ -143,6 +144,22 @@ def _schedule(k: int):
             m = min(m * GROWTH, cap)
 
 
+def _cdf(marginal: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice(size, p=marginal)`` builds: the
+    cumulative sum, divided by its last entry."""
+    cdf = marginal.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng) -> int:
+    """The index ``rng.choice(cdf.size, p=marginal)`` returns for the
+    marginal of ``cdf`` (:func:`_cdf`), from the same one ``rng.random()``
+    draw, so the generator ends in the same state, without choice's
+    per-call checks of p."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class SimAndSearchOracle:
     """The AND-simulation circuit bound to an oracle handle, prepared for use
     as the reflection inside bounded-error search.
@@ -162,10 +179,12 @@ class SimAndSearchOracle:
     the diffusion's mean.
 
     Caches the deterministic pieces per table: the factors, advanced in
-    place, the hyperplane marginal after every iteration so far, and the
-    kick vector, every column's verification probability, read once through
-    :func:`~qvstrain.counting._kick_probabilities`.  Nothing here charges the ledger; the search charges
-    each run through :func:`meter_sim_and`.
+    place; the hyperplane marginal after every iteration so far, with the
+    CDF its candidates are drawn from; and the kick vector, every column's
+    verification probability, read off the same one evaluation of the
+    rotation spectrum as the shifts' constants
+    (:func:`~qvstrain.counting._rotation_spectrum`).  Nothing here charges
+    the ledger; the search charges each run through :func:`meter_sim_and`.
     """
 
     def __init__(self, handle: OracleHandle):
@@ -177,14 +196,14 @@ class SimAndSearchOracle:
         need = search_state_bytes(handle.n_rows, handle.n_cols) - handle.f.nbytes
         _require_bytes(need, "the search state needs")
         dl, dk, dn = 1 << self.l, 1 << self.k, 1 << self.n
-        self._ones, *self._spectrum = _rotation_spectrum(handle.f, dl)
-        self._kicks = _kick_probabilities(handle.f, self.l)
+        self._counts, self._kicks, *self._spectrum = _rotation_spectrum(handle.f, self.l)
         self._cols = handle.f.sum(axis=0)  # f=1 columns per row
         self._p = [np.zeros((dl, dk), dtype=np.complex128) for _ in range(2)]
         self._q = np.full((dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
         self._e = np.zeros((2, dn), dtype=np.complex128)
         self._sums = self._reduce()
-        self._marginals = [self._plane_marginal()]
+        self._marginals, self._cdfs = [], []
+        self._add_marginal()
 
     def _ones_sums(self, x: np.ndarray) -> np.ndarray:
         """Each row of x summed over the f=1 rows of every column, x @ f^T,
@@ -199,14 +218,14 @@ class SimAndSearchOracle:
         """The sums that both the marginal and the next AND-simulation read:
         psi's sums over the f=0 and over the f=1 rows of each (r, j), and Q's
         sums over the even and the odd phase rows."""
-        p, q, e = self._p, self._q, self._e
+        p, q = self._p, self._q
         sum_b = self._ones_sums(q)
-        sum_a = q.sum(axis=1)[:, None] - sum_b
-        sum_a += (q.shape[1] - self._ones) * p[0]
-        sum_b += self._ones * p[1]
-        sum_b += self._ones_sums(e)[np.arange(q.shape[0]) & 1]
-        q_par = np.array([q[0::2].sum(axis=0), q[1::2].sum(axis=0)])
-        return sum_a, sum_b, q_par
+        sum_a = np.subtract(q.sum(axis=1)[:, None], sum_b)
+        sum_a += self._counts[0] * p[0]
+        sum_b += self._counts[1] * p[1]
+        by_parity = _by_parity(sum_b)
+        by_parity += self._ones_sums(self._e)
+        return sum_a, sum_b, _row_sums(_phase_rows(q.shape[0])[2:], q)
 
     def _step(self) -> None:
         """One AND-simulation, then the diffusion over the hyperplane
@@ -215,35 +234,40 @@ class SimAndSearchOracle:
         alternating sum.  On Q the two differ by 2w times its sum over the
         phase rows of the other parity, which E takes; since w times the
         2**(l-1) rows of one parity is 1, E's own term moves to the other
-        parity unchanged."""
+        parity unchanged.  The diffusion's negation of P is folded into its
+        update: each half becomes its correction less (P + shift)."""
         f, p, q, e = self.handle.f, self._p, self._q, self._e
         dl, dk = p[0].shape
+        rows = _phase_rows(dl)
         sum_a, sum_b, q_par = self._sums
         self._sums = None  # the shifts are written over the sums, freed below
-        shift_a, shift_b = _rotation_shifts(sum_a, sum_b, *self._spectrum)
         w = 2.0 / dl
-        p[0] -= w * p[0].sum(axis=0)
-        p[0] += shift_a
-        alt = w * (p[1][0::2].sum(axis=0) - p[1][1::2].sum(axis=0))
-        p[1][0::2] -= alt
-        p[1][1::2] += alt
-        p[1] += shift_b
-        del sum_a, sum_b, shift_a, shift_b
+        corr_a = w * _row_sums(rows[0], p[0])
+        corr_b = w * _row_sums(rows[1], p[1]) * rows[1, :2, None]
+        for half, shift in zip(p, _rotation_shifts(sum_a, sum_b, *self._spectrum)):
+            half += shift
+        del sum_a, sum_b, shift
+        np.subtract(corr_a, p[0], out=p[0])
+        by_parity = _by_parity(p[1])
+        np.subtract(corr_b, by_parity, out=by_parity)
         e[:] = e[::-1] + 2.0 * w * q_par[::-1]
         # Q less w times its sum over r, plus 2/2**k times the sum over j of
-        # P[f] + f E, where sum_j P[f(i, j), r, j] = sum_j P[0, r, j] +
-        # ((P[1] - P[0]) @ f)[r, i]
+        # P[f] + f E before P's negation, where sum_j P[f(i, j), r, j] =
+        # sum_j P[0, r, j] + ((P[1] - P[0]) @ f)[r, i]
         g = 2.0 / dk
-        rows = g * self._cols * e - w * (q_par[0] + q_par[1])
-        q[0::2] += rows[0]
-        q[1::2] += rows[1]
-        q += (g * p[0].sum(axis=1))[:, None]
-        d_p = p[1] - p[0]
+        by_parity = _by_parity(q)
+        by_parity += g * self._cols * e - w * (q_par[0] + q_par[1])
+        q -= (g * p[0].sum(axis=1))[:, None]
+        # g (P[1] - P[0]) before the negation, its real and imaginary parts
+        # in two C arrays the products read in place
+        d_p = np.empty((2, dl, dk))
+        for x in range(2):
+            np.subtract(*(half.view(np.float64)[:, x::2] for half in p), out=d_p[x])
         d_p *= g
-        for part, d_part in ((q.real, d_p.real), (q.imag, d_p.imag)):
-            part += d_part @ f  # one (2**l, 2**n) product at a time
-        for part in (*p, e):
-            np.negative(part, out=part)
+        q_parts = q.view(np.float64)
+        for x in range(2):  # one (2**l, 2**n) product at a time
+            q_parts[:, x::2] += d_p[x] @ f
+        np.negative(e, out=e)
 
     def _plane_marginal(self) -> np.ndarray:
         """The sum over r and i of |psi|**2 for each hyperplane j: P's terms
@@ -252,19 +276,28 @@ class SimAndSearchOracle:
         p, q, e = self._p, self._q, self._e
         dl, dk = p[0].shape
         sum_a, sum_b, q_par = self._sums
-        marg = np.zeros(dk)
-        for p_f, sum_f, count in ((p[0], sum_a, q.shape[1] - self._ones),
-                                  (p[1], sum_b, self._ones)):
-            pairs = p_f.view(np.float64).reshape(dl, dk, 2)
-            sums = sum_f.view(np.float64).reshape(dl, dk, 2)
-            marg += 2.0 * np.einsum("rjx,rjx->j", pairs, sums)
-            marg -= count * np.einsum("rjx,rjx->j", pairs, pairs)
+        # twice the sum over r of Re(conj(P) (sums - count P / 2)) per half
+        ones = _phase_rows(dl)[0]
+        terms = np.zeros(2 * dk)
+        t = np.empty_like(p[0])
+        for p_f, sum_f, count in zip(p, (sum_a, sum_b), self._counts):
+            np.multiply(p_f, -0.5 * count, out=t)
+            t += sum_f
+            pairs = t.view(np.float64)
+            pairs *= p_f.view(np.float64)
+            terms += ones @ pairs
+        marg = 2.0 * terms.reshape(dk, 2).sum(axis=1)  # the (real, imag) pair per plane
         marg += np.vdot(q, q).real
-        extra = (2.0 * (q_par.conj() * e).real + (dl // 2) * np.abs(e) ** 2).sum(axis=0)
+        extra = ((2.0 * q_par + (dl // 2) * e).conj() * e).real.sum(axis=0)
         marg += self.handle.f @ extra
         # cancellation can leave a true zero a rounding error below 0
         np.maximum(marg, 0.0, out=marg)
         return marg / marg.sum()
+
+    def _add_marginal(self) -> None:
+        """Cache the marginal of the current iterate and its CDF."""
+        self._marginals.append(self._plane_marginal())
+        self._cdfs.append(_cdf(self._marginals[-1]))
 
     def plane_marginal(self, r: int) -> np.ndarray:
         """Measurement distribution of the hyperplane register after r
@@ -272,8 +305,15 @@ class SimAndSearchOracle:
         while len(self._marginals) <= r:
             self._step()
             self._sums = self._reduce()
-            self._marginals.append(self._plane_marginal())
+            self._add_marginal()
         return self._marginals[r]
+
+    def sample_plane(self, r: int, rng) -> int:
+        """One measurement of the hyperplane register after r iterations:
+        the index ``rng.choice(size, p=plane_marginal(r))`` returns, read
+        off the cached CDF (:func:`_draw`)."""
+        self.plane_marginal(r)
+        return _draw(self._cdfs[r], rng)
 
     def kick_probability(self, j: int) -> float:
         """Probability that one phase-kickback shot votes "column j is all
@@ -312,10 +352,9 @@ def bounded_error_search(oracle: SimAndSearchOracle, rng_seed=None) -> SearchOut
     for m in _schedule(oracle.k):
         rounds += 1
         r = int(rng.integers(0, max(1, math.ceil(m))))
-        marginal = oracle.plane_marginal(r)
+        j = oracle.sample_plane(r, rng)
         meter_sim_and(ledger, oracle.l, times=r)
         iterations += r
-        j = int(rng.choice(marginal.size, p=marginal))
         accepted, shots = _majority_vote(oracle, j, rng, ledger)
         verifications += shots
         if accepted:

@@ -60,3 +60,19 @@ def test_pinned_rows_run_every_subcommand(bench, monkeypatch):
     assert list(rows) == [" ".join(argv) for argv in argvs]
     assert [row["exit"] for row in rows.values()] == [0, 0, 1, 0, 0, 0]
     assert all(row["stdout"] for row in rows.values())
+
+
+def test_search_rows_time_oracle_build(bench, monkeypatch):
+    monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2),))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    (row,) = bench.search_rows()
+    assert (row["n"], row["k"]) == (3, 2)
+    assert row["oracle_build_ms"] > 0 and row["factored_ms"] > 0
+
+
+def test_ledger_counts_sum_queries_per_run(bench):
+    rows = {"andor": {"stdout": ['{"queries": {"bit_oracle": 4, "classical_f": 0}}',
+                                 '{"queries": {"bit_oracle": 6, "classical_f": 1}}',
+                                 '{"summary": true}']},
+            "sweep": {"stdout": ["kind,N", "cell,8"]}}
+    assert bench.ledger_counts(rows) == {"andor": {"bit_oracle": 10, "classical_f": 1}}

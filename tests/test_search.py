@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qvstrain.counting import l_bits, sim_and
+from qvstrain.counting import _kick_probabilities, l_bits, sim_and
 from qvstrain.oracles import OracleHandle, TruthTable
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain import search
@@ -148,6 +148,49 @@ class TestSimAndSearchOracle:
             marginal = oracle.plane_marginal(r)
             assert (marginal >= 0.0).all()
             assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# marginals over 1-64 planes, with zero entries and single-entry ones
+marginal_weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1,
+                            max_size=64).filter(lambda w: sum(w) > 0.0)
+
+
+class TestCandidateDraw:
+    """The search draws each candidate from a CDF cached per iteration count
+    in place of ``Generator.choice(size, p=marginal)``; the two must give the
+    same index from the same generator and leave it in the same state."""
+
+    @given(weights=marginal_weights, seed=st.integers(0, 2**32), draws=st.integers(1, 20))
+    @example(weights=[1.0], seed=0, draws=3)
+    @example(weights=[0.0, 0.0, 1.0, 0.0], seed=1, draws=5)
+    def test_cached_cdf_draw_equals_choice(self, weights, seed, draws):
+        marginal = np.array(weights) / sum(weights)
+        cached, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        cdf = search._cdf(marginal)
+        for _ in range(draws):
+            assert search._draw(cdf, cached) == reference.choice(marginal.size, p=marginal)
+        assert cached.bit_generator.state == reference.bit_generator.state
+
+    @given(seed=st.integers(0, 2**31))
+    def test_sample_plane_equals_choice_on_marginal(self, seed):
+        rng = np.random.default_rng(seed)
+        oracle = SimAndSearchOracle(random_kernel_table(rng))
+        cached, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r in (0, 3, 1, 3):
+            marginal = oracle.plane_marginal(r)
+            assert oracle.sample_plane(r, cached) == reference.choice(marginal.size, p=marginal)
+        assert cached.bit_generator.state == reference.bit_generator.state
+
+
+@given(seed=st.integers(0, 2**31))
+@example(seed=0)
+def test_kick_vector_equals_kick_kernel(seed):
+    # one spectrum feeds the kick vector and the shifts' constants; the kick
+    # vector is still summed in the kernel's order, so it is equal bit for bit
+    handle = random_kernel_table(np.random.default_rng(seed))
+    oracle = SimAndSearchOracle(handle)
+    kicks = np.array([oracle.kick_probability(j) for j in range(1 << oracle.k)])
+    assert (kicks == _kick_probabilities(handle.f, oracle.l)).all()
 
 
 def held_arrays(value):
