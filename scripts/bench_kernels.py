@@ -23,6 +23,10 @@ Layers, each a median over REPEATS timed calls in this process:
   overlaps).  These are timed in a child process on each checkout's own
   package, so with ``--parent`` both sides are recorded.
 
+Every layer runs with one BLAS thread, the setting of ``perfbench``: the
+thread variables are set before numpy is imported, and the child processes
+inherit them.
+
 With ``--parent DIR`` (a checkout of the commit to compare against) it also
 records the exit code and stdout of the pinned seeded CLI runs, at least one
 per subcommand, in both checkouts, with the ledger counts their JSON lines
@@ -31,8 +35,11 @@ workload in P alternating parent/change pairs of SECONDS each, at seeds
 FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.
 Run from anywhere:
 
-    python scripts/bench_kernels.py --out BENCH_15.json
-    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_15.json
+    python scripts/bench_kernels.py --out bench.json
+    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_16.json
+
+``--out`` has no default, so a run cannot overwrite a committed record
+unasked.
 
 The record holds nproc, the numpy version and the git sha of this checkout.
 """
@@ -49,7 +56,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# before numpy is imported: OpenBLAS reads these once, when it loads
+os.environ.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS")})
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -73,6 +84,7 @@ TABLE_SIZES = ((64, 47), (512, 64), (2048, 512))
 INSTANCE_CALLS = (
     "generate_planted_dataset(64, 2, 0.1, rng_seed=seed)",
     "generate_planted_dataset(4096, 2, 0.1, rng_seed=seed)",
+    "generate_planted_dataset(65536, 2, 0.1, rng_seed=seed)",
     "_single_solution_instance(64, 8, 0.2, seed)",
     "_single_solution_instance(16, 512, 0.2, seed)",
 )
@@ -204,9 +216,9 @@ def verify_rows(parent: Path | None) -> list[dict]:
 
 
 def child_env(checkout: Path) -> dict[str, str]:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
-    return env
+    """This process's environment, one BLAS thread included, with
+    ``checkout``'s package on the path."""
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
 
 def pinned_rows(checkout: Path) -> dict[str, dict]:
@@ -289,7 +301,7 @@ def git_sha() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default="BENCH_15.json")
+    parser.add_argument("--out", required=True, help="the JSON record to write")
     parser.add_argument("--parent", type=Path, help="checkout of the commit to compare against")
     parser.add_argument("--pairs", type=int, default=0, help="perfbench pairs per workload")
     args = parser.parse_args()

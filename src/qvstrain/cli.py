@@ -6,7 +6,7 @@ query scaling on planted instances), ``andor`` (two-level AND-OR evaluation),
 ``gen-dataset`` (planted dataset files).  Output is JSON lines (one object
 per trial) or CSV for sweeps; identical configuration and seed give
 byte-identical output.  Exit codes: 0 all checks pass, 1 property violation,
-2 usage error.
+2 usage error, 141 output closed by its reader (as SIGPIPE would end it).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -254,15 +255,21 @@ def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) 
     """N x K truth table of a planted dataset against K planes: the planted
     one (margin >= gamma, so an all-ones column) at a seeded position, and
     the first non-member columns, in draw order, of batches of ``n_planes``
-    Gaussian planes, each batch classified in one table."""
+    Gaussian planes, each batch classified in one table and its kept
+    columns written straight into the table around the planted one."""
     rng = np.random.default_rng(seed)
     data, _ = generate_planted_dataset(n_points, 2, gamma, rng_seed=int(rng.integers(2**63)))
     position = int(rng.integers(0, n_planes))
-    columns = np.empty((n_points, 0), dtype=np.uint8)
-    while columns.shape[1] < n_planes - 1:
-        bits = from_perceptron(data, sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))).bits
-        columns = np.hstack([columns, bits[:, ~bits.all(axis=0)]])
-    return TruthTable(np.insert(columns[:, : n_planes - 1], position, 1, axis=1))
+    bits = np.ones((n_points, n_planes), dtype=np.uint8)
+    targets = np.arange(n_planes - 1)  # the non-member columns, in order
+    targets[position:] += 1
+    filled = 0
+    while filled < n_planes - 1:
+        batch = from_perceptron(data, sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))).bits
+        kept = np.flatnonzero(~batch.all(axis=0))[: targets.size - filled]
+        bits[:, targets[filled : filled + kept.size]] = batch[:, kept]
+        filled += kept.size
+    return TruthTable(bits)
 
 
 def _sweep_trial(payload):
@@ -456,7 +463,18 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
     stream = out if out is not None else sys.stdout
     try:
-        return args.func(args, stream)
+        code = args.func(args, stream)
+        stream.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the output early (``| head``): not a usage error.
+        # Exit quietly with a shell's status for SIGPIPE, and point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        if stream is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
     # MemoryError: the checks before a run count its arrays, not what the
     # allocator keeps mapped after freeing them
     except (ValueError, OSError, MemoryError) as exc:

@@ -6,8 +6,11 @@ int64, validated once when it is built.  :func:`generate_planted_dataset`
 writes its accepted points straight into those arrays, and the order of its
 per-point draws (``random``, ``standard_normal(dim)``, ``random`` on each
 try) is the seeded contract: the same seed gives the same dataset bit for
-bit.  A hyperplane is one (M + 1,) row ``[w | b]``, and a set of K of them
-one (K, M + 1) array of such rows.
+bit.  The tries are drawn in that order into the rows of a block and
+evaluated a block at a time with each try's own arithmetic, so the contract
+is the one the per-try loop kept (the tests keep that loop as the
+reference).  A hyperplane is one (M + 1,) row ``[w | b]``, and a set of K
+of them one (K, M + 1) array of such rows.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import math
 import numpy as np
 
 # Planted clusters have radius CLUSTER_RADIUS_FACTOR * gamma; each point gets
-# at most MAX_TRIES_PER_POINT rejection-sampling draws.
+# at most MAX_TRIES_PER_POINT rejection-sampling draws, evaluated in blocks of
+# at most PLANTED_BLOCK_BYTES of arrays.
 CLUSTER_RADIUS_FACTOR = 4.0
 MAX_TRIES_PER_POINT = 1000
+PLANTED_BLOCK_BYTES = 1 << 18
 
 
 class Dataset:
@@ -107,6 +112,42 @@ def required_sample_count(gamma: float, epsilon: float, c: float = 2.0) -> int:
     return max(1, math.ceil(bound))
 
 
+def _planted_block_rows(dim: int) -> int:
+    """Tries per block of :func:`generate_planted_dataset`: the most whose
+    arrays, about four dim-vectors and eight scalars each, fit in
+    PLANTED_BLOCK_BYTES."""
+    return max(1, PLANTED_BLOCK_BYTES // (8 * (4 * dim + 8)))
+
+
+def _take_accepted(accepted: np.ndarray, streak: int, need: int) -> tuple[np.ndarray, int]:
+    """Acceptance bookkeeping of one block of tries.
+
+    ``accepted`` flags the block's tries in draw order, ``streak`` counts the
+    rejected tries that ended the blocks before it and ``need`` (>= 1) the
+    points still missing.  Returns the indices of the first ``need``
+    accepted tries and the streak this block passes on: 0 once the last
+    point is found, else the rejected tries since the last acceptance.  It
+    raises RuntimeError when one point's tries reach MAX_TRIES_PER_POINT
+    rejections in a row, where a per-point loop would give up.
+
+    A try's margin is at least gamma + rho - radius >= gamma, so a try is
+    rejected only by rounding: no seeded run reaches the RuntimeError, and
+    only the tests cover it."""
+    taken = accepted.nonzero()[0][:need]
+    done = taken.size == need
+    # the rejections before each taken try and, while points are still
+    # missing, the ones after the last
+    ends = taken if done else np.concatenate((taken, [accepted.size]))
+    runs = ends.copy()
+    runs[1:] -= ends[:-1] + 1
+    runs[0] += streak
+    if runs.max() >= MAX_TRIES_PER_POINT:
+        raise RuntimeError(
+            f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries for one point"
+        )
+    return taken, 0 if done else int(runs[-1])
+
+
 def generate_planted_dataset(
     n_points: int,
     dim: int,
@@ -124,8 +165,13 @@ def generate_planted_dataset(
     linearly in gamma with an N-independent constant.
 
     Each try draws ``random()`` (the cluster), ``standard_normal(dim)`` (the
-    direction) and ``random()`` (the radius), in that order; accepted points
-    go straight into the returned arrays.
+    direction) and ``random()`` (the radius), in that order, and the first
+    ``n_points`` accepted tries are the points.  Tries are drawn into the
+    rows of a block (the radius together with the next try's cluster) and
+    evaluated a block at a time, with the per-try arithmetic: each row's
+    dot products run through BLAS ddot, as ``x.dot(x)`` does, and the
+    radius through Python's float pow.  The generator is local, so draws
+    past the last needed try change nothing.
     """
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
@@ -136,28 +182,37 @@ def generate_planted_dataset(
     b = float(rng.uniform(-0.3, 0.3) * gamma)
     rho = CLUSTER_RADIUS_FACTOR * gamma
     # Cluster centers sit at signed distance +-(gamma + rho) from the plane.
-    centers = ((gamma + rho - b) * w, (-(gamma + rho) - b) * w)
+    centers = np.array([(gamma + rho - b) * w, (-(gamma + rho) - b) * w])
     random, normal, power = rng.random, rng.standard_normal, 1.0 / dim
     X = np.empty((n_points, dim))
     y = np.empty(n_points, dtype=np.int64)
-    for i in range(n_points):
-        for _ in range(MAX_TRIES_PER_POINT):
-            center = centers[int(random() < 0.5)]
-            direction = normal(dim)
-            # the ddot and rounded sqrt np.linalg.norm runs on a float vector
-            direction /= math.sqrt(direction.dot(direction))
-            radius = rho * random() ** power
-            x = center + radius * direction
-            margin = float(w @ x) + b
-            if abs(margin) >= gamma:
-                X[i] = x
-                y[i] = +1 if margin >= 0 else -1
-                break
-        else:
-            raise RuntimeError(
-                f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries; "
-                f"gamma={gamma} is infeasible for this geometry"
-            )
+    rows = min(n_points, _planted_block_rows(dim))
+    directions = np.empty((rows, dim))
+    # u[2t] is try t's cluster draw and u[2t + 1] its radius draw, so row t
+    # of ``pairs`` holds try t's radius and try t + 1's cluster
+    u = np.empty(2 * rows + 1)
+    pairs = u[1:].reshape(rows, 2)
+    u[0] = random()
+    filled = streak = 0
+    while filled < n_points:
+        tries = min(rows, n_points - filled)
+        for t in range(tries):
+            normal(out=directions[t])
+            random(out=pairs[t])
+        d = directions[:tries]
+        # stacked (1, M) @ (M, 1) products: one BLAS ddot per row, rounded as
+        # x.dot(x) and w @ x round; (d * d).sum(1) and einsum round otherwise
+        d /= np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+        # Python's float pow, as one try computes it
+        radius = rho * np.array([v**power for v in u[1 : 2 * tries : 2].tolist()])
+        x = centers[(u[: 2 * tries : 2] < 0.5).astype(np.intp)]
+        x += radius[:, None] * d
+        margin = (x[:, None, :] @ w[:, None])[:, 0, 0] + b
+        taken, streak = _take_accepted(np.abs(margin) >= gamma, streak, n_points - filled)
+        X[filled : filled + taken.size] = x[taken]
+        y[filled : filled + taken.size] = np.where(margin[taken] >= 0, 1, -1)
+        filled += taken.size
+        u[0] = u[2 * tries]
     return Dataset(X, y, claimed_margin=gamma), np.append(w, b)
 
 

@@ -2,7 +2,8 @@
 in ``BENCH_*.json``; nothing else runs it, so a change to what the timed
 functions accept or return would break it unseen.  The script is loaded from
 its file, three of its layers run at their smallest sizes, and its pinned-run
-recorder runs one small argv per subcommand."""
+recorder runs one small argv per subcommand.  Loading it sets the BLAS thread
+variables to 1, which the fixture restores afterwards."""
 
 import importlib.util
 import os
@@ -14,9 +15,14 @@ import pytest
 SCRIPT_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_kernels.py"
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 @pytest.fixture
 def bench(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src
+    for var in THREAD_VARS:  # the script sets them; restored after the test
+        monkeypatch.setenv(var, "4")
     spec = importlib.util.spec_from_file_location("bench_kernels", SCRIPT_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -76,3 +82,18 @@ def test_ledger_counts_sum_queries_per_run(bench):
                                  '{"summary": true}']},
             "sweep": {"stdout": ["kind,N", "cell,8"]}}
     assert bench.ledger_counts(rows) == {"andor": {"bit_oracle": 10, "classical_f": 1}}
+
+
+def test_every_layer_runs_with_one_blas_thread(bench):
+    assert all(os.environ[var] == "1" for var in THREAD_VARS)
+    env = bench.child_env(bench.ROOT)
+    assert all(env[var] == "1" for var in THREAD_VARS)
+    assert env["PYTHONPATH"] == str(bench.ROOT / "src")
+
+
+def test_out_is_required(bench, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bench_kernels.py"])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err

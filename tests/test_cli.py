@@ -28,10 +28,17 @@ from qvstrain.cli import (
 from qvstrain.oracles import (
     OracleHandle,
     TruthTable,
+    from_perceptron,
     load_truth_table,
     save_truth_table,
 )
-from qvstrain.perceptron import Dataset, load_dataset, save_dataset
+from qvstrain.perceptron import (
+    Dataset,
+    generate_planted_dataset,
+    load_dataset,
+    sample_hyperplanes,
+    save_dataset,
+)
 from qvstrain.search import search_state_bytes
 
 from .conftest import FIXTURE_BITS
@@ -177,6 +184,33 @@ class TestSweep:
         assert len(fits) == 1 and fits[0][-2] == "N"
 
 
+def reference_single_solution_instance(n_points, n_planes, gamma, seed):
+    """The sweep's instance assembled the way the table is specified: the
+    batches' non-member columns stacked in draw order, cut to K - 1, and the
+    all-ones column inserted at the seeded position."""
+    rng = np.random.default_rng(seed)
+    data, _ = generate_planted_dataset(n_points, 2, gamma, rng_seed=int(rng.integers(2**63)))
+    position = int(rng.integers(0, n_planes))
+    columns = np.empty((n_points, 0), dtype=np.uint8)
+    while columns.shape[1] < n_planes - 1:
+        bits = from_perceptron(data, sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))).bits
+        columns = np.hstack([columns, bits[:, ~bits.all(axis=0)]])
+    return np.insert(columns[:, : n_planes - 1], position, 1, axis=1)
+
+
+class TestSingleSolutionInstance:
+    @pytest.mark.parametrize("n_points,n_planes,seeds", [
+        (8, 8, 300), (16, 8, 300), (32, 8, 300), (64, 8, 300),
+        (16, 1, 50), (16, 2, 50), (1, 8, 50), (16, 512, 20),
+    ])
+    def test_equals_stacked_assembly(self, n_points, n_planes, seeds):
+        for seed in range(seeds):
+            bits = _single_solution_instance(n_points, n_planes, 0.2, seed).bits
+            expected = reference_single_solution_instance(n_points, n_planes, 0.2, seed)
+            assert bits.dtype == expected.dtype and bits.shape == (n_points, n_planes)
+            assert np.array_equal(bits, expected), seed
+
+
 class TestAndor:
     def test_file_mode_fixture(self, tmp_path):
         path = tmp_path / "inst.txt"
@@ -236,16 +270,40 @@ class TestGenDataset:
         assert rc == 2
 
 
-def run_cli_process(*argv, preexec_fn=None) -> subprocess.CompletedProcess:
+def cli_process_env() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(qvstrain.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     # one BLAS thread: OpenBLAS reserves a buffer per thread at import, which
     # on a many-core host would not fit under TestStateSizeLimit's cap
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    return env
+
+
+def run_cli_process(*argv, preexec_fn=None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "qvstrain.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120,
+                          capture_output=True, text=True, env=cli_process_env(), timeout=120,
                           preexec_fn=preexec_fn)
+
+
+class TestClosedOutput:
+    def test_reader_closing_the_pipe_is_not_a_usage_error(self):
+        # about 170 KB of rows, more than the pipe and the reader's buffer
+        # hold, so the CLI is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qvstrain.cli", "andor", "--random", "4,4,1000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_process_env())
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert json.loads(first)["instance"] == 0
+        assert proc.returncode == 141
+        assert stderr == ""
 
 
 class TestStrictLoaders:

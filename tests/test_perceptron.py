@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from qvstrain.oracles import from_perceptron
 from qvstrain.perceptron import (
+    CLUSTER_RADIUS_FACTOR,
+    MAX_TRIES_PER_POINT,
+    PLANTED_BLOCK_BYTES,
     Dataset,
+    _planted_block_rows,
+    _take_accepted,
     generate_planted_dataset,
     geometric_margin,
     in_version_space,
@@ -165,6 +171,143 @@ class TestPlantedGenerator:
             generate_planted_dataset(5, 2, 0.0, rng_seed=1)
         with pytest.raises(ValueError):
             generate_planted_dataset(5, 2, 1.0, rng_seed=1)
+
+
+def reference_planted_dataset(n_points, dim, gamma, rng_seed):
+    """The per-try loop ``generate_planted_dataset`` evaluates in blocks:
+    (X, y, [w | b]), one point at a time through three Generator calls per
+    try, with the vector arithmetic of a single try."""
+    rng = np.random.default_rng(rng_seed)
+    w = rng.standard_normal(dim)
+    w /= np.linalg.norm(w)
+    b = float(rng.uniform(-0.3, 0.3) * gamma)
+    rho = CLUSTER_RADIUS_FACTOR * gamma
+    centers = ((gamma + rho - b) * w, (-(gamma + rho) - b) * w)
+    X = np.empty((n_points, dim))
+    y = np.empty(n_points, dtype=np.int64)
+    for i in range(n_points):
+        for _ in range(MAX_TRIES_PER_POINT):
+            center = centers[int(rng.random() < 0.5)]
+            direction = rng.standard_normal(dim)
+            direction /= math.sqrt(direction.dot(direction))
+            radius = rho * rng.random() ** (1.0 / dim)
+            x = center + radius * direction
+            margin = float(w @ x) + b
+            if abs(margin) >= gamma:
+                X[i] = x
+                y[i] = +1 if margin >= 0 else -1
+                break
+        else:
+            raise RuntimeError("rejection sampling exhausted")
+    return X, y, np.append(w, b)
+
+
+class TestBlockedPlantedGenerator:
+    @given(data=st.data(), dim=st.integers(1, 6), past_one_block=st.booleans(),
+           gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=40)
+    def test_equals_per_try_loop_bit_for_bit(self, data, dim, past_one_block, gamma, seed):
+        rows = _planted_block_rows(dim)
+        n = data.draw(st.integers(1, rows)) + (rows if past_one_block else 0)
+        got, plane = generate_planted_dataset(n, dim, gamma, rng_seed=seed)
+        X, y, expected_plane = reference_planted_dataset(n, dim, gamma, seed)
+        assert got.X.tobytes() == X.tobytes()
+        assert got.y.tobytes() == y.tobytes()
+        assert plane.tobytes() == expected_plane.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 40])
+    def test_block_arrays_stay_within_the_budget(self, dim):
+        # three blocks' worth of points: what the blocks hold beyond the
+        # returned arrays (and the Dataset's copies of them) is the budget
+        n = 3 * _planted_block_rows(dim)
+        tracemalloc.start()
+        try:
+            data, _ = generate_planted_dataset(n, dim, 0.1, rng_seed=dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * (data.X.nbytes + data.y.nbytes) <= PLANTED_BLOCK_BYTES
+
+
+def per_try_accepts(stream, need):
+    """What the per-point loop keeps of an accept/reject ``stream``: the
+    indices of the accepted tries it takes, and whether a point ran out of
+    tries (MAX_TRIES_PER_POINT rejections in a row)."""
+    taken, t = [], 0
+    for _ in range(need):
+        for _ in range(MAX_TRIES_PER_POINT):
+            if t == len(stream):
+                return taken, False
+            t += 1
+            if stream[t - 1]:
+                taken.append(t - 1)
+                break
+        else:
+            return taken, True
+    return taken, False
+
+
+def blocked_accepts(stream, need, cuts):
+    """The same through ``_take_accepted``, block by block between ``cuts``:
+    (taken, exhausted, streak left at the end)."""
+    taken, streak, start = [], 0, 0
+    for end in sorted(set(cuts) | {len(stream)}):
+        if len(taken) == need:
+            break
+        if end <= start:
+            continue
+        try:
+            idx, streak = _take_accepted(stream[start:end], streak, need - len(taken))
+        except RuntimeError:
+            return taken, True, streak
+        taken += (start + idx).tolist()
+        start = end
+    return taken, False, streak
+
+
+def accept_stream(runs):
+    """Booleans from (rejections, acceptances) run pairs."""
+    return np.array([v for r, a in runs for v in [False] * r + [True] * a], dtype=bool)
+
+
+class TestTakeAccepted:
+    rejections = st.one_of(st.integers(0, 4), st.sampled_from(
+        [MAX_TRIES_PER_POINT - 2, MAX_TRIES_PER_POINT - 1, MAX_TRIES_PER_POINT,
+         MAX_TRIES_PER_POINT + 1]))
+
+    @given(runs=st.lists(st.tuples(rejections, st.integers(0, 3)), min_size=1, max_size=8),
+           need=st.integers(1, 12), cuts=st.lists(st.integers(0, 5000), max_size=6))
+    def test_blocks_follow_per_try_semantics(self, runs, need, cuts):
+        stream = accept_stream(runs)
+        taken, exhausted = per_try_accepts(stream, need)
+        got, got_exhausted, streak = blocked_accepts(stream, need, cuts)
+        assert got_exhausted == exhausted
+        if not exhausted:
+            assert got == taken
+            if len(taken) < need:  # the stream ran out first
+                assert streak == len(stream) - 1 - (taken[-1] if taken else -1)
+
+    def test_streak_spanning_a_block_boundary(self):
+        # 600 rejections end one block and 400 open the next: one point's tries
+        stream = accept_stream([(5, 1), (600, 0), (MAX_TRIES_PER_POINT - 600, 1)])
+        assert blocked_accepts(stream, 3, [606])[1]
+        stream = accept_stream([(5, 1), (600, 0), (MAX_TRIES_PER_POINT - 601, 1)])
+        assert blocked_accepts(stream, 3, [606]) == ([5, 1005], False, 0)
+
+    def test_exactly_max_rejections_exhaust_a_point(self):
+        stream = accept_stream([(MAX_TRIES_PER_POINT, 1)])
+        with pytest.raises(RuntimeError, match="exhausted"):
+            _take_accepted(stream, 0, 1)
+        taken, streak = _take_accepted(stream[1:], 0, 1)
+        assert taken.tolist() == [MAX_TRIES_PER_POINT - 1] and streak == 0
+
+    def test_streak_carries_only_while_points_are_missing(self):
+        stream = accept_stream([(0, 2), (7, 0)])
+        assert _take_accepted(stream, 3, 2)[1] == 0
+        taken, streak = _take_accepted(stream, 3, 5)
+        assert taken.tolist() == [0, 1] and streak == 7
+        assert _take_accepted(accept_stream([(4, 0)]), 3, 1)[1] == 7
 
 
 class TestGammaSamplingLaw:
