@@ -11,6 +11,12 @@ Layers, each a median over REPEATS timed calls in this process:
   state run through the literal circuit ``counting.sim_and``
   (``phase_estimate`` -> flip of the 10..0 readout ->
   ``phase_estimate_inverse``) and the diffusion;
+* the same oracle build and iteration timed in a child process on each
+  checkout's own package, alternating, so with ``--parent`` both sides are
+  recorded;
+* a sweep cell's tables (64 x 8, of 3 and of 200 tables) built into
+  oracles and advanced to r = 3, as one stack
+  (``SimAndSearchOracle.stack``) and one table at a time, alternating;
 * the closed-form phase readout ``phase_register_distribution``;
 * building the truth table (``oracles.from_perceptron`` on the (K, 3) array
   of sampled planes);
@@ -36,7 +42,7 @@ FIRST_SEED, FIRST_SEED + 1, ..., and keeps each pair's end-to-end metrics.
 Run from anywhere:
 
     python scripts/bench_kernels.py --out bench.json
-    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_16.json
+    python scripts/bench_kernels.py --parent ../parent --pairs 10 --out BENCH_17.json
 
 ``--out`` has no default, so a run cannot overwrite a committed record
 unasked.
@@ -79,6 +85,10 @@ SECONDS = 40.0  # perfbench run length
 # (n, k): train-n64's table, sweep-n's largest cell (N = 64, K = 8), and
 # one of 2**(7+7+8) amplitudes held dense
 SEARCH_GRID = ((6, 6), (6, 3), (8, 7))
+SEARCH_ROUNDS = 3  # alternating child runs per checkout of the search timer
+# (tables, n, k): sweep-n's largest cell with its 3 trials, and with 200
+STACK_CELLS = ((3, 6, 3), (200, 6, 3))
+STACK_ADVANCE = 3  # the iterations every table of a cell is advanced by
 READOUT_WIDTHS = (4, 6, 7, 9)
 TABLE_SIZES = ((64, 47), (512, 64), (2048, 512))
 INSTANCE_CALLS = (
@@ -113,6 +123,33 @@ for call in sys.argv[2:]:
         eval(call)
         times.append(time.perf_counter() - start)
     medians[call] = 1e3 * statistics.median(times)
+print(json.dumps(medians))
+"""
+# Run as ``python -c`` with a checkout's src on PYTHONPATH: for each (n, k)
+# of the grid, the median milliseconds of building the search oracle of a
+# seeded table and of each further iteration (plane_marginal(r), r = 1, 2,
+# ...), over REPEATS calls, as one JSON object.
+SEARCH_TIMER = """
+import json, statistics, sys, time
+import numpy as np
+from qvstrain.oracles import OracleHandle, TruthTable
+from qvstrain.search import SimAndSearchOracle
+repeats, grid = int(sys.argv[1]), json.loads(sys.argv[2])
+rng = np.random.default_rng(0)
+medians = {}
+for n, k in grid:
+    handle = OracleHandle(TruthTable((rng.random((1 << n, 1 << k)) < 0.9).astype(np.uint8)))
+    oracle = SimAndSearchOracle(handle)
+    build, iteration = [], []
+    for r in range(1, repeats + 1):
+        start = time.perf_counter()
+        SimAndSearchOracle(handle)
+        build.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        oracle.plane_marginal(r)
+        iteration.append(time.perf_counter() - start)
+    medians[f"{n},{k}"] = {"build_ms": 1e3 * statistics.median(build),
+                           "iteration_ms": 1e3 * statistics.median(iteration)}
 print(json.dumps(medians))
 """
 WORKLOADS = ("train-n64", "sweep-n", "verify")
@@ -174,6 +211,58 @@ def search_rows() -> list[dict]:
                      "oracle_build_ms": median_ms(lambda: SimAndSearchOracle(handle)),
                      "factored_ms": factored, "ladder_ms": ladder,
                      "speedup": ladder / factored})
+    return rows
+
+
+def search_side_rows(parent: Path | None) -> list[dict]:
+    """The oracle build and iteration medians of SEARCH_TIMER per (n, k),
+    over SEARCH_ROUNDS child runs on this checkout and, when given, on
+    ``parent``, alternating; each cell is the median over the rounds."""
+    sides = [("change", ROOT)] + ([("parent", parent)] if parent is not None else [])
+    runs = {side: [] for side, _ in sides}
+    for i in range(SEARCH_ROUNDS):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            proc = subprocess.run(
+                [sys.executable, "-c", SEARCH_TIMER, str(REPEATS), json.dumps(SEARCH_GRID)],
+                capture_output=True, text=True, env=child_env(checkout), check=True)
+            runs[side].append(json.loads(proc.stdout))
+    rows = []
+    for n, k in SEARCH_GRID:
+        row = {"n": n, "k": k}
+        for side, _ in sides:
+            for part in ("build_ms", "iteration_ms"):
+                row[f"{side}_{part}"] = statistics.median(run[f"{n},{k}"][part]
+                                                          for run in runs[side])
+        rows.append(row)
+    return rows
+
+
+def stack_rows() -> list[dict]:
+    """Each cell of STACK_CELLS built into search oracles and advanced by
+    STACK_ADVANCE iterations, as one stack and one table at a time: the
+    median over REPEATS of each, the two run alternately."""
+    rng = np.random.default_rng(2)
+    rows = []
+    for count, n, k in STACK_CELLS:
+        handles = [random_handle(rng, n, k) for _ in range(count)]
+
+        def stacked():
+            SimAndSearchOracle.stack(handles)[0].plane_marginal(STACK_ADVANCE)
+
+        def one_at_a_time():
+            for handle in handles:
+                SimAndSearchOracle(handle).plane_marginal(STACK_ADVANCE)
+
+        times = {stacked: [], one_at_a_time: []}
+        for _ in range(REPEATS):
+            for fn, spent in times.items():
+                start = time.perf_counter()
+                fn()
+                spent.append(time.perf_counter() - start)
+        stack_ms, alone_ms = (1e3 * statistics.median(spent) for spent in times.values())
+        rows.append({"tables": count, "n": n, "k": k, "r": STACK_ADVANCE,
+                     "stacked_ms": stack_ms, "one_at_a_time_ms": alone_ms,
+                     "stacked_over_one_at_a_time": stack_ms / alone_ms})
     return rows
 
 
@@ -313,6 +402,8 @@ def main() -> int:
                      "settings": {"repeats": REPEATS, "pairs": args.pairs,
                                   "seed": FIRST_SEED, "seconds": SECONDS}},
         "search_iteration": search_rows(),
+        "search_iteration_sides": search_side_rows(args.parent and args.parent.resolve()),
+        "stacked_cell": stack_rows(),
         "phase_register_distribution": readout_rows(),
         "from_perceptron": table_rows(),
         "instances": instance_rows(args.parent and args.parent.resolve()),

@@ -41,7 +41,14 @@ from .perceptron import (
     sample_hyperplanes,
     save_dataset,
 )
-from .search import _require_bytes, _require_state_fits, multi_criterion_search, train_perceptron
+from .search import (
+    SimAndSearchOracle,
+    _require_bytes,
+    _require_state_fits,
+    bounded_error_search,
+    search_state_bytes,
+    train_perceptron,
+)
 from .statevec import new_uniform
 
 
@@ -250,6 +257,11 @@ def cmd_verify(args, out) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
+# Bytes of search state (search_state_bytes with a table count) that one
+# stack of a cell's trials may hold: the trials are searched in groups as
+# large as fit, and a table over it is searched alone.
+STACK_BYTES = 4 << 20
+
 
 def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) -> TruthTable:
     """N x K truth table of a planted dataset against K planes: the planted
@@ -272,18 +284,34 @@ def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) 
     return TruthTable(bits)
 
 
-def _sweep_trial(payload):
-    (n_points, n_planes, gamma, seed) = payload
-    handle = OracleHandle(_single_solution_instance(n_points, n_planes, gamma, seed))
-    outcome = multi_criterion_search(handle, rng_seed=seed)
-    sound = (not outcome.found) or bool(brute_force_g(handle)[outcome.index])
-    classical = classical_version_space_search(handle)
-    return {
-        "quantum_bits": outcome.queries["bit_oracle"],
-        "classical": classical.queries["classical_f"],
-        "found": outcome.found,
-        "sound": sound,
-    }
+def _stack_size(n_points: int, n_planes: int, trials: int) -> int:
+    """Trials of an N x K cell per stack: as many as fit STACK_BYTES, at
+    least one and at most ``trials``."""
+    size = 1
+    while size < trials and search_state_bytes(n_points, n_planes, size + 1) <= STACK_BYTES:
+        size += 1
+    return size
+
+
+def _sweep_trials(payload) -> list[dict]:
+    """One row per seed of a group of a cell's trials: each seed draws its
+    instance and seeds its search, and the group's tables are searched
+    through one stack (:meth:`SimAndSearchOracle.stack`)."""
+    (n_points, n_planes, gamma, seeds) = payload
+    handles = [OracleHandle(_single_solution_instance(n_points, n_planes, gamma, seed))
+               for seed in seeds]
+    rows = []
+    for seed, oracle in zip(seeds, SimAndSearchOracle.stack(handles)):
+        outcome = bounded_error_search(oracle, rng_seed=seed)
+        sound = (not outcome.found) or bool(brute_force_g(oracle.handle)[outcome.index])
+        classical = classical_version_space_search(oracle.handle)
+        rows.append({
+            "quantum_bits": outcome.queries["bit_oracle"],
+            "classical": classical.queries["classical_f"],
+            "found": outcome.found,
+            "sound": sound,
+        })
+    return rows
 
 
 def _fit_slope(sizes, medians) -> float:
@@ -308,12 +336,14 @@ def cmd_sweep(args, out) -> int:
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
-    payloads = [
-        (n_points, n_planes, args.gamma, args.seed + 10_000 * idx + t)
-        for idx, (n_points, n_planes) in enumerate(cells)
-        for t in range(args.trials)
-    ]
-    all_rows = _run_payloads(_sweep_trial, payloads, args.workers)
+    payloads = []
+    for idx, (n_points, n_planes) in enumerate(cells):
+        seeds = [args.seed + 10_000 * idx + t for t in range(args.trials)]
+        size = _stack_size(n_points, n_planes, args.trials)
+        payloads += [(n_points, n_planes, args.gamma, seeds[first : first + size])
+                     for first in range(0, args.trials, size)]
+    groups = _run_payloads(_sweep_trials, payloads, args.workers)
+    all_rows = [row for rows in groups for row in rows]
     results = {}
     for idx, cell in enumerate(cells):
         rows = all_rows[idx * args.trials : (idx + 1) * args.trials]

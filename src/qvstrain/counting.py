@@ -118,13 +118,13 @@ def _phase_spectrum(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _column_spectrum(f: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a (columns, 2**n) block of f: the number of f = 1 rows,
-    and the spectrum mu (:func:`_phase_spectrum`) under a phase register of
-    l bits, held as (columns, 2**l), so that each column's sum over r runs
-    along the contiguous last axis, in the same (pairwise) order for one
-    column as for a whole table."""
+    """Per column of a (..., columns, 2**n) block of f: the number of f = 1
+    rows, and the spectrum mu (:func:`_phase_spectrum`) under a phase
+    register of l bits, held as (..., columns, 2**l), so that each column's
+    sum over r runs along the contiguous last axis, in the same (pairwise)
+    order for one column as for a whole table or a stack of tables."""
     ones, theta = _rotation_angles(f)
-    return ones, _phase_spectrum(theta[:, None], np.arange(1 << l))
+    return ones, _phase_spectrum(theta[..., None], np.arange(1 << l))
 
 
 def _kicks(mu: np.ndarray) -> np.ndarray:
@@ -144,28 +144,29 @@ def _kick_probabilities(f: np.ndarray, l: int) -> np.ndarray:
 
 
 def _rotation_spectrum(f: np.ndarray, l: int) -> tuple[np.ndarray, ...]:
-    """Per column of a (columns, 2**n) block of f, under a phase register of
-    l bits, from one evaluation of the spectrum: the f=0 and the f=1 row
-    counts as one (2, columns) array; the kick probabilities, equal to
-    :func:`_kick_probabilities` bit for bit, as they are summed in its
-    order; and the constants of :func:`_rotation_shifts`, mu as a
-    (2**l, columns) C array and its (5, 2, columns) complex weights per
-    column.  With a and b the inverse square roots of the two row counts
-    (0 for an empty count) and c = 2/2**l, the weights' rows are [a, ib]
-    and [a, -ib] (kx and ky from the rotation-plane sums),
-    [c a**2, c b**2] (the row means), and [-c a/2, -c a/2] and
-    [ic b/2, -ic b/2] (the f=0 and the f=1 rows' factors of dx and dy).
-    The (columns, 2**l) layout is freed before this returns."""
+    """Per column of a (tables, columns, 2**n) stack of f, under a phase
+    register of l bits, from one evaluation of the spectrum: the f=0 and the
+    f=1 row counts as one (2, tables, 1, columns) array; the (tables,
+    columns) kick probabilities, equal to :func:`_kick_probabilities` bit
+    for bit, as they are summed in its order; and the constants of
+    :func:`_rotation_shifts`, mu as a (tables, 2**l, columns) C array and
+    its (5, 2, tables, 1, columns) complex weights per column.  With a and b
+    the inverse square roots of the two row counts (0 for an empty count)
+    and c = 2/2**l, the weights' rows are [a, ib] and [a, -ib] (kx and ky
+    from the rotation-plane sums), [c a**2, c b**2] (the row means), and
+    [-c a/2, -c a/2] and [ic b/2, -ic b/2] (the f=0 and the f=1 rows'
+    factors of dx and dy).  The size-1 axes broadcast over r.  The
+    (tables, columns, 2**l) layout is freed before this returns."""
     ones, mu = _column_spectrum(f, l)
     kicks = _kicks(mu)
-    mu = np.ascontiguousarray(mu.T)
-    counts = np.array([f.shape[-1] - ones, ones])
+    mu = np.ascontiguousarray(mu.transpose(0, 2, 1))
+    counts = np.array([f.shape[-1] - ones, ones])[:, :, None]
     inv = np.divide(1.0, np.sqrt(counts), out=np.zeros(counts.shape), where=counts > 0)
-    coef = inv[[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]].reshape(5, 2, -1)  # [a, b] ... [b, b]
+    coef = inv[[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]].reshape(5, 2, *inv.shape[1:])  # [a, b] ... [b, b]
     coef[2] **= 2
-    c = 2.0 / mu.shape[0]
+    c = 2.0 / mu.shape[1]
     scale = np.array([[1.0, 1j], [1.0, -1j], [c, c], [-0.5 * c, -0.5 * c], [0.5j * c, -0.5j * c]])
-    return counts, kicks, mu, coef * scale[:, :, None]
+    return counts, kicks, mu, coef * scale[:, :, None, None, None]
 
 
 @functools.cache
@@ -183,25 +184,25 @@ def _phase_rows(dl: int) -> np.ndarray:
 
 
 def _row_sums(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``weights @ x`` for a complex (2**l, m) C array x and real weights
-    over r (one row, or a stack of rows of :func:`_phase_rows`), from one
-    real product with x's float view: numpy's sums over a leading axis cost
-    more than the product."""
+    """``weights @ x`` for a complex (..., 2**l, m) C array x and real
+    weights over r (one row, or a stack of rows of :func:`_phase_rows`), from
+    one real product per table with x's float view: numpy's sums over a
+    leading axis cost more than the product."""
     return (weights @ x.view(np.float64)).view(np.complex128)
 
 
 def _by_parity(x: np.ndarray) -> np.ndarray:
-    """A (2**l, ...) array viewed as (2**(l-1), 2, ...), with axis 1 the
-    parity of the phase row r."""
-    return x.reshape(-1, 2, *x.shape[1:])
+    """A (..., 2**l, m) array viewed as (..., 2**(l-1), 2, m), with axis -2
+    the parity of the phase row r."""
+    return x.reshape(*x.shape[:-2], -1, 2, x.shape[-1])
 
 
 def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
     """The part of SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda
     that is constant over the f=0 rows and over the f=1 rows of each (r, j).
 
-    ``sum_a`` and ``sum_b`` are the (2**l, columns) complex sums of the state
-    over the f=0 and the f=1 rows; ``mu`` and ``coef`` are
+    ``sum_a`` and ``sum_b`` are the (tables, 2**l, columns) complex sums of
+    a stack of states over the f=0 and the f=1 rows; ``mu`` and ``coef`` are
     :func:`_rotation_spectrum`'s.  The -1 eigenspace (zero-sum part of the
     f=0 rows) pairs with u_r = 1/sqrt(2**l), so the f=0 rows lose 2/2**l
     times the plain sum over r; the +1 eigenspace (zero-sum part of the f=1
@@ -217,15 +218,16 @@ def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
     :func:`_phase_rows` into one array, weighted per column by ``coef`` in
     one product; each product with mu or conj(mu) is written into one
     buffer or over the consumed sums, so the kernel holds one
-    (2**l, columns) temporary besides the sums.
+    (tables, 2**l, columns) temporary besides the sums.  Every product runs
+    per table, so each table's shifts do not depend on the stack it is in.
 
     Returns what each f=0 row (``shift_a``) and each f=1 row (``shift_b``)
     of (r, j) gains, written over ``sum_a`` and ``sum_b``."""
-    ones, signs = _phase_rows(mu.shape[0])[:2]
+    ones, signs = _phase_rows(mu.shape[1])[:2]
     pairs_a, pairs_b = sum_a.view(np.float64), sum_b.view(np.float64)
     buf = np.multiply(mu, sum_a)
     pairs = buf.view(np.float64)
-    sums = np.empty((6, pairs.shape[1]))
+    sums = np.empty((6, pairs.shape[0], pairs.shape[2]))
     np.matmul(ones, pairs, out=sums[0])
     np.multiply(mu, sum_b, out=buf)
     np.matmul(ones, pairs, out=sums[1])
@@ -239,7 +241,7 @@ def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
     # [[a mu.a, ib mu.b], [a mu~.a, -ib mu~.b], [c a**2 sum a, c b**2 alt b]]:
     # the first two rows sum to kx and ky, sqrt(2**(l+1)) times the
     # rotation-plane amplitudes on <u_lambda|; the last holds the row means
-    sums = sums.view(np.complex128).reshape(3, 2, -1)
+    sums = sums.view(np.complex128).reshape(coef[:3].shape)
     sums *= coef[:3]
     # factors[h] scales dx = conj(mu) kx and dy = mu ky into the f=h rows' shift
     factors = coef[3:] * sums[:2].sum(axis=1)
@@ -250,7 +252,7 @@ def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
     sum_a += buf
     np.multiply(mu, factors[1, 1], out=buf)
     alternating = _by_parity(buf)
-    alternating += np.multiply.outer(signs[:2], sums[2, 1])
+    alternating += signs[:2, None] * sums[2, 1][:, :, None]
     sum_b += buf
     return sum_a, sum_b
 

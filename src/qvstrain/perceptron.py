@@ -37,8 +37,19 @@ class Dataset:
     claimed margin."""
 
     def __init__(self, X, y, claimed_margin: float):
-        X = np.array(X, dtype=np.float64)
-        y = np.asarray(y)
+        self._keep(np.array(X, dtype=np.float64), np.array(y), claimed_margin)
+
+    @classmethod
+    def _owning(cls, X: np.ndarray, y: np.ndarray, claimed_margin: float) -> Dataset:
+        """The Dataset of arrays its caller has just written and keeps no
+        other use of, ``X`` float64 and ``y`` int64: the same check, and
+        the arrays are held without a copy."""
+        data = cls.__new__(cls)
+        data._keep(X, y, claimed_margin)
+        return data
+
+    def _keep(self, X: np.ndarray, y: np.ndarray, claimed_margin: float) -> None:
+        """Check X, y and the margin, and hold the arrays read-only."""
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"X must be a nonempty (N, M) array, got shape {X.shape}")
         if y.shape != X.shape[:1]:
@@ -49,7 +60,7 @@ class Dataset:
             raise ValueError("labels must be +1 or -1")
         if not (claimed_margin > 0):
             raise ValueError("claimed_margin must be positive")
-        y = y.astype(np.int64)
+        y = y.astype(np.int64, copy=False)
         X.flags.writeable = y.flags.writeable = False
         self.X, self.y, self.claimed_margin = X, y, claimed_margin
 
@@ -114,9 +125,11 @@ def required_sample_count(gamma: float, epsilon: float, c: float = 2.0) -> int:
 
 def _planted_block_rows(dim: int) -> int:
     """Tries per block of :func:`generate_planted_dataset`: the most whose
-    arrays, about four dim-vectors and eight scalars each, fit in
-    PLANTED_BLOCK_BYTES."""
-    return max(1, PLANTED_BLOCK_BYTES // (8 * (4 * dim + 8)))
+    arrays, about four dim-vectors and sixteen 8-byte words each, fit in
+    PLANTED_BLOCK_BYTES.  Eight of the words are the two lists of Python
+    floats (a pointer and a 24-byte float per entry) that the radius goes
+    through."""
+    return max(1, PLANTED_BLOCK_BYTES // (8 * (4 * dim + 16)))
 
 
 def _take_accepted(accepted: np.ndarray, streak: int, need: int) -> tuple[np.ndarray, int]:
@@ -213,7 +226,7 @@ def generate_planted_dataset(
         y[filled : filled + taken.size] = np.where(margin[taken] >= 0, 1, -1)
         filled += taken.size
         u[0] = u[2 * tries]
-    return Dataset(X, y, claimed_margin=gamma), np.append(w, b)
+    return Dataset._owning(X, y, claimed_margin=gamma), np.append(w, b)
 
 
 def save_dataset(data: Dataset, path) -> None:

@@ -4,10 +4,14 @@ multi-criterion search, and the end-to-end version-space trainer.
 
 Within one search run the unitary pieces are deterministic, so iterated
 states and verification probabilities are computed once per table and
-reused across Monte Carlo repetitions.  Each iteration applies the AND-simulation
-in its closed form from the Grover spectrum, SimAnd = I - 2 sum_lambda
-|u_lambda><u_lambda| (x) Pi_lambda (see :mod:`qvstrain.counting`), so no
-Grover step is executed; a verification shot votes "all ones" with the
+reused across Monte Carlo repetitions.  Tables of one padded shape can be
+searched through one stack (:meth:`SimAndSearchOracle.stack`): their
+states are held with a leading table axis and advanced together, each
+product and reduction still per table, so a table's numbers do not depend
+on the stack it is in; a single search is a stack of one.  Each iteration
+applies the AND-simulation in its closed form from the Grover spectrum,
+SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda (see
+:mod:`qvstrain.counting`), so no Grover step is executed; a verification shot votes "all ones" with the
 probability P(readout = 10..0) = (1 - Re <in|SimAnd|in>) / 2 =
 |mean_r mu[r, j]|**2, which the oracle reads for every column j at once
 through the readouts' own kernel (the kick vector).  The search is one fixed
@@ -22,10 +26,11 @@ The search state is held in three factors, psi(r, j, i) = P[f, r, j] +
 Q[r, i] + f E[r & 1, i] with f = f(i, j) (:class:`SimAndSearchOracle`), so
 it takes O(2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes,
 and no factor is the size of the table.  A search whose peak
-(:func:`search_state_bytes`) would exceed :func:`state_byte_limit` (the
-machine's physical memory, or the address-space limit less what the process
-maps, if smaller) is refused before anything is allocated; the oracle checks
-again when it is built, less the handle's table f, which is then mapped.
+(:func:`search_state_bytes`, for one table or a stack) would exceed
+:func:`state_byte_limit` (the machine's physical memory, or the
+address-space limit less what the process maps, if smaller) is refused
+before anything is allocated; the stack checks again when it is built, less
+the handles' tables f, which are then mapped.
 """
 
 from __future__ import annotations
@@ -79,26 +84,29 @@ def _require_bytes(need: int, what: str) -> None:
         raise ValueError(f"{what} {need} bytes, over the limit of {limit} bytes")
 
 
-def search_state_bytes(n_rows: int, n_cols: int) -> int:
-    """Bytes a search over an N x K table holds at its peak: the handle's
-    float64 table f (8 bytes per entry); P, Q and the rotation
-    spectrum of :class:`SimAndSearchOracle` (3 * 2**(l+k) + 2**(l+n) complex
-    amplitudes), every reachable marginal with its CDF and the kick vector;
-    the larger of an iteration's three (2**l, 2**k) complex sums, shifts or
-    products and the diffusion's (2**l, 2**k) complex difference with its
-    (2**l, 2**n) real product; numpy's iterator buffers (three complex
-    operands), 256 bytes per data row for E and the vectors over i, 256
-    bytes per plane for the vectors over j (the shifts' weights and sums
-    over r), and SMALL_ARRAY_BYTES for the rest."""
+def search_state_bytes(n_rows: int, n_cols: int, tables: int = 1) -> int:
+    """Bytes a search over an N x K table holds at its peak, or a stack of
+    ``tables`` such searches advanced together (:class:`SimAndSearchOracle`).
+    Per table: the handle's float64 table f (8 bytes per entry), and as much
+    again for a stack's own copy when it holds more than one table; P, Q and
+    the rotation spectrum (3 * 2**(l+k) + 2**(l+n) complex amplitudes),
+    every reachable marginal with its CDF and the kick vector; the larger of
+    an iteration's three (2**l, 2**k) complex sums, shifts or products, the
+    diffusion's (2**l, 2**k) complex difference with its (2**l, 2**n) real
+    product; 256 bytes per data row for E and
+    the vectors over i, and 256 bytes per plane for the vectors over j (the
+    shifts' weights and sums over r).  Once per stack: numpy's iterator
+    buffers (three complex operands) and SMALL_ARRAY_BYTES for the rest."""
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
-    tables = 8 * kn
+    table = 8 * kn * (1 if tables == 1 else 2)
     factors = 16 * (3 * lk + ln)
     marginals = 8 * (1 << k) * (2 * _iteration_cap(k) + 2)
     temporaries = max(48 * lk, 16 * lk + 8 * ln)
-    vectors = 48 * np.getbufsize() + 256 * ((1 << n) + (1 << k)) + SMALL_ARRAY_BYTES
-    return tables + factors + marginals + temporaries + vectors
+    vectors = 256 * ((1 << n) + (1 << k))
+    shared = 48 * np.getbufsize() + SMALL_ARRAY_BYTES
+    return tables * (table + factors + marginals + temporaries + vectors) + shared
 
 
 def _require_state_fits(n_rows: int, n_cols: int) -> None:
@@ -145,10 +153,11 @@ def _schedule(k: int):
 
 
 def _cdf(marginal: np.ndarray) -> np.ndarray:
-    """The CDF that ``Generator.choice(size, p=marginal)`` builds: the
-    cumulative sum, divided by its last entry."""
-    cdf = marginal.cumsum()
-    cdf /= cdf[-1]
+    """The CDF that ``Generator.choice(size, p=marginal)`` builds, for each
+    marginal along the last axis: the cumulative sum, divided by its last
+    entry."""
+    cdf = marginal.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
@@ -158,6 +167,165 @@ def _draw(cdf: np.ndarray, rng) -> int:
     draw, so the generator ends in the same state, without choice's
     per-call checks of p."""
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+class _SearchStack:
+    """The factors of :class:`SimAndSearchOracle` for T tables of one padded
+    shape, held with a leading table axis and advanced together: every
+    product and reduction runs per table, in the order one table alone
+    runs it, so a table's marginals, CDFs and kicks do not depend on the
+    stack it is in.  Holds the tables as one (T, 2**k, 2**n) array, each
+    slice laid out as a handle's f; a stack of one reads its handle's f."""
+
+    def __init__(self, handles: list[OracleHandle]):
+        n, k = handles[0].n, handles[0].k
+        if any((h.n, h.k) != (n, k) for h in handles):
+            raise ValueError("the tables of a stack must share one padded shape")
+        tables = len(handles)
+        # the handles' tables are already mapped, so inside the limit
+        need = search_state_bytes(1 << n, 1 << k, tables) - sum(h.f.nbytes for h in handles)
+        _require_bytes(need, "the search state needs")
+        self.l = l_bits(n)
+        dl, dk, dn = 1 << self.l, 1 << k, 1 << n
+        if tables == 1:
+            self.f = handles[0].f[None]
+        else:
+            self.f = np.stack([h.f.T for h in handles]).transpose(0, 2, 1)
+        self._counts, self.kicks, *self._spectrum = _rotation_spectrum(self.f, self.l)
+        self._cols = self.f.sum(axis=1)[:, None]  # f=1 columns per row
+        self.p = [np.zeros((tables, dl, dk), dtype=np.complex128) for _ in range(2)]
+        self.q = np.full((tables, dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
+        self.e = np.zeros((tables, 2, dn), dtype=np.complex128)
+        # views every iteration reads, as the factors are updated in place:
+        # f by data row; Q and P[1] by the parity of r; Q's and P's real and
+        # imaginary parts; Q as one row and one column of floats per table
+        self._f_t = self.f.transpose(0, 2, 1)
+        self._q_parity, self._p1_parity = _by_parity(self.q), _by_parity(self.p[1])
+        self._q_parts = [self.q.view(np.float64)[:, :, x::2] for x in range(2)]
+        self._p_parts = [[half.view(np.float64)[:, :, x::2] for half in self.p] for x in range(2)]
+        self._q_row = self.q.view(np.float64).reshape(tables, 1, -1)
+        self._q_col = self._q_row.transpose(0, 2, 1)
+        # the uniform start has P = E = 0: psi's sums are Q's, and each
+        # plane's weight in the marginal is |Q|**2 (adding the zero terms
+        # would change no bit)
+        self._sums = self._q_sums()
+        self.marginals, self.cdfs = [], []
+        weights = np.empty((tables, dk))
+        weights[:] = self._q_norms()
+        self._add_marginal(weights)
+
+    def _ones_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each row of x summed over the f=1 rows of every column, x @ f^T
+        per table, from two real products."""
+        f_t = self._f_t
+        out = np.empty((*x.shape[:-1], f_t.shape[-1]), dtype=np.complex128)
+        out.real = x.real @ f_t
+        out.imag = x.imag @ f_t
+        return out
+
+    def _q_sums(self) -> tuple:
+        """Q's sums over the f=0 and over the f=1 rows of each (r, j), and
+        over the even and the odd phase rows."""
+        q = self.q
+        sum_b = self._ones_sums(q)
+        sum_a = np.subtract(q.sum(axis=2)[:, :, None], sum_b)
+        return sum_a, sum_b, _row_sums(_phase_rows(q.shape[1])[2:], q)
+
+    def _reduce(self) -> tuple:
+        """The sums that both the marginal and the next AND-simulation read:
+        psi's sums over the f=0 and over the f=1 rows of each (r, j), and Q's
+        sums over the even and the odd phase rows."""
+        p = self.p
+        sum_a, sum_b, q_par = self._q_sums()
+        sum_a += self._counts[0] * p[0]
+        sum_b += self._counts[1] * p[1]
+        by_parity = _by_parity(sum_b)
+        by_parity += self._ones_sums(self.e)[:, None]
+        return sum_a, sum_b, q_par
+
+    def _q_norms(self) -> np.ndarray:
+        """|Q|**2 per table, as a (T, 1) column: one dot product of Q's
+        float view with itself."""
+        return (self._q_row @ self._q_col)[:, 0]
+
+    def _step(self) -> None:
+        """One AND-simulation, then the diffusion over the hyperplane
+        register, on the factors.  With w = 2/2**l, the f=0 rows lose w times
+        the plain sum of psi over r and the f=1 rows (-1)**r w times its
+        alternating sum.  On Q the two differ by 2w times its sum over the
+        phase rows of the other parity, which E takes; since w times the
+        2**(l-1) rows of one parity is 1, E's own term moves to the other
+        parity unchanged.  The diffusion's negation of P is folded into its
+        update: each half becomes its correction less (P + shift)."""
+        f, p, q, e = self.f, self.p, self.q, self.e
+        dl, dk = p[0].shape[1:]
+        rows = _phase_rows(dl)
+        sum_a, sum_b, q_par = self._sums
+        self._sums = None  # the shifts are written over the sums, freed below
+        w = 2.0 / dl
+        corr_a = (w * _row_sums(rows[0], p[0]))[:, None]
+        corr_b = (w * _row_sums(rows[1], p[1]))[:, None, None] * rows[1, :2, None]
+        for half, shift in zip(p, _rotation_shifts(sum_a, sum_b, *self._spectrum)):
+            half += shift
+        del sum_a, sum_b, shift
+        np.subtract(corr_a, p[0], out=p[0])
+        np.subtract(corr_b, self._p1_parity, out=self._p1_parity)
+        e[:] = e[:, ::-1] + 2.0 * w * q_par[:, ::-1]
+        # Q less w times its sum over r, plus 2/2**k times the sum over j of
+        # P[f] + f E before P's negation, where sum_j P[f(i, j), r, j] =
+        # sum_j P[0, r, j] + ((P[1] - P[0]) @ f)[r, i]
+        g = 2.0 / dk
+        self._q_parity += (g * self._cols * e - w * (q_par[:, 0] + q_par[:, 1])[:, None])[:, None]
+        q -= (g * p[0].sum(axis=2))[:, :, None]
+        # g (P[1] - P[0]) before the negation, its real and imaginary parts
+        # in two C arrays the products read in place
+        d_p = np.empty((2, *p[0].shape))
+        for x in range(2):
+            np.subtract(*self._p_parts[x], out=d_p[x])
+        d_p *= g
+        for x in range(2):  # one (T, 2**l, 2**n) product at a time
+            self._q_parts[x] += d_p[x] @ f
+        np.negative(e, out=e)
+
+    def _plane_weights(self) -> np.ndarray:
+        """The sum over r and i of |psi|**2 for each hyperplane j of each
+        table: P's terms read off the row sums, |Q|**2, and the sum over r
+        of |Q + E|**2 - |Q|**2 on the f=1 rows."""
+        p, e = self.p, self.e
+        tables, dl, dk = p[0].shape
+        sum_a, sum_b, q_par = self._sums
+        # twice the sum over r of Re(conj(P) (sums - count P / 2)) per half
+        ones = _phase_rows(dl)[0]
+        t = np.empty_like(p[0])
+        terms = []
+        for p_f, sum_f, count in zip(p, (sum_a, sum_b), self._counts):
+            np.multiply(p_f, -0.5 * count, out=t)
+            t += sum_f
+            pairs = t.view(np.float64)
+            pairs *= p_f.view(np.float64)
+            terms.append(ones @ pairs)
+        terms[0] += terms[1]
+        weights = 2.0 * terms[0].reshape(tables, dk, 2).sum(axis=2)  # the (real, imag) pair per plane
+        weights += self._q_norms()
+        extra = ((2.0 * q_par + (dl // 2) * e).conj() * e).real.sum(axis=1)
+        weights += (self.f @ extra[:, :, None])[:, :, 0]
+        return weights
+
+    def _add_marginal(self, weights: np.ndarray) -> None:
+        """Cache the marginals of the current iterates, normalized from
+        their (T, 2**k) plane weights, and their CDFs."""
+        # cancellation can leave a true zero a rounding error below 0
+        np.maximum(weights, 0.0, out=weights)
+        self.marginals.append(weights / weights.sum(axis=1, keepdims=True))
+        self.cdfs.append(_cdf(self.marginals[-1]))
+
+    def advance(self, r: int) -> None:
+        """Advance every table to at least r (reflection, diffusion)
+        iterations from the fully uniform state."""
+        while len(self.marginals) <= r:
+            self._step()
+            self._sums = self._reduce()
+            self._add_marginal(self._plane_weights())
 
 
 class SimAndSearchOracle:
@@ -178,142 +346,53 @@ class SimAndSearchOracle:
     table per iteration: Q's, for the f=1 row sums, and P[1] - P[0]'s, for
     the diffusion's mean.
 
-    Caches the deterministic pieces per table: the factors, advanced in
-    place; the hyperplane marginal after every iteration so far, with the
-    CDF its candidates are drawn from; and the kick vector, every column's
-    verification probability, read off the same one evaluation of the
-    rotation spectrum as the shifts' constants
-    (:func:`~qvstrain.counting._rotation_spectrum`).  Nothing here charges
-    the ledger; the search charges each run through :func:`meter_sim_and`.
+    The factors live in a stack of tables of one padded shape, advanced
+    together (:meth:`stack`); ``SimAndSearchOracle(handle)`` is a stack of
+    one.  The stack caches the deterministic pieces per table: the factors,
+    advanced in place to the largest iteration count any of its tables has
+    asked for; the hyperplane marginal after every iteration so far, with
+    the CDF its candidates are drawn from; and the kick vector, every
+    column's verification probability, read off the same one evaluation of
+    the rotation spectrum as the shifts' constants
+    (:func:`~qvstrain.counting._rotation_spectrum`).  This oracle reads its
+    table's row of each.  Nothing here charges the ledger; the search
+    charges each run through :func:`meter_sim_and`.
     """
 
-    def __init__(self, handle: OracleHandle):
+    def __init__(self, handle: OracleHandle, shared: _SearchStack | None = None, table: int = 0):
         self.handle = handle
         self.n = handle.n
         self.k = handle.k
-        self.l = l_bits(handle.n)
-        # the handle's table is already mapped, so inside the limit
-        need = search_state_bytes(handle.n_rows, handle.n_cols) - handle.f.nbytes
-        _require_bytes(need, "the search state needs")
-        dl, dk, dn = 1 << self.l, 1 << self.k, 1 << self.n
-        self._counts, self._kicks, *self._spectrum = _rotation_spectrum(handle.f, self.l)
-        self._cols = handle.f.sum(axis=0)  # f=1 columns per row
-        self._p = [np.zeros((dl, dk), dtype=np.complex128) for _ in range(2)]
-        self._q = np.full((dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
-        self._e = np.zeros((2, dn), dtype=np.complex128)
-        self._sums = self._reduce()
-        self._marginals, self._cdfs = [], []
-        self._add_marginal()
+        self._stack = _SearchStack([handle]) if shared is None else shared
+        self._table = table
+        self.l = self._stack.l
+        # this table's views of the stack's factors and kick vector
+        self._p = [half[table] for half in self._stack.p]
+        self._q = self._stack.q[table]
+        self._e = self._stack.e[table]
+        self._kicks = self._stack.kicks[table]
 
-    def _ones_sums(self, x: np.ndarray) -> np.ndarray:
-        """Each row of x summed over the f=1 rows of every column, x @ f^T,
-        from two real products."""
-        f = self.handle.f
-        out = np.empty((x.shape[0], f.shape[0]), dtype=np.complex128)
-        out.real = x.real @ f.T
-        out.imag = x.imag @ f.T
-        return out
-
-    def _reduce(self) -> tuple:
-        """The sums that both the marginal and the next AND-simulation read:
-        psi's sums over the f=0 and over the f=1 rows of each (r, j), and Q's
-        sums over the even and the odd phase rows."""
-        p, q = self._p, self._q
-        sum_b = self._ones_sums(q)
-        sum_a = np.subtract(q.sum(axis=1)[:, None], sum_b)
-        sum_a += self._counts[0] * p[0]
-        sum_b += self._counts[1] * p[1]
-        by_parity = _by_parity(sum_b)
-        by_parity += self._ones_sums(self._e)
-        return sum_a, sum_b, _row_sums(_phase_rows(q.shape[0])[2:], q)
-
-    def _step(self) -> None:
-        """One AND-simulation, then the diffusion over the hyperplane
-        register, on the factors.  With w = 2/2**l, the f=0 rows lose w times
-        the plain sum of psi over r and the f=1 rows (-1)**r w times its
-        alternating sum.  On Q the two differ by 2w times its sum over the
-        phase rows of the other parity, which E takes; since w times the
-        2**(l-1) rows of one parity is 1, E's own term moves to the other
-        parity unchanged.  The diffusion's negation of P is folded into its
-        update: each half becomes its correction less (P + shift)."""
-        f, p, q, e = self.handle.f, self._p, self._q, self._e
-        dl, dk = p[0].shape
-        rows = _phase_rows(dl)
-        sum_a, sum_b, q_par = self._sums
-        self._sums = None  # the shifts are written over the sums, freed below
-        w = 2.0 / dl
-        corr_a = w * _row_sums(rows[0], p[0])
-        corr_b = w * _row_sums(rows[1], p[1]) * rows[1, :2, None]
-        for half, shift in zip(p, _rotation_shifts(sum_a, sum_b, *self._spectrum)):
-            half += shift
-        del sum_a, sum_b, shift
-        np.subtract(corr_a, p[0], out=p[0])
-        by_parity = _by_parity(p[1])
-        np.subtract(corr_b, by_parity, out=by_parity)
-        e[:] = e[::-1] + 2.0 * w * q_par[::-1]
-        # Q less w times its sum over r, plus 2/2**k times the sum over j of
-        # P[f] + f E before P's negation, where sum_j P[f(i, j), r, j] =
-        # sum_j P[0, r, j] + ((P[1] - P[0]) @ f)[r, i]
-        g = 2.0 / dk
-        by_parity = _by_parity(q)
-        by_parity += g * self._cols * e - w * (q_par[0] + q_par[1])
-        q -= (g * p[0].sum(axis=1))[:, None]
-        # g (P[1] - P[0]) before the negation, its real and imaginary parts
-        # in two C arrays the products read in place
-        d_p = np.empty((2, dl, dk))
-        for x in range(2):
-            np.subtract(*(half.view(np.float64)[:, x::2] for half in p), out=d_p[x])
-        d_p *= g
-        q_parts = q.view(np.float64)
-        for x in range(2):  # one (2**l, 2**n) product at a time
-            q_parts[:, x::2] += d_p[x] @ f
-        np.negative(e, out=e)
-
-    def _plane_marginal(self) -> np.ndarray:
-        """The sum over r and i of |psi|**2 for each hyperplane j: P's terms
-        read off the row sums, |Q|**2, and the sum over r of |Q + E|**2 -
-        |Q|**2 on the f=1 rows."""
-        p, q, e = self._p, self._q, self._e
-        dl, dk = p[0].shape
-        sum_a, sum_b, q_par = self._sums
-        # twice the sum over r of Re(conj(P) (sums - count P / 2)) per half
-        ones = _phase_rows(dl)[0]
-        terms = np.zeros(2 * dk)
-        t = np.empty_like(p[0])
-        for p_f, sum_f, count in zip(p, (sum_a, sum_b), self._counts):
-            np.multiply(p_f, -0.5 * count, out=t)
-            t += sum_f
-            pairs = t.view(np.float64)
-            pairs *= p_f.view(np.float64)
-            terms += ones @ pairs
-        marg = 2.0 * terms.reshape(dk, 2).sum(axis=1)  # the (real, imag) pair per plane
-        marg += np.vdot(q, q).real
-        extra = ((2.0 * q_par + (dl // 2) * e).conj() * e).real.sum(axis=0)
-        marg += self.handle.f @ extra
-        # cancellation can leave a true zero a rounding error below 0
-        np.maximum(marg, 0.0, out=marg)
-        return marg / marg.sum()
-
-    def _add_marginal(self) -> None:
-        """Cache the marginal of the current iterate and its CDF."""
-        self._marginals.append(self._plane_marginal())
-        self._cdfs.append(_cdf(self._marginals[-1]))
+    @classmethod
+    def stack(cls, handles: list[OracleHandle]) -> list[SimAndSearchOracle]:
+        """One oracle per handle, over one stack of the handles' tables,
+        which must share one padded shape.  The stack is checked against
+        :func:`state_byte_limit` before its factors are built, less the
+        handles' tables, which are then mapped."""
+        shared = _SearchStack(handles)
+        return [cls(handle, shared, t) for t, handle in enumerate(handles)]
 
     def plane_marginal(self, r: int) -> np.ndarray:
         """Measurement distribution of the hyperplane register after r
         (reflection, diffusion) iterations from the fully uniform state."""
-        while len(self._marginals) <= r:
-            self._step()
-            self._sums = self._reduce()
-            self._add_marginal()
-        return self._marginals[r]
+        self._stack.advance(r)
+        return self._stack.marginals[r][self._table]
 
     def sample_plane(self, r: int, rng) -> int:
         """One measurement of the hyperplane register after r iterations:
         the index ``rng.choice(size, p=plane_marginal(r))`` returns, read
         off the cached CDF (:func:`_draw`)."""
-        self.plane_marginal(r)
-        return _draw(self._cdfs[r], rng)
+        self._stack.advance(r)
+        return _draw(self._stack.cdfs[r][self._table], rng)
 
     def kick_probability(self, j: int) -> float:
         """Probability that one phase-kickback shot votes "column j is all

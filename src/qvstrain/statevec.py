@@ -8,9 +8,13 @@ the order data -> hyperplane -> phase -> scratch.  Inside the phase register
 the most significant readout bit (the one that distinguishes angles >= pi/2)
 sits on the register's highest-order qubit.
 
-Every gate, here and in :mod:`qvstrain.oracles`, acts on one writable view
-(:func:`_bits`): the amplitudes with one axis of size 2 per qubit and the
-control bits sliced in place, so no gate builds or caches an index array.
+Every gate here, and ``oracles.apply_phase_oracle``, acts on one writable
+view (:func:`_bits`): the amplitudes with one axis of size 2 per qubit and
+the control bits sliced in place, so none of them builds an index array.
+The exception is ``oracles.apply_bit_oracle`` (and the controlled phase
+oracle built from two of its calls): it swaps the marked entries through
+gather and scatter indices that it builds on every call.  No gate caches
+an index array.
 A state may hold a batch of B rows, amplitudes of shape (B, 2**q); every
 gate acts on each row alone.  This gate engine is the reference: production
 runs the closed forms of :mod:`qvstrain.counting`, and the tests check those

@@ -76,6 +76,28 @@ def test_search_rows_time_oracle_build(bench, monkeypatch):
     assert row["oracle_build_ms"] > 0 and row["factored_ms"] > 0
 
 
+def test_search_side_rows_time_both_checkouts(bench, monkeypatch):
+    monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2), (0, 1)))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "SEARCH_ROUNDS", 2)
+    rows = bench.search_side_rows(bench.ROOT)  # this checkout as its own parent
+    assert [(row["n"], row["k"]) for row in rows] == [(3, 2), (0, 1)]
+    for row in rows:
+        assert all(row[f"{side}_{part}"] > 0 for side in ("change", "parent")
+                   for part in ("build_ms", "iteration_ms"))
+
+
+def test_stack_rows_time_a_cell_both_ways(bench, monkeypatch):
+    monkeypatch.setattr(bench, "STACK_CELLS", ((3, 3, 2), (1, 0, 0)))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    rows = bench.stack_rows()
+    assert [(row["tables"], row["n"], row["k"]) for row in rows] == [(3, 3, 2), (1, 0, 0)]
+    for row in rows:
+        assert row["r"] == bench.STACK_ADVANCE
+        assert row["stacked_ms"] > 0 and row["one_at_a_time_ms"] > 0
+        assert row["stacked_over_one_at_a_time"] == row["stacked_ms"] / row["one_at_a_time_ms"]
+
+
 def test_ledger_counts_sum_queries_per_run(bench):
     rows = {"andor": {"stdout": ['{"queries": {"bit_oracle": 4, "classical_f": 0}}',
                                  '{"queries": {"bit_oracle": 6, "classical_f": 1}}',

@@ -171,6 +171,25 @@ class TestSweep:
         _, parallel = run_cli(*args, "--workers", "2")
         assert parallel == first
 
+    def test_stacked_and_lone_tables_worker_invariant(self):
+        # the N = 8 cell's three trials fit one stack; a 1024 x 8 table is
+        # over STACK_BYTES, so that cell's trials are searched one at a time
+        # and two workers split them
+        assert cli._stack_size(8, 8, 3) == 3 and cli._stack_size(1024, 8, 3) == 1
+        args = ("sweep", "--n-grid", "8,1024", "--k-grid", "8", "--trials", "3", "--seed", "5")
+        rc, serial = run_cli(*args)
+        assert rc == 0
+        assert run_cli(*args, "--workers", "2") == (0, serial)
+
+    def test_stacking_leaves_the_rows_unchanged(self, monkeypatch):
+        args = ("sweep", "--n-grid", "8,16,64", "--k-grid", "4,8", "--trials", "5",
+                "--seed", "9")
+        rc, stacked = run_cli(*args)
+        assert rc == 0 and cli._stack_size(64, 8, 5) == 5
+        monkeypatch.setattr(cli, "STACK_BYTES", 0)  # every table alone
+        assert cli._stack_size(8, 4, 5) == 1
+        assert run_cli(*args) == (0, stacked)
+
     def test_duplicate_grid_value_exits_2(self):
         rc, out = run_cli("sweep", "--n-grid", "8,8", "--k-grid", "4",
                           "--trials", "1", "--seed", "1")

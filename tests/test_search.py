@@ -150,6 +150,76 @@ class TestSimAndSearchOracle:
             assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def padded_tables(rng, n: int, k: int, count: int) -> list[OracleHandle]:
+    """``count`` random tables of one padded shape (2**n rows, 2**k
+    columns), each with its own row and column counts, so rows and columns
+    are often padded."""
+    def size(bits):
+        return 1 if bits == 0 else int(rng.integers((1 << (bits - 1)) + 1, (1 << bits) + 1))
+
+    return [OracleHandle(TruthTable((rng.random((size(n), size(k))) < rng.uniform(0.0, 1.0))
+                                    .astype(np.uint8))) for _ in range(count)]
+
+
+class TestSearchStack:
+    """Tables of one padded shape searched through one stack: each table's
+    oracle reads what its own one-table oracle reads, bit for bit."""
+
+    @given(n=st.integers(0, 4), k=st.integers(0, 4), count=st.integers(1, 5),
+           zero=st.booleans(), seed=st.integers(0, 2**31), data=st.data())
+    @example(n=3, k=2, count=3, zero=True, seed=0, data=None)
+    def test_each_table_reads_its_own_oracle(self, n, k, count, zero, seed, data):
+        handles = padded_tables(np.random.default_rng(seed), n, k, count)
+        if zero:
+            handles[-1] = OracleHandle(TruthTable(np.zeros_like(handles[-1].table.bits)))
+        stacked = SimAndSearchOracle.stack(handles)
+        alone = [SimAndSearchOracle(handle) for handle in handles]
+        # (table, r) requests in arbitrary order: the stack advances to the
+        # largest r any table has asked for
+        requests = st.lists(st.tuples(st.integers(0, count - 1), st.integers(0, 6)),
+                            min_size=1, max_size=12)
+        for t, r in [(count - 1, 6), (0, 2)] if data is None else data.draw(requests):
+            assert (stacked[t].plane_marginal(r) == alone[t].plane_marginal(r)).all()
+            a, b = np.random.default_rng(seed + r), np.random.default_rng(seed + r)
+            assert ([stacked[t].sample_plane(r, a) for _ in range(4)]
+                    == [alone[t].sample_plane(r, b) for _ in range(4)])
+        for s, a in zip(stacked, alone):
+            columns = range(1 << k)
+            assert [s.kick_probability(j) for j in columns] == [a.kick_probability(j)
+                                                                for j in columns]
+
+    def test_tables_of_other_shapes_refused(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="one padded shape"):
+            SimAndSearchOracle.stack(padded_tables(rng, 2, 2, 2) + padded_tables(rng, 3, 2, 1))
+
+    def test_state_size_limit_checked_first(self, monkeypatch):
+        # the handles' tables are already mapped when the stack is built
+        handles = padded_tables(np.random.default_rng(1), 2, 2, 3)
+        need = search_state_bytes(4, 4, 3) - sum(handle.f.nbytes for handle in handles)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need)
+        assert len(SimAndSearchOracle.stack(handles)) == 3
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
+        with pytest.raises(ValueError, match=f"needs {need} bytes"):
+            SimAndSearchOracle.stack(handles)
+
+    @pytest.mark.parametrize("shape,count", [((4, 3), 5), ((64, 8), 3), ((64, 47), 6),
+                                             ((16, 200), 2), ((300, 4), 4), ((256, 8), 3)],
+                             ids=["4x3x5", "64x8x3", "64x47x6", "16x200x2", "300x4x4",
+                                  "256x8x3"])
+    def test_peak_allocation_within_search_state_bytes(self, shape, count):
+        rng = np.random.default_rng(3)
+        handles = [OracleHandle(TruthTable((rng.random(shape) < 0.9).astype(np.uint8)))
+                   for _ in range(count)]
+        tracemalloc.start()
+        try:
+            SimAndSearchOracle.stack(handles)[0].plane_marginal(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= search_state_bytes(*shape, count)
+
+
 # marginals over 1-64 planes, with zero entries and single-entry ones
 marginal_weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1,
                             max_size=64).filter(lambda w: sum(w) > 0.0)
