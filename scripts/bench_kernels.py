@@ -85,7 +85,10 @@ SECONDS = 40.0  # perfbench run length
 # (n, k): train-n64's table, sweep-n's largest cell (N = 64, K = 8), and
 # one of 2**(7+7+8) amplitudes held dense
 SEARCH_GRID = ((6, 6), (6, 3), (8, 7))
-SEARCH_ROUNDS = 3  # alternating child runs per checkout of the search timer
+# the search timer: alternating child runs per checkout, and timed calls
+# per (n, k) in each run
+SEARCH_ROUNDS = 5
+SEARCH_REPEATS = 21
 # (tables, n, k): sweep-n's largest cell with its 3 trials, and with 200
 STACK_CELLS = ((3, 6, 3), (200, 6, 3))
 STACK_ADVANCE = 3  # the iterations every table of a cell is advanced by
@@ -126,9 +129,10 @@ for call in sys.argv[2:]:
 print(json.dumps(medians))
 """
 # Run as ``python -c`` with a checkout's src on PYTHONPATH: for each (n, k)
-# of the grid, the median milliseconds of building the search oracle of a
-# seeded table and of each further iteration (plane_marginal(r), r = 1, 2,
-# ...), over REPEATS calls, as one JSON object.
+# of the grid, as search_rows times them, the median milliseconds of each
+# further iteration of a seeded table's search oracle (plane_marginal(r),
+# r = 1, 2, ...) and of building the oracle, over SEARCH_REPEATS calls
+# each, as one JSON object.
 SEARCH_TIMER = """
 import json, statistics, sys, time
 import numpy as np
@@ -143,11 +147,12 @@ for n, k in grid:
     build, iteration = [], []
     for r in range(1, repeats + 1):
         start = time.perf_counter()
-        SimAndSearchOracle(handle)
-        build.append(time.perf_counter() - start)
-        start = time.perf_counter()
         oracle.plane_marginal(r)
         iteration.append(time.perf_counter() - start)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        SimAndSearchOracle(handle)
+        build.append(time.perf_counter() - start)
     medians[f"{n},{k}"] = {"build_ms": 1e3 * statistics.median(build),
                            "iteration_ms": 1e3 * statistics.median(iteration)}
 print(json.dumps(medians))
@@ -217,13 +222,16 @@ def search_rows() -> list[dict]:
 def search_side_rows(parent: Path | None) -> list[dict]:
     """The oracle build and iteration medians of SEARCH_TIMER per (n, k),
     over SEARCH_ROUNDS child runs on this checkout and, when given, on
-    ``parent``, alternating; each cell is the median over the rounds."""
+    ``parent``, alternating; each cell is the median over the rounds.  On a
+    shared 2-vCPU host one child run's medians can sit 20% off, so a cell
+    rests on several runs of many calls."""
     sides = [("change", ROOT)] + ([("parent", parent)] if parent is not None else [])
     runs = {side: [] for side, _ in sides}
     for i in range(SEARCH_ROUNDS):
         for side, checkout in sides if i % 2 == 0 else sides[::-1]:
             proc = subprocess.run(
-                [sys.executable, "-c", SEARCH_TIMER, str(REPEATS), json.dumps(SEARCH_GRID)],
+                [sys.executable, "-c", SEARCH_TIMER, str(SEARCH_REPEATS),
+                 json.dumps(SEARCH_GRID)],
                 capture_output=True, text=True, env=child_env(checkout), check=True)
             runs[side].append(json.loads(proc.stdout))
     rows = []

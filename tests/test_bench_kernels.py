@@ -78,7 +78,7 @@ def test_search_rows_time_oracle_build(bench, monkeypatch):
 
 def test_search_side_rows_time_both_checkouts(bench, monkeypatch):
     monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2), (0, 1)))
-    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "SEARCH_REPEATS", 1)
     monkeypatch.setattr(bench, "SEARCH_ROUNDS", 2)
     rows = bench.search_side_rows(bench.ROOT)  # this checkout as its own parent
     assert [(row["n"], row["k"]) for row in rows] == [(3, 2), (0, 1)]
