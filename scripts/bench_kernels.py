@@ -1,33 +1,40 @@
 #!/usr/bin/env python
 """Time the counting kernels layer by layer and write a BENCH_*.json record.
 
-Layers, each a median over REPEATS timed calls in this process:
+Layers timed in this process, each a median over REPEATS calls:
+
+* one iteration of the search's reference, the dense state run through the
+  literal circuit ``counting.sim_and`` (``phase_estimate`` -> flip of the
+  10..0 readout -> ``phase_estimate_inverse``) and the diffusion;
+* a sweep cell's tables (64 x 8, of 3 and of 200 tables) built into
+  oracles and advanced to r = 3, as one stack
+  (``SimAndSearchOracle.stack``) and one table at a time, alternating.
+  Every table asks for the same r here, the best case for a stack, which
+  a real search, whose tables ask for different r, does not get;
+* the closed-form phase readout ``phase_register_distribution``;
+* building the truth table (``oracles.from_perceptron`` on the (K, 3) array
+  of sampled planes).
+
+Layers timed in child processes on each checkout's own package, so with
+``--parent`` both sides are recorded, the sides alternating over
+CHILD_ROUNDS runs of CHILD_REPEATS calls each (on a shared 2-vCPU host one
+run's median can sit 20% off, so a cell is the median over the runs):
 
 * building the search oracle (``search.SimAndSearchOracle(handle)``: the
   rotation spectrum, the kick vector, the factors and the first marginal),
   and one search iteration (AND-simulation, diffusion over the hyperplane
-  register, hyperplane marginal): the production factored state, timed as
-  successive ``plane_marginal(r)`` calls, against its reference, the dense
-  state run through the literal circuit ``counting.sim_and``
-  (``phase_estimate`` -> flip of the 10..0 readout ->
-  ``phase_estimate_inverse``) and the diffusion;
-* the same oracle build and iteration timed in a child process on each
-  checkout's own package, alternating, so with ``--parent`` both sides are
-  recorded;
-* a sweep cell's tables (64 x 8, of 3 and of 200 tables) built into
-  oracles and advanced to r = 3, as one stack
-  (``SimAndSearchOracle.stack``) and one table at a time, alternating;
-* the closed-form phase readout ``phase_register_distribution``;
-* building the truth table (``oracles.from_perceptron`` on the (K, 3) array
-  of sampled planes);
+  register, hyperplane marginal) of the factored state, as successive
+  ``plane_marginal(r)`` calls, beside the in-process reference above;
+* one-cell ``sweep`` runs of the default 9 trials on each side of
+  ``cli.STACK_BYTES``: cells whose trials are searched in stacks and cells
+  whose tables are searched alone, and a stacked cell over two workers;
 * building instances (``perceptron.generate_planted_dataset`` and the sweep's
   table, ``cli._single_solution_instance``), and ``verify``'s two gate-level
   and readout layers: the controlled-oracle identity check
   (``oracles.controlled_phase_oracle_identity_gap``) on 16 x 16 and 8 x 16
   tables, and the sign-and-fidelity suite at ``verify``'s defaults
   (``cli._sign_fidelity_sweep``, which reads each table's AND-simulation
-  overlaps).  These are timed in a child process on each checkout's own
-  package, so with ``--parent`` both sides are recorded.
+  overlaps).
 
 Every layer runs with one BLAS thread, the setting of ``perfbench``: the
 thread variables are set before numpy is imported, and the child processes
@@ -54,7 +61,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -71,24 +77,21 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from qvstrain.counting import phase_register_distribution, sim_and  # noqa: E402
+from qvstrain.counting import l_bits, phase_register_distribution, sim_and  # noqa: E402
 from qvstrain.oracles import OracleHandle, TruthTable, from_perceptron  # noqa: E402
 from qvstrain.perceptron import generate_planted_dataset, sample_hyperplanes  # noqa: E402
 from qvstrain.search import SimAndSearchOracle, search_state_bytes  # noqa: E402
 from qvstrain.statevec import new_uniform  # noqa: E402
 
 REPEATS = 7
-INSTANCE_REPEATS = 21  # seeds 0..20, one call each, for the child-process rows
+CHILD_REPEATS = 21  # seeds 0..20, one call each, in each child run
+CHILD_ROUNDS = 5  # child runs per checkout, alternating
 FIRST_SEED = 20001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 
 # (n, k): train-n64's table, sweep-n's largest cell (N = 64, K = 8), and
 # one of 2**(7+7+8) amplitudes held dense
 SEARCH_GRID = ((6, 6), (6, 3), (8, 7))
-# the search timer: alternating child runs per checkout, and timed calls
-# per (n, k) in each run
-SEARCH_ROUNDS = 5
-SEARCH_REPEATS = 21
 # (tables, n, k): sweep-n's largest cell with its 3 trials, and with 200
 STACK_CELLS = ((3, 6, 3), (200, 6, 3))
 STACK_ADVANCE = 3  # the iterations every table of a cell is advanced by
@@ -101,6 +104,17 @@ INSTANCE_CALLS = (
     "_single_solution_instance(64, 8, 0.2, seed)",
     "_single_solution_instance(16, 512, 0.2, seed)",
 )
+# one-cell sweeps (N, K, workers) of 9 trials: sweep-n's largest cell,
+# searched in one stack; two cells just under STACK_BYTES, in stacks of
+# two; two just over it, each table alone; sweep-n's cell over two workers
+SWEEP_CALLS = (
+    "sweep(64, 8, 1, seed)",
+    "sweep(128, 8, 1, seed)",
+    "sweep(64, 64, 1, seed)",
+    "sweep(128, 16, 1, seed)",
+    "sweep(256, 8, 1, seed)",
+    "sweep(64, 8, 2, seed)",
+)
 # seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, and verify's
 # default sign-and-fidelity suite (50 tables, n <= 5, k <= 3)
 VERIFY_CALLS = (
@@ -111,13 +125,16 @@ VERIFY_CALLS = (
 # Run as ``python -c`` with a checkout's src on PYTHONPATH: the median
 # milliseconds of each call over the seeds, as one JSON object.
 CHILD_TIMER = """
-import json, statistics, sys, time
+import io, json, statistics, sys, time
 import numpy as np
-from qvstrain.cli import _sign_fidelity_sweep, _single_solution_instance
+from qvstrain.cli import _sign_fidelity_sweep, _single_solution_instance, main
 from qvstrain.oracles import TruthTable, controlled_phase_oracle_identity_gap
 from qvstrain.perceptron import generate_planted_dataset
 def half_table(seed, rows, cols):
     return TruthTable(np.random.default_rng(seed).random((rows, cols)) < 0.5)
+def sweep(n, k, workers, seed):
+    main(["sweep", "--n-grid", str(n), "--k-grid", str(k), "--seed", str(seed),
+          "--workers", str(workers)], io.StringIO())
 medians = {}
 for call in sys.argv[2:]:
     times = []
@@ -129,10 +146,10 @@ for call in sys.argv[2:]:
 print(json.dumps(medians))
 """
 # Run as ``python -c`` with a checkout's src on PYTHONPATH: for each (n, k)
-# of the grid, as search_rows times them, the median milliseconds of each
-# further iteration of a seeded table's search oracle (plane_marginal(r),
-# r = 1, 2, ...) and of building the oracle, over SEARCH_REPEATS calls
-# each, as one JSON object.
+# of the grid, the median milliseconds of each further iteration of a
+# seeded table's search oracle (plane_marginal(r), r = 1, 2, ...) and of
+# building the oracle, over the given number of calls each, as one JSON
+# object.
 SEARCH_TIMER = """
 import json, statistics, sys, time
 import numpy as np
@@ -193,13 +210,15 @@ def iteration_ms(fn, start: int = 1) -> float:
     return median_ms(lambda: fn(next(r)))
 
 
-def search_rows() -> list[dict]:
+def search_rows(parent: Path | None) -> list[dict]:
+    """Per (n, k) of SEARCH_GRID: the oracle build and iteration medians of
+    SEARCH_TIMER on each side, and the reference iteration in process."""
+    runs = child_runs(SEARCH_TIMER, [str(CHILD_REPEATS), json.dumps(SEARCH_GRID)], parent)
     rng = np.random.default_rng(0)
     rows = []
     for n, k in SEARCH_GRID:
         handle = random_handle(rng, n, k)
-        oracle = SimAndSearchOracle(handle)
-        layout = handle.layout(l=oracle.l)
+        layout = handle.layout(l=l_bits(n))
         state = new_uniform(layout)
         psi = state.amps.reshape(1 << layout.l, 1 << k, 1 << n)
 
@@ -208,39 +227,14 @@ def search_rows() -> list[dict]:
             psi[...] = 2.0 * psi.mean(axis=1, keepdims=True) - psi
             (np.abs(psi) ** 2).sum(axis=(0, 2))
 
-        factored = iteration_ms(oracle.plane_marginal)
-        ladder = iteration_ms(reference)
-        rows.append({"n": n, "k": k, "l": layout.l, "amplitudes": state.amps.size,
-                     "dense_bytes": state.amps.nbytes,
-                     "search_state_bytes": search_state_bytes(1 << n, 1 << k),
-                     "oracle_build_ms": median_ms(lambda: SimAndSearchOracle(handle)),
-                     "factored_ms": factored, "ladder_ms": ladder,
-                     "speedup": ladder / factored})
-    return rows
-
-
-def search_side_rows(parent: Path | None) -> list[dict]:
-    """The oracle build and iteration medians of SEARCH_TIMER per (n, k),
-    over SEARCH_ROUNDS child runs on this checkout and, when given, on
-    ``parent``, alternating; each cell is the median over the rounds.  On a
-    shared 2-vCPU host one child run's medians can sit 20% off, so a cell
-    rests on several runs of many calls."""
-    sides = [("change", ROOT)] + ([("parent", parent)] if parent is not None else [])
-    runs = {side: [] for side, _ in sides}
-    for i in range(SEARCH_ROUNDS):
-        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
-            proc = subprocess.run(
-                [sys.executable, "-c", SEARCH_TIMER, str(SEARCH_REPEATS),
-                 json.dumps(SEARCH_GRID)],
-                capture_output=True, text=True, env=child_env(checkout), check=True)
-            runs[side].append(json.loads(proc.stdout))
-    rows = []
-    for n, k in SEARCH_GRID:
-        row = {"n": n, "k": k}
-        for side, _ in sides:
+        row = {"n": n, "k": k, "l": layout.l, "amplitudes": state.amps.size,
+               "dense_bytes": state.amps.nbytes,
+               "search_state_bytes": search_state_bytes(1 << n, 1 << k),
+               "ladder_ms": iteration_ms(reference)}
+        for side, medians in runs.items():
             for part in ("build_ms", "iteration_ms"):
-                row[f"{side}_{part}"] = statistics.median(run[f"{n},{k}"][part]
-                                                          for run in runs[side])
+                row[f"{side}_{part}"] = statistics.median(m[f"{n},{k}"][part] for m in medians)
+        row["speedup"] = row["ladder_ms"] / row["change_iteration_ms"]
         rows.append(row)
     return rows
 
@@ -290,17 +284,26 @@ def table_rows() -> list[dict]:
     return rows
 
 
-def child_rows(calls, parent: Path | None) -> list[dict]:
-    """The median milliseconds of each call, timed by CHILD_TIMER in a
-    child process on this checkout and, when given, on ``parent``."""
+def child_runs(script: str, argv: list[str], parent: Path | None) -> dict[str, list]:
+    """The JSON object ``script`` prints, run as ``python -c`` with ``argv``
+    CHILD_ROUNDS times on this checkout and, when given, on ``parent``,
+    alternating which side runs first: {side: [object per run]}."""
     sides = [("change", ROOT)] + ([("parent", parent)] if parent is not None else [])
-    medians = {}
-    for side, checkout in sides:
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD_TIMER, str(INSTANCE_REPEATS), *calls],
-            capture_output=True, text=True, env=child_env(checkout), check=True)
-        medians[side] = json.loads(proc.stdout)
-    return [{"call": call, **{f"{side}_ms": medians[side][call] for side, _ in sides}}
+    runs = {side: [] for side, _ in sides}
+    for i in range(CHILD_ROUNDS):
+        for side, checkout in sides if i % 2 == 0 else sides[::-1]:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                  text=True, env=child_env(checkout), check=True)
+            runs[side].append(json.loads(proc.stdout))
+    return runs
+
+
+def child_rows(calls, parent: Path | None) -> list[dict]:
+    """The median milliseconds of each call, timed by CHILD_TIMER on this
+    checkout and, when given, on ``parent``: the median over the runs."""
+    runs = child_runs(CHILD_TIMER, [str(CHILD_REPEATS), *calls], parent)
+    return [{"call": call, **{f"{side}_ms": statistics.median(m[call] for m in medians)
+                              for side, medians in runs.items()}}
             for call in calls]
 
 
@@ -310,6 +313,10 @@ def instance_rows(parent: Path | None) -> list[dict]:
 
 def verify_rows(parent: Path | None) -> list[dict]:
     return child_rows(VERIFY_CALLS, parent)
+
+
+def sweep_rows(parent: Path | None) -> list[dict]:
+    return child_rows(SWEEP_CALLS, parent)
 
 
 def child_env(checkout: Path) -> dict[str, str]:
@@ -404,18 +411,19 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 0 or (args.pairs and args.parent is None):
         parser.error("need --pairs >= 0, and --parent with --pairs")
+    parent = args.parent and args.parent.resolve()
     record = {
         "manifest": {"git_sha": git_sha(), "nproc": os.cpu_count(), "numpy": np.__version__,
                      "python": sys.version.split()[0],
                      "settings": {"repeats": REPEATS, "pairs": args.pairs,
                                   "seed": FIRST_SEED, "seconds": SECONDS}},
-        "search_iteration": search_rows(),
-        "search_iteration_sides": search_side_rows(args.parent and args.parent.resolve()),
+        "search_iteration": search_rows(parent),
         "stacked_cell": stack_rows(),
+        "sweep_cells": sweep_rows(parent),
         "phase_register_distribution": readout_rows(),
         "from_perceptron": table_rows(),
-        "instances": instance_rows(args.parent and args.parent.resolve()),
-        "verify_layers": verify_rows(args.parent and args.parent.resolve()),
+        "instances": instance_rows(parent),
+        "verify_layers": verify_rows(parent),
     }
     if args.parent is not None:
         here, there = pinned_rows(ROOT), pinned_rows(args.parent.resolve())

@@ -259,8 +259,14 @@ def cmd_verify(args, out) -> int:
 
 # Bytes of search state (search_state_bytes with a table count) that one
 # stack of a cell's trials may hold: the trials are searched in groups as
-# large as fit, and a table over it is searched alone.
-STACK_BYTES = 4 << 20
+# large as fit, and a table over it is searched alone.  A stack saves numpy
+# calls but advances every table to the largest r any of them asks for, so
+# it pays only while a table's arithmetic is small.  In one-cell sweeps of
+# 18 trials (one BLAS thread, 2 vCPUs), every stack of at most 1.5 MiB ran
+# faster than its tables searched alone (64 x 8 in groups of 2-6, 128 x 8
+# and 64 x 64 in pairs); of the larger ones, 64 x 64 in groups of 6-18 and
+# 128 x 16 in groups of 3-9 ran 5-10% slower.
+STACK_BYTES = 3 << 19
 
 
 def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) -> TruthTable:
@@ -284,11 +290,11 @@ def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) 
     return TruthTable(bits)
 
 
-def _stack_size(n_points: int, n_planes: int, trials: int) -> int:
+def _stack_size(n_points: int, n_planes: int, most: int) -> int:
     """Trials of an N x K cell per stack: as many as fit STACK_BYTES, at
-    least one and at most ``trials``."""
+    least one and at most ``most``."""
     size = 1
-    while size < trials and search_state_bytes(n_points, n_planes, size + 1) <= STACK_BYTES:
+    while size < most and search_state_bytes(n_points, n_planes, size + 1) <= STACK_BYTES:
         size += 1
     return size
 
@@ -336,10 +342,12 @@ def cmd_sweep(args, out) -> int:
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
+    # groups small enough that every worker gets one
+    most = min(args.trials, -(-args.trials * len(cells) // args.workers))
     payloads = []
     for idx, (n_points, n_planes) in enumerate(cells):
         seeds = [args.seed + 10_000 * idx + t for t in range(args.trials)]
-        size = _stack_size(n_points, n_planes, args.trials)
+        size = _stack_size(n_points, n_planes, most)
         payloads += [(n_points, n_planes, args.gamma, seeds[first : first + size])
                      for first in range(0, args.trials, size)]
     groups = _run_payloads(_sweep_trials, payloads, args.workers)

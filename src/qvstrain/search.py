@@ -359,18 +359,22 @@ class SimAndSearchOracle:
     charges each run through :func:`meter_sim_and`.
     """
 
-    def __init__(self, handle: OracleHandle, shared: _SearchStack | None = None, table: int = 0):
+    def __init__(self, handle: OracleHandle):
+        self._bind(handle, _SearchStack([handle]), 0)
+
+    def _bind(self, handle: OracleHandle, shared: _SearchStack, table: int) -> None:
+        """Make this the oracle of ``handle``, table ``table`` of ``shared``."""
         self.handle = handle
         self.n = handle.n
         self.k = handle.k
-        self._stack = _SearchStack([handle]) if shared is None else shared
+        self._stack = shared
         self._table = table
-        self.l = self._stack.l
+        self.l = shared.l
         # this table's views of the stack's factors and kick vector
-        self._p = [half[table] for half in self._stack.p]
-        self._q = self._stack.q[table]
-        self._e = self._stack.e[table]
-        self._kicks = self._stack.kicks[table]
+        self._p = [half[table] for half in shared.p]
+        self._q = shared.q[table]
+        self._e = shared.e[table]
+        self._kicks = shared.kicks[table]
 
     @classmethod
     def stack(cls, handles: list[OracleHandle]) -> list[SimAndSearchOracle]:
@@ -379,7 +383,12 @@ class SimAndSearchOracle:
         :func:`state_byte_limit` before its factors are built, less the
         handles' tables, which are then mapped."""
         shared = _SearchStack(handles)
-        return [cls(handle, shared, t) for t, handle in enumerate(handles)]
+        oracles = []
+        for t, handle in enumerate(handles):
+            oracle = cls.__new__(cls)
+            oracle._bind(handle, shared, t)
+            oracles.append(oracle)
+        return oracles
 
     def plane_marginal(self, r: int) -> np.ndarray:
         """Measurement distribution of the hyperplane register after r
@@ -391,7 +400,7 @@ class SimAndSearchOracle:
         """One measurement of the hyperplane register after r iterations:
         the index ``rng.choice(size, p=plane_marginal(r))`` returns, read
         off the cached CDF (:func:`_draw`)."""
-        self._stack.advance(r)
+        self.plane_marginal(r)
         return _draw(self._stack.cdfs[r][self._table], rng)
 
     def kick_probability(self, j: int) -> float:

@@ -37,14 +37,16 @@ def test_table_rows_time_from_perceptron(bench, monkeypatch):
 
 
 def test_instance_timer_runs_every_call(bench, monkeypatch):
-    monkeypatch.setattr(bench, "INSTANCE_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
     rows = bench.instance_rows(None)
     assert [row["call"] for row in rows] == list(bench.INSTANCE_CALLS)
     assert all(row["change_ms"] > 0 for row in rows)
 
 
 def test_verify_rows_time_identity_and_readout(bench, monkeypatch):
-    monkeypatch.setattr(bench, "INSTANCE_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
     rows = bench.verify_rows(None)
     assert [row["call"] for row in rows] == list(bench.VERIFY_CALLS)
     assert all(row["change_ms"] > 0 for row in rows)
@@ -69,22 +71,25 @@ def test_pinned_rows_run_every_subcommand(bench, monkeypatch):
 
 
 def test_search_rows_time_oracle_build(bench, monkeypatch):
-    monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2),))
-    monkeypatch.setattr(bench, "REPEATS", 1)
-    (row,) = bench.search_rows()
-    assert (row["n"], row["k"]) == (3, 2)
-    assert row["oracle_build_ms"] > 0 and row["factored_ms"] > 0
-
-
-def test_search_side_rows_time_both_checkouts(bench, monkeypatch):
     monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2), (0, 1)))
-    monkeypatch.setattr(bench, "SEARCH_REPEATS", 1)
-    monkeypatch.setattr(bench, "SEARCH_ROUNDS", 2)
-    rows = bench.search_side_rows(bench.ROOT)  # this checkout as its own parent
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 2)
+    rows = bench.search_rows(bench.ROOT)  # this checkout as its own parent
     assert [(row["n"], row["k"]) for row in rows] == [(3, 2), (0, 1)]
     for row in rows:
         assert all(row[f"{side}_{part}"] > 0 for side in ("change", "parent")
                    for part in ("build_ms", "iteration_ms"))
+        assert row["speedup"] == row["ladder_ms"] / row["change_iteration_ms"]
+
+
+def test_sweep_rows_time_every_cell(bench, monkeypatch):
+    monkeypatch.setattr(bench, "SWEEP_CALLS", ("sweep(8, 4, 1, seed)", "sweep(8, 4, 2, seed)"))
+    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
+    rows = bench.sweep_rows(None)
+    assert [row["call"] for row in rows] == list(bench.SWEEP_CALLS)
+    assert all(row["change_ms"] > 0 for row in rows)
 
 
 def test_stack_rows_time_a_cell_both_ways(bench, monkeypatch):

@@ -181,6 +181,23 @@ class TestSweep:
         assert rc == 0
         assert run_cli(*args, "--workers", "2") == (0, serial)
 
+    def test_workers_each_get_a_group(self, monkeypatch):
+        # the nine trials of an 8 x 8 cell fit one stack; with two workers
+        # they are split into two groups, one per worker
+        sizes = []
+        run_payloads = cli._run_payloads
+
+        def spy(fn, payloads, workers):
+            sizes.append([len(payload[3]) for payload in payloads])
+            return run_payloads(fn, payloads, workers)
+
+        monkeypatch.setattr(cli, "_run_payloads", spy)
+        args = ("sweep", "--n-grid", "8", "--k-grid", "8", "--trials", "9", "--seed", "3")
+        rc, serial = run_cli(*args)
+        assert rc == 0
+        assert run_cli(*args, "--workers", "2") == (0, serial)
+        assert sizes == [[9], [5, 4]]
+
     def test_stacking_leaves_the_rows_unchanged(self, monkeypatch):
         args = ("sweep", "--n-grid", "8,16,64", "--k-grid", "4,8", "--trials", "5",
                 "--seed", "9")
