@@ -32,9 +32,10 @@ run's median can sit 20% off, so a cell is the median over the runs):
   table, ``cli._single_solution_instance``), and ``verify``'s two gate-level
   and readout layers: the controlled-oracle identity check
   (``oracles.controlled_phase_oracle_identity_gap``) on 16 x 16 and 8 x 16
-  tables, and the sign-and-fidelity suite at ``verify``'s defaults
-  (``cli._sign_fidelity_sweep``, which reads each table's AND-simulation
-  overlaps).
+  tables and as ``verify``'s whole identity suite at its defaults
+  (``cli._oracle_identity_sweep``), and the sign-and-fidelity suite at
+  ``verify``'s defaults (``cli._sign_fidelity_sweep``, which reads each
+  table's AND-simulation overlaps).
 
 Every layer runs with one BLAS thread, the setting of ``perfbench``: the
 thread variables are set before numpy is imported, and the child processes
@@ -115,11 +116,13 @@ SWEEP_CALLS = (
     "sweep(256, 8, 1, seed)",
     "sweep(64, 8, 2, seed)",
 )
-# seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, and verify's
-# default sign-and-fidelity suite (50 tables, n <= 5, k <= 3)
+# seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, verify's
+# default controlled-oracle identity suite (20 tables, n <= 4, n + k <= 8)
+# and its default sign-and-fidelity suite (50 tables, n <= 5, k <= 3)
 VERIFY_CALLS = (
     "controlled_phase_oracle_identity_gap(half_table(seed, 16, 16))",
     "controlled_phase_oracle_identity_gap(half_table(seed, 8, 16))",
+    "_oracle_identity_sweep(np.random.default_rng(seed), 20)",
     "_sign_fidelity_sweep(np.random.default_rng(seed), 50, 5, 3, False)",
 )
 # Run as ``python -c`` with a checkout's src on PYTHONPATH: the median
@@ -127,7 +130,8 @@ VERIFY_CALLS = (
 CHILD_TIMER = """
 import io, json, statistics, sys, time
 import numpy as np
-from qvstrain.cli import _sign_fidelity_sweep, _single_solution_instance, main
+from qvstrain.cli import (_oracle_identity_sweep, _sign_fidelity_sweep,
+                          _single_solution_instance, main)
 from qvstrain.oracles import TruthTable, controlled_phase_oracle_identity_gap
 from qvstrain.perceptron import generate_planted_dataset
 def half_table(seed, rows, cols):

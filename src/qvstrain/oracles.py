@@ -66,12 +66,18 @@ class TruthTable:
     hyperplanes."""
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("truth table must be a nonempty 2-D array")
-        if arr.max() > 1:  # uint8: the same test as every entry in {0, 1}
+        # checked before the cast, which would truncate 0.5 and reject -1
+        # with an OverflowError; bool needs no check, uint8 only its maximum
+        if arr.dtype == np.uint8:
+            bad = arr.max() > 1
+        else:
+            bad = arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all()
+        if bad:
             raise ValueError("truth table entries must be 0 or 1")
-        self.bits = arr
+        self.bits = arr.astype(np.uint8, copy=False)
 
     @property
     def n_rows(self) -> int:
@@ -218,11 +224,11 @@ def apply_controlled_phase_oracle(
     if layout.scratch_qubit is None:
         raise ValueError("controlled phase oracle needs a scratch qubit")
     s = layout.scratch_qubit
-    # the scratch-1 half's squared norm over the whole batch, summed through
-    # a float view of the strided half without copying it
-    parts = _bits(state, ones=(s,)).view(np.float64)
-    axes = range(parts.ndim)
-    if np.einsum(parts, axes, parts, axes, []) > 1e-9**2:
+    # the scratch-1 half's squared norm over the whole batch: the scratch is
+    # the top qubit, so in either layout the half is one contiguous run, read
+    # through a float view of it without copying
+    half = _bits(state, ones=(s,)).ravel(order="K").view(np.float64)
+    if np.dot(half, half) > 1e-9**2:
         raise AssertionError("scratch qubit must be |0> at entry")
     apply_bit_oracle(state, layout, handle)
     cz = _bits(state, ones=_check_qubits(state, (control, s)))
@@ -238,29 +244,37 @@ def controlled_phase_oracle_identity_gap(table: TruthTable) -> float:
     phase oracle and the directly applied controlled phase.  The basis
     states run in batches of at most GAP_BLOCK_AMPS amplitudes through the
     literal construction and then the direct oracle, its own inverse and a
-    +-1 per amplitude, so what is left off each input is exactly the
-    difference of the two.  Every batch is written into one block buffer
-    allocated once per table, so the traced peak is that block plus the
-    largest temporary of one gate: at (n, k) = (4, 4), a 512 KiB block and
-    the phase oracle's iterator buffers (``48 * np.getbufsize()`` bytes),
-    about 0.9 MiB.  The oracle calls are charged to the handle's own
-    throwaway ledger."""
+    -1 on each input's own amplitude, so what is left off each input is
+    exactly the difference of the two.
+
+    Every batch is written into one (2**q, rows) buffer, zeroed once per
+    table, and run as its transpose, the amplitude-major batch of
+    :class:`StateVector`.  A batch whose inputs all agree leaves the buffer
+    all zeros, which is already the next batch's start, so only a batch
+    with a nonzero entry is read for its maximum and zeroed again.  The
+    traced peak is the buffer plus the largest temporary of one gate: at
+    (n, k) = (4, 4), a 512 KiB buffer and the phase oracle's iterator
+    buffers, about 0.75 MiB.  The oracle calls are charged to the handle's
+    own throwaway ledger."""
     handle = OracleHandle(table)
     layout = handle.layout(l=1, scratch=True)
     control = layout.phase_qubits[0]
     dim = 1 << layout.num_qubits
     inputs = dim // 2  # the scratch is the top qubit: x < dim / 2 holds it at |0>
-    block = np.empty((min(inputs, max(1, GAP_BLOCK_AMPS // dim)), dim), dtype=np.complex128)
+    # powers of two, so the batches tile the inputs exactly
+    rows = min(inputs, max(1, GAP_BLOCK_AMPS // dim))
+    buf = np.zeros((dim, rows), dtype=np.complex128)
+    flat = buf.reshape(-1)
     gap = 0.0
-    for first in range(0, inputs, block.shape[0]):
-        amps = block[: inputs - first]
-        # row r holds basis state first + r: flat entries first + r * (dim + 1)
-        ones = amps.reshape(-1)[first :: dim + 1]
-        amps.fill(0.0)
+    for first in range(0, inputs, rows):
+        # row r holds basis state first + r: buf[first + r, r]
+        ones = flat[first * rows : (first + rows) * rows : rows + 1]
         ones[...] = 1.0
-        state = StateVector(layout.num_qubits, amps)
+        state = StateVector(layout.num_qubits, buf.T)
         apply_controlled_phase_oracle(state, control, layout, handle)
         apply_phase_oracle(state, layout, handle, controls=(control,))
         ones -= 1.0
-        gap = max(gap, float(np.abs(amps).max()))
+        if flat.view(np.float64).any():
+            gap = max(gap, float(np.abs(buf).max()))
+            buf.fill(0.0)
     return gap

@@ -16,7 +16,12 @@ oracle built from two of its calls): it swaps the marked entries through
 gather and scatter indices that it builds on every call.  No gate caches
 an index array.
 A state may hold a batch of B rows, amplitudes of shape (B, 2**q); every
-gate acts on each row alone.  This gate engine is the reference: production
+gate acts on each row alone.  A batch is held amplitude-major: the
+(B, 2**q) array is the transpose of a C-contiguous (2**q, B) array, so the
+B values of one amplitude index sit side by side and each gate's work on
+one index is one contiguous run (a single state is C-contiguous).
+Splitting the last axis into qubits is still a view.  This gate engine is
+the reference: production
 runs the closed forms of :mod:`qvstrain.counting`, and the tests check those
 closed forms against the gates.
 """
@@ -83,14 +88,17 @@ class RegisterLayout:
 class StateVector:
     """Normalized complex amplitudes over ``2**num_qubits`` basis states:
     one state of shape (2**q,), or a batch of states as the rows of a
-    (B, 2**q) array.  ``norm`` and :func:`inner_product` take one state."""
+    (B, 2**q) array held amplitude-major (Fortran order; an array already
+    in that order is wrapped without a copy).  ``norm`` and
+    :func:`inner_product` take one state."""
 
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps: np.ndarray):
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
-        amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        # Fortran order: a batch amplitude-major, a single state contiguous
+        amps = np.asarray(amps, dtype=np.complex128, order="F")
         if amps.ndim not in (1, 2) or amps.shape[-1] != 1 << num_qubits:
             raise ValueError(
                 f"amplitude array must have shape ({1 << num_qubits},) or "
@@ -106,7 +114,7 @@ class StateVector:
         return cls(num_qubits, amps)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amps.copy())
+        return StateVector(self.num_qubits, self.amps.copy(order="K"))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

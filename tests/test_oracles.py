@@ -31,7 +31,7 @@ def random_table(rng, n_max=3, k_max=3) -> TruthTable:
 
 
 class TestTruthTable:
-    @pytest.mark.parametrize("bits", [[[0, 2]], [[1], [255]]])
+    @pytest.mark.parametrize("bits", [[[0, 2]], [[1], [255]], [[0.5, 1.9]], [[-1, 1]]])
     def test_rejects_entries_other_than_zero_and_one(self, bits):
         with pytest.raises(ValueError, match="0 or 1"):
             TruthTable(bits)
@@ -303,6 +303,20 @@ def cz_on_a_data_qubit(state, control, layout, handle):
     return state
 
 
+def cz_open_on_plane_qubit_1(state, control, layout, handle):
+    """A broken construction: the CZ fires only where plane qubit 1 reads 0.
+    At (n, k) = (4, 4) that qubit is bit 5 of the input index, so the
+    identity check's 32-row batches of the control-1 half alternate between
+    dirty and clean.  Every batch must enter as basis states, one nonzero
+    per row, so a dirty batch left in the buffer fails here."""
+    assert np.count_nonzero(state.amps) == state.amps.size >> state.num_qubits
+    apply_bit_oracle(state, layout, handle)
+    apply_open_controlled_z(state, layout.scratch_qubit, (layout.plane_qubits[1],),
+                            closed_controls=(control,))
+    apply_bit_oracle(state, layout, handle)
+    return state
+
+
 class TestIdentityGap:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**31))
@@ -316,6 +330,22 @@ class TestIdentityGap:
         gap = controlled_phase_oracle_identity_gap(table)
         assert gap > 0.5
         assert gap == per_state_identity_gap(table)
+
+    def test_dirty_batches_are_refilled(self, monkeypatch):
+        table = TruthTable((np.random.default_rng(6).random((16, 16)) < 0.5).astype(np.uint8))
+        monkeypatch.setattr(oracles, "apply_controlled_phase_oracle", cz_open_on_plane_qubit_1)
+        gap = controlled_phase_oracle_identity_gap(table)
+        assert gap > 0.5
+        assert gap == per_state_identity_gap(table)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 4), k=st.integers(2, 4))
+    def test_refilled_batches_equal_per_state_loop(self, seed, n, k):
+        bits = np.random.default_rng(seed).random((1 << n, 1 << k)) < 0.5
+        table = TruthTable(bits.astype(np.uint8))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracles, "apply_controlled_phase_oracle", cz_open_on_plane_qubit_1)
+            assert controlled_phase_oracle_identity_gap(table) == per_state_identity_gap(table)
 
     def test_peak_allocation_is_blocked(self):
         # n + k = 8, so q = 10: one batch of all 512 scratch-|0> basis

@@ -297,3 +297,21 @@ def test_state_vector_shapes():
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 1, 4))):
         with pytest.raises(ValueError, match="amplitude array must have shape"):
             StateVector(2, bad)
+
+
+def test_batch_is_held_amplitude_major():
+    """A batch is the transpose of a C-contiguous (2**q, B) array, taken as
+    given when it already is one; a single state stays C-contiguous, and
+    copy() keeps either layout."""
+    batch = StateVector(3, np.ones((5, 8)))
+    assert batch.amps.T.flags.c_contiguous
+    buf = np.zeros((8, 5), dtype=np.complex128)
+    wrapped = StateVector(3, buf.T)
+    assert np.shares_memory(wrapped.amps, buf)
+    single = StateVector(3, np.arange(16.0)[::2])
+    assert single.amps.flags.c_contiguous
+    for state in (batch, wrapped, single):
+        copied = state.copy()
+        assert not np.shares_memory(copied.amps, state.amps)
+        assert copied.amps.strides == state.amps.strides
+        np.testing.assert_array_equal(copied.amps, state.amps)
