@@ -252,10 +252,10 @@ def controlled_phase_oracle_identity_gap(table: TruthTable) -> float:
     :class:`StateVector`.  A batch whose inputs all agree leaves the buffer
     all zeros, which is already the next batch's start, so only a batch
     with a nonzero entry is read for its maximum and zeroed again.  The
-    traced peak is the buffer plus the largest temporary of one gate: at
-    (n, k) = (4, 4), a 512 KiB buffer and the phase oracle's iterator
-    buffers, about 0.75 MiB.  The oracle calls are charged to the handle's
-    own throwaway ledger."""
+    traced peak is the buffer plus the largest temporary of one gate, the
+    bit oracle's gathered copy of the marked entries: at (n, k) = (4, 4)
+    and density 1/2, a 512 KiB buffer and 240-290 KiB, under 0.8 MiB.  The
+    oracle calls are charged to the handle's own throwaway ledger."""
     handle = OracleHandle(table)
     layout = handle.layout(l=1, scratch=True)
     control = layout.phase_qubits[0]

@@ -21,9 +21,8 @@ gate acts on each row alone.  A batch is held amplitude-major: the
 B values of one amplitude index sit side by side and each gate's work on
 one index is one contiguous run (a single state is C-contiguous).
 Splitting the last axis into qubits is still a view.  This gate engine is
-the reference: production
-runs the closed forms of :mod:`qvstrain.counting`, and the tests check those
-closed forms against the gates.
+the reference: production runs the closed forms of :mod:`qvstrain.counting`,
+and the tests check those closed forms against the gates.
 """
 
 from __future__ import annotations

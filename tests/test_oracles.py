@@ -341,8 +341,7 @@ class TestIdentityGap:
     @settings(max_examples=25)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 4), k=st.integers(2, 4))
     def test_refilled_batches_equal_per_state_loop(self, seed, n, k):
-        bits = np.random.default_rng(seed).random((1 << n, 1 << k)) < 0.5
-        table = TruthTable(bits.astype(np.uint8))
+        table = TruthTable(np.random.default_rng(seed).random((1 << n, 1 << k)) < 0.5)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracles, "apply_controlled_phase_oracle", cz_open_on_plane_qubit_1)
             assert controlled_phase_oracle_identity_gap(table) == per_state_identity_gap(table)
