@@ -35,7 +35,9 @@ run's median can sit 20% off, so a cell is the median over the runs):
   tables and as ``verify``'s whole identity suite at its defaults
   (``cli._oracle_identity_sweep``), and the sign-and-fidelity suite at
   ``verify``'s defaults (``cli._sign_fidelity_sweep``, which reads each
-  table's AND-simulation overlaps).
+  table's AND-simulation overlaps);
+* one whole CLI call (``cli.main``, parser included) on the argv of each
+  ``perfbench`` workload, seeded with the timer's seed.
 
 Every layer runs with one BLAS thread, the setting of ``perfbench``: the
 thread variables are set before numpy is imported, and the child processes
@@ -84,6 +86,9 @@ from qvstrain.perceptron import generate_planted_dataset, sample_hyperplanes  # 
 from qvstrain.search import SimAndSearchOracle, search_state_bytes  # noqa: E402
 from qvstrain.statevec import new_uniform  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as perfbench_workloads  # noqa: E402
+
 REPEATS = 7
 CHILD_REPEATS = 21  # seeds 0..20, one call each, in each child run
 CHILD_ROUNDS = 5  # child runs per checkout, alternating
@@ -125,6 +130,19 @@ VERIFY_CALLS = (
     "_oracle_identity_sweep(np.random.default_rng(seed), 20)",
     "_sign_fidelity_sweep(np.random.default_rng(seed), 50, 5, 3, False)",
 )
+WORKLOADS = ("train-n64", "sweep-n", "verify")
+
+
+def cli_call(workload: str) -> str:
+    """A CHILD_TIMER call of ``main`` on a perfbench workload's argv, with
+    the timer's ``seed`` as its seed."""
+    argv = perfbench_workloads.WORKLOADS[workload][0]("SEED")
+    args = ", ".join("str(seed)" if arg == "SEED" else repr(arg) for arg in argv)
+    return f"main([{args}], io.StringIO())"
+
+
+# one whole `qvstrain` call per perfbench workload
+CLI_CALLS = tuple(cli_call(workload) for workload in WORKLOADS)
 # Run as ``python -c`` with a checkout's src on PYTHONPATH: the median
 # milliseconds of each call over the seeds, as one JSON object.
 CHILD_TIMER = """
@@ -178,7 +196,6 @@ for n, k in grid:
                            "iteration_ms": 1e3 * statistics.median(iteration)}
 print(json.dumps(medians))
 """
-WORKLOADS = ("train-n64", "sweep-n", "verify")
 PINNED_RUNS = (
     ("train", "--n", "12", "--m", "2", "--gamma", "0.2", "--trials", "3", "--seed", "1"),
     ("train", "--n", "24", "--m", "2", "--gamma", "0.15", "--trials", "2", "--seed", "101"),
@@ -323,6 +340,10 @@ def sweep_rows(parent: Path | None) -> list[dict]:
     return child_rows(SWEEP_CALLS, parent)
 
 
+def cli_rows(parent: Path | None) -> list[dict]:
+    return child_rows(CLI_CALLS, parent)
+
+
 def child_env(checkout: Path) -> dict[str, str]:
     """This process's environment, one BLAS thread included, with
     ``checkout``'s package on the path."""
@@ -428,6 +449,7 @@ def main() -> int:
         "from_perceptron": table_rows(),
         "instances": instance_rows(parent),
         "verify_layers": verify_rows(parent),
+        "cli_calls": cli_rows(parent),
     }
     if args.parent is not None:
         here, there = pinned_rows(ROOT), pinned_rows(args.parent.resolve())

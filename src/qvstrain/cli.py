@@ -434,67 +434,85 @@ def cmd_gen_dataset(args, out) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, options as (flag, add_argument keywords)); every
+# option is declared here once
+COMMANDS = {
+    "train": ("run end-to-end training trials", cmd_train, (
+        ("--dataset", dict(help="dataset file (header 'N M gamma')")),
+        ("--n", dict(type=int, help="points per generated dataset")),
+        ("--m", dict(type=int, help="feature dimension")),
+        ("--gamma", dict(type=float, help="planted margin")),
+        ("--epsilon", dict(type=float, default=0.1)),
+        ("--c-constant", dict(type=float, default=2.0,
+                              help="constant in K = ceil(c ln(1/eps) / gamma)")),
+        ("--trials", dict(type=int, default=1)),
+        ("--seed", dict(type=int, required=True)),
+        ("--workers", dict(type=int, default=1)),
+    )),
+    "verify": ("run the property suites", cmd_verify, (
+        ("--seed", dict(type=int, default=7)),
+        ("--tables", dict(type=int, default=50)),
+        ("--n-max", dict(type=int, default=5)),
+        ("--k-max", dict(type=int, default=3)),
+        ("--gap-n-max", dict(type=int, default=12)),
+        ("--identity-tables", dict(type=int, default=20)),
+        ("--inject-precision-fault", dict(
+            action="store_true",
+            help="force the phase register down to ceil(n/2) bits; the "
+                 "sweep is then expected to report violations")),
+    )),
+    "sweep": ("query scaling: quantum vs classical", cmd_sweep, (
+        ("--n-grid", dict(default="8,16,32,64")),
+        ("--k-grid", dict(default="8")),
+        ("--gamma", dict(type=float, default=0.2)),
+        ("--trials", dict(type=int, default=9)),
+        ("--seed", dict(type=int, required=True)),
+        ("--workers", dict(type=int, default=1)),
+    )),
+    "andor": ("evaluate two-level AND-OR instances", cmd_andor, (
+        ("--file", dict(help="instance file ('N K' header, one 0/1 line)")),
+        ("--table", dict(help="truth-table file ('N K' header, N bit rows)")),
+        ("--random", dict(help="N,K,COUNT random batch")),
+        ("--seed", dict(type=int, required=True)),
+    )),
+    "gen-dataset": ("write a planted dataset file", cmd_gen_dataset, (
+        ("--n", dict(type=int, required=True)),
+        ("--m", dict(type=int, default=2)),
+        ("--gamma", dict(type=float, required=True)),
+        ("--seed", dict(type=int, required=True)),
+        ("--out-file", dict(required=True)),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every command is registered with its help, so the
+    top-level usage and help read the same either way; with ``command``
+    only that command gets its options, ``-h`` and handler, and the others
+    are bare names argparse never dispatches to.  ``None`` builds them
+    all."""
     parser = argparse.ArgumentParser(
         prog="qvstrain",
         description="Quantum version-space perceptron training: simulator and benchmarks",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="run end-to-end training trials")
-    p.add_argument("--dataset", help="dataset file (header 'N M gamma')")
-    p.add_argument("--n", type=int, help="points per generated dataset")
-    p.add_argument("--m", type=int, help="feature dimension")
-    p.add_argument("--gamma", type=float, help="planted margin")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--c-constant", type=float, default=2.0,
-                   help="constant in K = ceil(c ln(1/eps) / gamma)")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tables", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--gap-n-max", type=int, default=12)
-    p.add_argument("--identity-tables", type=int, default=20)
-    p.add_argument("--inject-precision-fault", action="store_true",
-                   help="force the phase register down to ceil(n/2) bits; the "
-                        "sweep is then expected to report violations")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="query scaling: quantum vs classical")
-    p.add_argument("--n-grid", default="8,16,32,64")
-    p.add_argument("--k-grid", default="8")
-    p.add_argument("--gamma", type=float, default=0.2)
-    p.add_argument("--trials", type=int, default=9)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("andor", help="evaluate two-level AND-OR instances")
-    p.add_argument("--file", help="instance file ('N K' header, one 0/1 line)")
-    p.add_argument("--table", help="truth-table file ('N K' header, N bit rows)")
-    p.add_argument("--random", help="N,K,COUNT random batch")
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_andor)
-
-    p = sub.add_parser("gen-dataset", help="write a planted dataset file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-file", required=True)
-    p.set_defaults(func=cmd_gen_dataset)
+    for name, (help_text, func, options) in COMMANDS.items():
+        if command not in (None, name):
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None, out=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level options take no value and exit, so a command name first
+    # is the command argparse runs; anything else gets every command's parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already

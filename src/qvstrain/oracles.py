@@ -173,6 +173,30 @@ def _sign_tensor(handle: OracleHandle) -> np.ndarray:
     return (1.0 - 2.0 * handle.f).reshape((2,) * (handle.n + handle.k))
 
 
+def _swap_indices(state: StateVector, layout: RegisterLayout, handle: OracleHandle):
+    """The bit oracle's swap as (scatter, gather) indices into the (rows,
+    2**q) view: the basis indices with the scratch bit 0 and a marked
+    (j, i) in the low bits (j * 2**n + i), over every value of the qubits
+    above and between, then their partners with the bit set, and the same
+    two sets in the other order."""
+    s, low = layout.scratch_qubit, layout.n + layout.k
+    above = np.arange(1 << (state.num_qubits - s - 1)) << (s + 1)
+    between = np.arange(1 << (s - low)) << low
+    zero = (above[:, None, None] + between[:, None] + np.flatnonzero(handle.f)).ravel()
+    one = zero + (1 << s)
+    return np.concatenate((zero, one)), np.concatenate((one, zero))
+
+
+def _swap_marked(state: StateVector, handle: OracleHandle, swap) -> StateVector:
+    """One bit-oracle call through the indices of :func:`_swap_indices`: one
+    gather and one scatter, charged once per row of a batch."""
+    scatter, gather = swap
+    flat = state.amps.reshape(-1, 1 << state.num_qubits)
+    flat[:, scatter] = flat[:, gather]
+    handle.ledger.record("bit_oracle", _rows(state))
+    return state
+
+
 def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleHandle) -> StateVector:
     """XOR the scratch qubit with f(i, j) on every basis state: swap the
     scratch-0 and scratch-1 amplitudes of the marked (i, j) entries, in one
@@ -181,17 +205,7 @@ def apply_bit_oracle(state: StateVector, layout: RegisterLayout, handle: OracleH
     _check_table_layout(layout, handle)
     if layout.scratch_qubit is None:
         raise ValueError("bit oracle needs a scratch qubit in the layout")
-    s, low = layout.scratch_qubit, layout.n + layout.k
-    # basis indices with the scratch bit 0 and a marked (j, i) in the low
-    # bits (j * 2**n + i), over every value of the qubits above and between
-    above = np.arange(1 << (state.num_qubits - s - 1)) << (s + 1)
-    between = np.arange(1 << (s - low)) << low
-    zero = (above[:, None, None] + between[:, None] + np.flatnonzero(handle.f)).ravel()
-    one = zero + (1 << s)
-    flat = state.amps.reshape(-1, 1 << state.num_qubits)
-    flat[:, np.concatenate((zero, one))] = flat[:, np.concatenate((one, zero))]
-    handle.ledger.record("bit_oracle", _rows(state))
-    return state
+    return _swap_marked(state, handle, _swap_indices(state, layout, handle))
 
 
 def apply_phase_oracle(
@@ -219,7 +233,8 @@ def apply_controlled_phase_oracle(
 ) -> StateVector:
     """Controlled phase oracle built literally from two bit-oracle calls
     around a CZ between the control and the scratch qubit; the scratch must
-    enter in |0> and is returned to |0>."""
+    enter in |0> and is returned to |0>.  The two calls share one build of
+    the swap's indices."""
     _check_table_layout(layout, handle)
     if layout.scratch_qubit is None:
         raise ValueError("controlled phase oracle needs a scratch qubit")
@@ -230,10 +245,11 @@ def apply_controlled_phase_oracle(
     half = _bits(state, ones=(s,)).ravel(order="K").view(np.float64)
     if np.dot(half, half) > 1e-9**2:
         raise AssertionError("scratch qubit must be |0> at entry")
-    apply_bit_oracle(state, layout, handle)
+    swap = _swap_indices(state, layout, handle)
+    _swap_marked(state, handle, swap)
     cz = _bits(state, ones=_check_qubits(state, (control, s)))
     cz *= -1.0
-    apply_bit_oracle(state, layout, handle)
+    _swap_marked(state, handle, swap)
     handle.ledger.record("controlled_phase_oracle", _rows(state))
     return state
 

@@ -12,9 +12,10 @@ Every gate here, and ``oracles.apply_phase_oracle``, acts on one writable
 view (:func:`_bits`): the amplitudes with one axis of size 2 per qubit and
 the control bits sliced in place, so none of them builds an index array.
 The exception is ``oracles.apply_bit_oracle`` (and the controlled phase
-oracle built from two of its calls): it swaps the marked entries through
-gather and scatter indices that it builds on every call.  No gate caches
-an index array.
+oracle built from two of its swaps): it swaps the marked entries through
+gather and scatter indices built once per call, and the controlled phase
+oracle's two swaps share one build.  No gate keeps an index array between
+calls.
 A state may hold a batch of B rows, amplitudes of shape (B, 2**q); every
 gate acts on each row alone.  A batch is held amplitude-major: the
 (B, 2**q) array is the transpose of a C-contiguous (2**q, B) array, so the

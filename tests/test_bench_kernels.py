@@ -92,6 +92,16 @@ def test_sweep_rows_time_every_cell(bench, monkeypatch):
     assert all(row["change_ms"] > 0 for row in rows)
 
 
+def test_cli_rows_time_every_workload(bench, monkeypatch):
+    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
+    assert [call.split("'")[1] for call in bench.CLI_CALLS] == ["train", "sweep", "verify"]
+    assert all("str(seed)" in call for call in bench.CLI_CALLS)
+    rows = bench.cli_rows(None)
+    assert [row["call"] for row in rows] == list(bench.CLI_CALLS)
+    assert all(row["change_ms"] > 0 for row in rows)
+
+
 def test_stack_rows_time_a_cell_both_ways(bench, monkeypatch):
     monkeypatch.setattr(bench, "STACK_CELLS", ((3, 3, 2), (1, 0, 0)))
     monkeypatch.setattr(bench, "REPEATS", 1)
