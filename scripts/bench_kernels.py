@@ -21,7 +21,8 @@ CHILD_ROUNDS runs of CHILD_REPEATS calls each (on a shared 2-vCPU host one
 run's median can sit 20% off, so a cell is the median over the runs):
 
 * building the search oracle (``search.SimAndSearchOracle(handle)``: the
-  rotation spectrum, the kick vector, the factors and the first marginal),
+  padded table f, which the search builds itself, the rotation spectrum,
+  the kick vector, the factors and the first marginal), as ``build_ms``,
   and one search iteration (AND-simulation, diffusion over the hyperplane
   register, hyperplane marginal) of the factored state, as successive
   ``plane_marginal(r)`` calls, beside the in-process reference above;

@@ -61,6 +61,24 @@ def _check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_seed(value: int) -> None:
+    if value < 0:
+        raise ValueError(f"--seed must be >= 0, got {value}")
+
+
+def _int_list(flag: str, text: str, form: str = "comma-separated integers",
+              length: int | None = None) -> list[int]:
+    """The comma-separated integers of ``text``, ``length`` of them if
+    given; otherwise a ValueError naming ``flag`` and its ``form``."""
+    try:
+        values = [int(v) for v in text.split(",")]
+        if length in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} must be {form}, got {text!r}")
+
+
 def _run_payloads(fn, payloads, workers: int) -> list:
     """``fn`` over every payload in order, through one process pool when
     ``workers > 1``."""
@@ -102,6 +120,7 @@ def _train_trial(payload):
 def cmd_train(args, out) -> int:
     if args.dataset is None and (args.n is None or args.m is None or args.gamma is None):
         raise ValueError("provide --dataset or all of --n/--m/--gamma")
+    _check_seed(args.seed)
     if args.gamma is not None:
         _check_gamma(args.gamma)
     if not (0.0 < args.epsilon < 1.0):
@@ -230,6 +249,7 @@ def _oracle_identity_sweep(rng, tables: int):
 def cmd_verify(args, out) -> int:
     for flag in ("--tables", "--n-max", "--k-max", "--gap-n-max", "--identity-tables"):
         _check_count(flag, getattr(args, flag[2:].replace("-", "_")))
+    _check_seed(args.seed)
     _require_bytes(_verify_table_bytes(args.n_max, args.k_max), "the tables need")
     rng = np.random.default_rng(args.seed)
     fault = bool(args.inject_precision_fault)
@@ -325,8 +345,8 @@ def _fit_slope(sizes, medians) -> float:
 
 
 def cmd_sweep(args, out) -> int:
-    n_grid = [int(v) for v in args.n_grid.split(",")]
-    k_grid = [int(v) for v in args.k_grid.split(",")]
+    n_grid = _int_list("--n-grid", args.n_grid)
+    k_grid = _int_list("--k-grid", args.k_grid)
     for flag, grid in (("--n-grid", n_grid), ("--k-grid", k_grid)):
         for v in grid:
             _check_count(flag, v)
@@ -335,6 +355,7 @@ def cmd_sweep(args, out) -> int:
     _check_gamma(args.gamma)
     _check_count("--trials", args.trials)
     _check_count("--workers", args.workers)
+    _check_seed(args.seed)
     cells = [(n, k) for n in n_grid for k in k_grid]
     for n_points, n_planes in cells:
         _require_state_fits(n_points, n_planes)
@@ -382,6 +403,7 @@ def cmd_sweep(args, out) -> int:
 def cmd_andor(args, out) -> int:
     if sum(v is not None for v in (args.file, args.table, args.random)) != 1:
         raise ValueError("provide exactly one of --file / --table / --random")
+    _check_seed(args.seed)
     if args.random is None:
         # one instance from a file; a truth table's columns are its AND-blocks
         table = (load_truth_table(args.table) if args.table is not None
@@ -393,7 +415,7 @@ def cmd_andor(args, out) -> int:
                     "via_search": via, "agree": direct == via,
                     "index": outcome.result, "queries": outcome.queries})
         return 0
-    n, k, count = (int(v) for v in args.random.split(","))
+    n, k, count = _int_list("--random", args.random, "N,K,COUNT", 3)
     for name, value in (("N", n), ("K", k), ("COUNT", count)):
         _check_count(f"--random {name}", value)
     _require_state_fits(n, k)
@@ -420,6 +442,7 @@ def cmd_gen_dataset(args, out) -> int:
     _check_gamma(args.gamma)
     _check_count("--n", args.n)
     _check_count("--m", args.m)
+    _check_seed(args.seed)
     data, planted = generate_planted_dataset(args.n, args.m, args.gamma, rng_seed=args.seed)
     save_dataset(data, args.out_file)
     _emit(out, {

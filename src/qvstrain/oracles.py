@@ -11,6 +11,7 @@ must never look like a solution).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,21 +126,31 @@ def _ceil_log2(x: int) -> int:
     return max(0, (x - 1).bit_length())
 
 
+def _padded_f(tables: list[TruthTable], n: int, k: int) -> np.ndarray:
+    """The 0/1 classification matrices of tables padded to (2**n, 2**k), as
+    the (T, 2**k, 2**n) float64 transpose of a C array: f[t, j, i] = f(i, j)
+    of table t, with phantom rows 1 in real columns."""
+    f = np.zeros((len(tables), 1 << n, 1 << k))
+    for t, table in enumerate(tables):
+        f[t, : table.n_rows, : table.n_cols] = table.bits
+        f[t, table.n_rows :, : table.n_cols] = 1.0
+    return f.transpose(0, 2, 1)
+
+
 class OracleHandle:
-    """A truth table bound to a query ledger, and the one table-sized array
-    the quantum applications read: ``f[j, i] = f(i, j)``, the 0/1
-    classification matrix over the padded registers, (2**k, 2**n) float64,
-    the transpose of a C array."""
+    """A truth table bound to a query ledger, and ``f[j, i] = f(i, j)`` over
+    the padded registers (:func:`_padded_f`), (2**k, 2**n) float64, built on
+    first read: only the gate engine and the readouts read it."""
 
     def __init__(self, table: TruthTable):
         self.table = table
         self.ledger = QueryLedger()
         self.n = _ceil_log2(table.n_rows)
         self.k = _ceil_log2(table.n_cols)
-        f = np.zeros((1 << self.n, 1 << self.k))
-        f[: table.n_rows, : table.n_cols] = table.bits
-        f[table.n_rows :, : table.n_cols] = 1.0  # phantom rows pass every real column
-        self.f = f.T
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return _padded_f([self.table], self.n, self.k)[0]
 
     @property
     def n_rows(self) -> int:

@@ -29,8 +29,7 @@ and no factor is the size of the table.  A search whose peak
 (:func:`search_state_bytes`, for one table or a stack) would exceed
 :func:`state_byte_limit` (the machine's physical memory, or the
 address-space limit less what the process maps, if smaller) is refused
-before anything is allocated; the stack checks again when it is built, less
-the handles' tables f, which are then mapped.
+before anything is allocated; the stack checks again when it is built.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from .counting import (_by_parity, _phase_rows, _rotation_shifts, _rotation_spectrum, _row_sums,
                        l_bits, meter_sim_and)
-from .oracles import OracleHandle, QueryLedger, _ceil_log2, from_perceptron
+from .oracles import OracleHandle, QueryLedger, _ceil_log2, _padded_f, from_perceptron
 from .perceptron import Dataset, required_sample_count, sample_hyperplanes
 
 GROWTH = 6.0 / 5.0
@@ -87,8 +86,7 @@ def _require_bytes(need: int, what: str) -> None:
 def search_state_bytes(n_rows: int, n_cols: int, tables: int = 1) -> int:
     """Bytes a search over an N x K table holds at its peak, or a stack of
     ``tables`` such searches advanced together (:class:`SimAndSearchOracle`).
-    Per table: the handle's float64 table f (8 bytes per entry), and as much
-    again for a stack's own copy when it holds more than one table; P, Q and
+    Per table: the float64 table f (8 bytes per entry); P, Q and
     the rotation spectrum (3 * 2**(l+k) + 2**(l+n) complex amplitudes),
     every reachable marginal with its CDF and the kick vector; the larger of
     an iteration's three (2**l, 2**k) complex sums, shifts or products, the
@@ -100,7 +98,7 @@ def search_state_bytes(n_rows: int, n_cols: int, tables: int = 1) -> int:
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
     l = l_bits(n)
     kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
-    table = 8 * kn * (1 if tables == 1 else 2)
+    table = 8 * kn
     factors = 16 * (3 * lk + ln)
     marginals = 8 * (1 << k) * (2 * _iteration_cap(k) + 2)
     temporaries = max(48 * lk, 16 * lk + 8 * ln)
@@ -174,23 +172,18 @@ class _SearchStack:
     shape, held with a leading table axis and advanced together: every
     product and reduction runs per table, in the order one table alone
     runs it, so a table's marginals, CDFs and kicks do not depend on the
-    stack it is in.  Holds the tables as one (T, 2**k, 2**n) array, each
-    slice laid out as a handle's f; a stack of one reads its handle's f."""
+    stack it is in.  Builds the tables as one (T, 2**k, 2**n) array
+    (:func:`~qvstrain.oracles._padded_f`)."""
 
     def __init__(self, handles: list[OracleHandle]):
         n, k = handles[0].n, handles[0].k
         if any((h.n, h.k) != (n, k) for h in handles):
             raise ValueError("the tables of a stack must share one padded shape")
         tables = len(handles)
-        # the handles' tables are already mapped, so inside the limit
-        need = search_state_bytes(1 << n, 1 << k, tables) - sum(h.f.nbytes for h in handles)
-        _require_bytes(need, "the search state needs")
+        _require_bytes(search_state_bytes(1 << n, 1 << k, tables), "the search state needs")
         self.l = l_bits(n)
         dl, dk, dn = 1 << self.l, 1 << k, 1 << n
-        if tables == 1:
-            self.f = handles[0].f[None]
-        else:
-            self.f = np.stack([h.f.T for h in handles]).transpose(0, 2, 1)
+        self.f = _padded_f([h.table for h in handles], n, k)
         self._counts, self.kicks, *self._spectrum = _rotation_spectrum(self.f, self.l)
         self._cols = self.f.sum(axis=1)[:, None]  # f=1 columns per row
         self.p = [np.zeros((tables, dl, dk), dtype=np.complex128) for _ in range(2)]
@@ -370,18 +363,13 @@ class SimAndSearchOracle:
         self._stack = shared
         self._table = table
         self.l = shared.l
-        # this table's views of the stack's factors and kick vector
-        self._p = [half[table] for half in shared.p]
-        self._q = shared.q[table]
-        self._e = shared.e[table]
         self._kicks = shared.kicks[table]
 
     @classmethod
     def stack(cls, handles: list[OracleHandle]) -> list[SimAndSearchOracle]:
         """One oracle per handle, over one stack of the handles' tables,
         which must share one padded shape.  The stack is checked against
-        :func:`state_byte_limit` before its factors are built, less the
-        handles' tables, which are then mapped."""
+        :func:`state_byte_limit` before its tables and factors are built."""
         shared = _SearchStack(handles)
         oracles = []
         for t, handle in enumerate(handles):

@@ -450,10 +450,14 @@ class TestCountsBelowOne:
         (("gen-dataset", "--n", "4", "--gamma", "-0.5", "--out-file", os.devnull),
          "gen-dataset: gamma must be in (0, 1), got -0.5"),
         (("andor",), "andor: provide exactly one of --file / --table / --random"),
+        (("andor", "--random", "4,4"), "andor: --random must be N,K,COUNT, got '4,4'"),
+        (("sweep", "--n-grid", "8,,16"),
+         "sweep: --n-grid must be comma-separated integers, got '8,,16'"),
     ], ids=["k-grid-0", "k-grid-negative", "n-grid-negative", "random-n-negative",
             "random-n-0", "random-k-0", "train-n-0", "train-m-0", "gen-dataset-n-0",
             "gen-dataset-m-0", "train-no-source", "train-gamma", "train-epsilon",
-            "sweep-distinct", "sweep-gamma", "gen-dataset-gamma", "andor-no-source"])
+            "sweep-distinct", "sweep-gamma", "gen-dataset-gamma", "andor-no-source",
+            "random-two-fields", "n-grid-empty-field"])
     def test_sizes_name_the_flag(self, argv, line):
         proc = run_cli_process(*argv, "--seed", "1")
         assert proc.returncode == 2
@@ -461,6 +465,7 @@ class TestCountsBelowOne:
 
 
 BELOW_ONE = st.integers(-1000, 0).map(str)
+NEGATIVE = st.integers(-1000, -1).map(str)
 OUTSIDE_UNIT = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
                          st.just(float("nan"))).map(repr)
 BAD_GRID = st.one_of(
@@ -484,18 +489,19 @@ ARGV_FIELDS = {
     "train": (("--n", "8", "--m", "2", "--gamma", "0.3", "--seed", "1"),
               {"--n": BELOW_ONE, "--m": BELOW_ONE, "--trials": BELOW_ONE,
                "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT,
-               "--epsilon": OUTSIDE_UNIT}),
+               "--epsilon": OUTSIDE_UNIT, "--seed": NEGATIVE}),
     "sweep": (("--n-grid", "8", "--k-grid", "4", "--trials", "1", "--seed", "1"),
               {"--n-grid": BAD_GRID, "--k-grid": BAD_GRID, "--trials": BELOW_ONE,
-               "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT}),
+               "--workers": BELOW_ONE, "--gamma": OUTSIDE_UNIT, "--seed": NEGATIVE}),
     "andor": (("--random", "4,4,1", "--seed", "1"),
-              {"--random": bad_random()}),
+              {"--random": bad_random(), "--seed": NEGATIVE}),
     "verify": (("--tables", "1", "--n-max", "2", "--k-max", "1", "--gap-n-max", "2",
                 "--identity-tables", "1"),
-               dict.fromkeys(("--tables", "--n-max", "--k-max", "--gap-n-max",
-                              "--identity-tables"), BELOW_ONE)),
+               {**dict.fromkeys(("--tables", "--n-max", "--k-max", "--gap-n-max",
+                                 "--identity-tables"), BELOW_ONE), "--seed": NEGATIVE}),
     "gen-dataset": (("--n", "4", "--gamma", "0.3", "--seed", "1", "--out-file", os.devnull),
-                    {"--n": BELOW_ONE, "--m": BELOW_ONE, "--gamma": OUTSIDE_UNIT}),
+                    {"--n": BELOW_ONE, "--m": BELOW_ONE, "--gamma": OUTSIDE_UNIT,
+                     "--seed": NEGATIVE}),
 }
 
 
@@ -524,6 +530,14 @@ class TestInvalidArgv:
         assert out == "", argv
         assert err.getvalue().startswith((f"{argv[0]}: ", "usage: ")), (argv, err.getvalue())
 
+    @pytest.mark.parametrize("command", sorted(ARGV_FIELDS))
+    def test_negative_seed_names_the_flag(self, command):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = run_cli(command, *ARGV_FIELDS[command][0], "--seed", "-1")
+        assert (rc, out) == (2, "")
+        assert err.getvalue() == f"{command}: --seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("command", ["train", "sweep", "andor"])
     @pytest.mark.parametrize("flag", [("--verify-repeats", "15"), ("--max-rounds", "3")],
                              ids=["verify-repeats", "max-rounds"])
@@ -536,6 +550,18 @@ class TestInvalidArgv:
         assert out == stdout.getvalue() == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("command,reads", [("train", False), ("sweep", False),
+                                           ("andor", False), ("verify", True)])
+def test_only_verify_reads_a_handles_f(monkeypatch, command, reads):
+    # the search builds its own tables; a handle's f is for the gate engine
+    # and the readouts, which only verify runs
+    read = []
+    f = OracleHandle.f
+    monkeypatch.setattr(OracleHandle, "f", property(lambda h: read.append(h) or f.func(h)))
+    assert run_cli(command, *ARGV_FIELDS[command][0])[0] == 0
+    assert bool(read) == reads
 
 
 class TestNonFiniteCConstant:
@@ -566,7 +592,7 @@ class TestStateSizeLimit:
     # dataset or random bits it is built from, would end in a MemoryError
     # traceback instead of the usage error.
     def test_oversized_search_exits_2_before_allocating(self):
-        # n = 14, k = 13, l = 10: the handle's f alone is 8 * 2**27
+        # n = 14, k = 13, l = 10: the search's f alone is 8 * 2**27
         # bytes, 1 GiB, and the whole state about 2.0 GiB
         proc = run_cli_process("andor", "--random", "16384,8192,1", "--seed", "0",
                                preexec_fn=cap_address_space)

@@ -129,8 +129,7 @@ class TestSimAndSearchOracle:
         assert peak <= search_state_bytes(*shape)
 
     def test_state_size_limit_checked_first(self, fixture_handle, monkeypatch):
-        # the handle's table f is already mapped when the oracle is built
-        need = search_state_bytes(4, 3) - fixture_handle.f.nbytes
+        need = search_state_bytes(4, 3)
         monkeypatch.setattr(search, "state_byte_limit", lambda: need)
         assert SimAndSearchOracle(fixture_handle).plane_marginal(0).size == 4
         monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
@@ -194,14 +193,26 @@ class TestSearchStack:
             SimAndSearchOracle.stack(padded_tables(rng, 2, 2, 2) + padded_tables(rng, 3, 2, 1))
 
     def test_state_size_limit_checked_first(self, monkeypatch):
-        # the handles' tables are already mapped when the stack is built
         handles = padded_tables(np.random.default_rng(1), 2, 2, 3)
-        need = search_state_bytes(4, 4, 3) - sum(handle.f.nbytes for handle in handles)
+        need = search_state_bytes(4, 4, 3)
         monkeypatch.setattr(search, "state_byte_limit", lambda: need)
         assert len(SimAndSearchOracle.stack(handles)) == 3
         monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
         with pytest.raises(ValueError, match=f"needs {need} bytes"):
             SimAndSearchOracle.stack(handles)
+
+    @given(n=st.integers(0, 4), k=st.integers(0, 4), count=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2**31))
+    @example(n=3, k=2, count=3, seed=0)
+    def test_tables_are_laid_out_as_the_handles_f(self, n, k, count, seed):
+        # the stack builds its own tables; each equals its handle's f, built
+        # on first read, in the layout the products read
+        handles = padded_tables(np.random.default_rng(seed), n, k, count)
+        tables = search._SearchStack(handles).f
+        assert not any("f" in vars(handle) for handle in handles)
+        for table, handle in zip(tables, handles, strict=True):
+            assert (table == handle.f).all()
+            assert table.strides == handle.f.strides
 
     @pytest.mark.parametrize("shape,count", [((4, 3), 5), ((64, 8), 3), ((64, 47), 6),
                                              ((16, 200), 2), ((300, 4), 4), ((256, 8), 3)],
@@ -268,7 +279,7 @@ def held_arrays(value):
     if isinstance(value, np.ndarray):
         yield value
         return
-    if isinstance(value, SimAndSearchOracle):
+    if isinstance(value, (SimAndSearchOracle, search._SearchStack)):
         value = vars(value)
     if isinstance(value, dict):
         value = list(value.values())
@@ -279,11 +290,11 @@ def held_arrays(value):
 
 def dense_iterate(oracle) -> np.ndarray:
     """psi(r, j, i) = P[f, r, j] + Q[r, i] + f E[r & 1, i], f = f(i, j)."""
-    dl = 1 << oracle.l
+    dl, stack, t = 1 << oracle.l, oracle._stack, oracle._table
     f = oracle.handle.f > 0
-    p = np.where(f, oracle._p[1][:, :, None], oracle._p[0][:, :, None])
-    e = oracle._e[np.arange(dl) & 1][:, None, :]
-    return p + oracle._q[:, None, :] + f * e
+    p = np.where(f, stack.p[1][t][:, :, None], stack.p[0][t][:, :, None])
+    e = stack.e[t][np.arange(dl) & 1][:, None, :]
+    return p + stack.q[t][:, None, :] + f * e
 
 
 class TestFactoredState:
@@ -349,6 +360,27 @@ class TestTrainPerceptron:
         data, _ = generate_planted_dataset(8, 2, 0.25, rng_seed=3)
         result = train_perceptron(data, epsilon=0.1, rng_seed=4)
         assert result.sampled == 19  # ceil(2 ln 10 / 0.25)
+
+
+def test_search_never_builds_the_handles_f(monkeypatch):
+    # only the gate engine and the readouts read a handle's f
+    handle = OracleHandle(TruthTable(np.ones((4, 3), dtype=np.uint8)))
+    multi_criterion_search(handle, rng_seed=0)
+    stacked = padded_tables(np.random.default_rng(2), 2, 2, 3)
+    for seed, oracle in enumerate(SimAndSearchOracle.stack(stacked)):
+        bounded_error_search(oracle, rng_seed=seed)
+    trained = []
+
+    class Recorded(OracleHandle):
+        def __init__(self, table):
+            super().__init__(table)
+            trained.append(self)
+
+    monkeypatch.setattr(search, "OracleHandle", Recorded)
+    data, _ = generate_planted_dataset(8, 2, 0.25, rng_seed=3)
+    train_perceptron(data, epsilon=0.1, rng_seed=4)
+    assert len(trained) == 1
+    assert not any("f" in vars(h) for h in [handle, *stacked, *trained])
 
 
 def test_search_outcome_result_codes(fixture_handle):
