@@ -5,7 +5,9 @@ Layers timed in this process, each a median over REPEATS calls:
 
 * one iteration of the search's reference, the dense state run through the
   literal circuit ``counting.sim_and`` (``phase_estimate`` -> flip of the
-  10..0 readout -> ``phase_estimate_inverse``) and the diffusion;
+  10..0 readout -> ``phase_estimate_inverse``) and the diffusion, for the
+  tables of SEARCH_GRID whose dense state has at most LADDER_AMPS
+  amplitudes;
 * a sweep cell's tables (64 x 8, of 3 and of 200 tables) built into
   oracles and advanced to r = 3, as one stack
   (``SimAndSearchOracle.stack``) and one table at a time, alternating.
@@ -25,7 +27,9 @@ run's median can sit 20% off, so a cell is the median over the runs):
   the kick vector, the factors and the first marginal), as ``build_ms``,
   and one search iteration (AND-simulation, diffusion over the hyperplane
   register, hyperplane marginal) of the factored state, as successive
-  ``plane_marginal(r)`` calls, beside the in-process reference above;
+  ``plane_marginal(r)`` calls, beside the in-process reference above; the
+  grid includes 4096 x 8, where an iteration allocated 16 MiB of
+  temporaries before every array of the search was allocated at its build;
 * one-cell ``sweep`` runs of the default 9 trials on each side of
   ``cli.STACK_BYTES``: cells whose trials are searched in stacks and cells
   whose tables are searched alone, and a stacked cell over two workers;
@@ -96,9 +100,10 @@ CHILD_ROUNDS = 5  # child runs per checkout, alternating
 FIRST_SEED = 20001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 
-# (n, k): train-n64's table, sweep-n's largest cell (N = 64, K = 8), and
-# one of 2**(7+7+8) amplitudes held dense
-SEARCH_GRID = ((6, 6), (6, 3), (8, 7))
+# (n, k): train-n64's table, sweep-n's largest cell (N = 64, K = 8), one of
+# 2**(7+7+8) amplitudes held dense, and 4096 x 8 (2**(9+3+12) amplitudes)
+SEARCH_GRID = ((6, 6), (6, 3), (8, 7), (12, 3))
+LADDER_AMPS = 1 << 22  # the largest dense state the reference iterates
 # (tables, n, k): sweep-n's largest cell with its 3 trials, and with 200
 STACK_CELLS = ((3, 6, 3), (200, 6, 3))
 STACK_ADVANCE = 3  # the iterations every table of a cell is advanced by
@@ -232,31 +237,39 @@ def iteration_ms(fn, start: int = 1) -> float:
     return median_ms(lambda: fn(next(r)))
 
 
+def ladder_ms(handle: OracleHandle) -> float:
+    """Median ms of one iteration of the dense reference on ``handle``."""
+    layout = handle.layout(l=l_bits(handle.n))
+    state = new_uniform(layout)
+    psi = state.amps.reshape(1 << layout.l, 1 << handle.k, 1 << handle.n)
+
+    def reference(_r):
+        sim_and(state, layout, handle)
+        psi[...] = 2.0 * psi.mean(axis=1, keepdims=True) - psi
+        (np.abs(psi) ** 2).sum(axis=(0, 2))
+
+    return iteration_ms(reference)
+
+
 def search_rows(parent: Path | None) -> list[dict]:
     """Per (n, k) of SEARCH_GRID: the oracle build and iteration medians of
-    SEARCH_TIMER on each side, and the reference iteration in process."""
+    SEARCH_TIMER on each side, and, up to LADDER_AMPS amplitudes, the
+    reference iteration in process."""
     runs = child_runs(SEARCH_TIMER, [str(CHILD_REPEATS), json.dumps(SEARCH_GRID)], parent)
     rng = np.random.default_rng(0)
     rows = []
     for n, k in SEARCH_GRID:
         handle = random_handle(rng, n, k)
-        layout = handle.layout(l=l_bits(n))
-        state = new_uniform(layout)
-        psi = state.amps.reshape(1 << layout.l, 1 << k, 1 << n)
-
-        def reference(_r):
-            sim_and(state, layout, handle)
-            psi[...] = 2.0 * psi.mean(axis=1, keepdims=True) - psi
-            (np.abs(psi) ** 2).sum(axis=(0, 2))
-
-        row = {"n": n, "k": k, "l": layout.l, "amplitudes": state.amps.size,
-               "dense_bytes": state.amps.nbytes,
-               "search_state_bytes": search_state_bytes(1 << n, 1 << k),
-               "ladder_ms": iteration_ms(reference)}
+        l = l_bits(n)
+        row = {"n": n, "k": k, "l": l, "amplitudes": 1 << (l + k + n),
+               "dense_bytes": 16 << (l + k + n),
+               "search_state_bytes": search_state_bytes(1 << n, 1 << k)}
         for side, medians in runs.items():
             for part in ("build_ms", "iteration_ms"):
                 row[f"{side}_{part}"] = statistics.median(m[f"{n},{k}"][part] for m in medians)
-        row["speedup"] = row["ladder_ms"] / row["change_iteration_ms"]
+        if row["amplitudes"] <= LADDER_AMPS:
+            row["ladder_ms"] = ladder_ms(handle)
+            row["speedup"] = row["ladder_ms"] / row["change_iteration_ms"]
         rows.append(row)
     return rows
 

@@ -554,8 +554,8 @@ def main(argv=None, out=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 141
-    # MemoryError: the checks before a run count its arrays, not what the
-    # allocator keeps mapped after freeing them
+    # MemoryError: the checks bound the search, which allocates its arrays
+    # once, not what a command builds around it (its instance, say)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -111,20 +111,13 @@ def _rotation_angles(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ones, np.arcsin(np.sqrt(ones / f.shape[-1]))
 
 
-def _phase_spectrum(theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _phase_spectrum(theta: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """mu = (-e^{2i theta})**r = sqrt(2**l) w_r lambda**r, broadcast over the
-    Grover angles ``theta`` and the phase register values ``r``."""
-    return (1.0 - 2.0 * (r & 1)) * np.exp(2j * r * theta)
-
-
-def _column_spectrum(f: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a (..., columns, 2**n) block of f: the number of f = 1
-    rows, and the spectrum mu (:func:`_phase_spectrum`) under a phase
-    register of l bits, held as (..., columns, 2**l), so that each column's
-    sum over r runs along the contiguous last axis, in the same (pairwise)
-    order for one column as for a whole table or a stack of tables."""
-    ones, theta = _rotation_angles(f)
-    return ones, _phase_spectrum(theta[..., None], np.arange(1 << l))
+    Grover angles ``theta`` and the phase register values ``r``, written
+    into ``out`` if given."""
+    out = np.multiply(2j * r, theta, out=out)
+    np.exp(out, out=out)
+    return np.multiply(1.0 - 2.0 * (r & 1), out, out=out)
 
 
 def _kicks(mu: np.ndarray) -> np.ndarray:
@@ -137,36 +130,41 @@ def _kicks(mu: np.ndarray) -> np.ndarray:
 
 def _kick_probabilities(f: np.ndarray, l: int) -> np.ndarray:
     """P(readout = 10..0) after phase estimation from the uniform data
-    register, per column of a (columns, 2**n) block of f, under a phase
-    register of l bits: |mean_r mu_r|**2 with mu the spectrum of
-    :func:`_phase_spectrum`, summed as :func:`_column_spectrum` holds it."""
-    return _kicks(_column_spectrum(f, l)[1])
+    register, per column of a (..., columns, 2**n) block of f, under a phase
+    register of l bits: |mean_r mu_r|**2 with mu (:func:`_phase_spectrum`)
+    held as (..., columns, 2**l), so each column sums along the contiguous
+    last axis, in one (pairwise) order for a column, a table or a stack."""
+    return _kicks(_phase_spectrum(_rotation_angles(f)[1][..., None], np.arange(1 << l)))
 
 
-def _rotation_spectrum(f: np.ndarray, l: int) -> tuple[np.ndarray, ...]:
-    """Per column of a (tables, columns, 2**n) stack of f, under a phase
-    register of l bits, from one evaluation of the spectrum: the f=0 and the
-    f=1 row counts as one (2, tables, 1, columns) array; the (tables,
-    columns) kick probabilities, equal to :func:`_kick_probabilities` bit
-    for bit, as they are summed in its order; and the constants of
-    :func:`_rotation_shifts`, mu as a (tables, 2**l, columns) C array and
-    its (5, 2, tables, 1, columns) complex weights per column.  With a and b
-    the inverse square roots of the two row counts (0 for an empty count)
-    and c = 2/2**l, the weights' rows are [a, ib] and [a, -ib] (kx and ky
-    from the rotation-plane sums), [c a**2, c b**2] (the row means), and
-    [-c a/2, -c a/2] and [ic b/2, -ic b/2] (the f=0 and the f=1 rows'
-    factors of dx and dy).  The size-1 axes broadcast over r.  The
-    (tables, columns, 2**l) layout is freed before this returns."""
-    ones, mu = _column_spectrum(f, l)
-    kicks = _kicks(mu)
-    mu = np.ascontiguousarray(mu.transpose(0, 2, 1))
+def _rotation_spectrum(f: np.ndarray, mu: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per column of a (tables, columns, 2**n) stack of f, from one
+    evaluation of the spectrum into ``buf`` (a complex C array of mu's size)
+    in the (tables, columns, 2**l) layout of :func:`_kick_probabilities`,
+    then copied into ``mu``, the (tables, 2**l, columns) C array that
+    :func:`_rotation_shifts` reads: the f=0 and the f=1 row counts as one
+    (2, tables, 1, columns) array; the (tables, columns) kick
+    probabilities, equal to :func:`_kick_probabilities` bit for bit, as
+    they are summed in its order; and mu's (5, 2, tables, 1, columns)
+    complex weights per column.  With a and b the inverse square roots of
+    the two row counts (0 for an empty count) and c = 2/2**l, the weights'
+    rows are [a, ib] and [a, -ib] (kx and ky from the rotation-plane sums),
+    [c a**2, c b**2] (the row means), and [-c a/2, -c a/2] and
+    [ic b/2, -ic b/2] (the f=0 and the f=1 rows' factors of dx and dy).
+    The size-1 axes broadcast over r."""
+    tables, dl, columns = mu.shape
+    ones, theta = _rotation_angles(f)
+    spectrum = buf.reshape(tables, columns, dl)
+    _phase_spectrum(theta[..., None], np.arange(dl), out=spectrum)
+    kicks = _kicks(spectrum)
+    np.copyto(mu, spectrum.transpose(0, 2, 1))
     counts = np.array([f.shape[-1] - ones, ones])[:, :, None]
     inv = np.divide(1.0, np.sqrt(counts), out=np.zeros(counts.shape), where=counts > 0)
     coef = inv[[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]].reshape(5, 2, *inv.shape[1:])  # [a, b] ... [b, b]
     coef[2] **= 2
-    c = 2.0 / mu.shape[1]
+    c = 2.0 / dl
     scale = np.array([[1.0, 1j], [1.0, -1j], [c, c], [-0.5 * c, -0.5 * c], [0.5j * c, -0.5j * c]])
-    return counts, kicks, mu, coef * scale[:, :, None, None, None]
+    return counts, kicks, coef * scale[:, :, None, None, None]
 
 
 @functools.cache
@@ -197,7 +195,7 @@ def _by_parity(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1, 2, x.shape[-1])
 
 
-def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_shifts(sum_a, sum_b, mu, coef, buf) -> tuple[np.ndarray, np.ndarray]:
     """The part of SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda
     that is constant over the f=0 rows and over the f=1 rows of each (r, j).
 
@@ -216,16 +214,16 @@ def _rotation_shifts(sum_a, sum_b, mu, coef) -> tuple[np.ndarray, np.ndarray]:
     The six sums over r (of mu and conj(mu) times each row sum, and the row
     sums' plain and alternating sums) are products with rows of
     :func:`_phase_rows` into one array, weighted per column by ``coef`` in
-    one product; each product with mu or conj(mu) is written into one
-    buffer or over the consumed sums, so the kernel holds one
-    (tables, 2**l, columns) temporary besides the sums.  Every product runs
-    per table, so each table's shifts do not depend on the stack it is in.
+    one product; each product with mu or conj(mu) is written into ``buf``
+    (a complex array of mu's shape) or over the consumed sums, so the kernel
+    allocates nothing of their size.  Every product runs per table, so each
+    table's shifts do not depend on the stack it is in.
 
     Returns what each f=0 row (``shift_a``) and each f=1 row (``shift_b``)
     of (r, j) gains, written over ``sum_a`` and ``sum_b``."""
     ones, signs = _phase_rows(mu.shape[1])[:2]
     pairs_a, pairs_b = sum_a.view(np.float64), sum_b.view(np.float64)
-    buf = np.multiply(mu, sum_a)
+    np.multiply(mu, sum_a, out=buf)
     pairs = buf.view(np.float64)
     sums = np.empty((6, pairs.shape[0], pairs.shape[2]))
     np.matmul(ones, pairs, out=sums[0])

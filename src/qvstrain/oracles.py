@@ -126,14 +126,15 @@ def _ceil_log2(x: int) -> int:
     return max(0, (x - 1).bit_length())
 
 
-def _padded_f(tables: list[TruthTable], n: int, k: int) -> np.ndarray:
-    """The 0/1 classification matrices of tables padded to (2**n, 2**k), as
-    the (T, 2**k, 2**n) float64 transpose of a C array: f[t, j, i] = f(i, j)
-    of table t, with phantom rows 1 in real columns."""
-    f = np.zeros((len(tables), 1 << n, 1 << k))
+def _padded_f(tables: list[TruthTable], f: np.ndarray) -> np.ndarray:
+    """The 0/1 classification matrices of tables padded to (2**n, 2**k),
+    written over every entry of ``f``, a (T, 2**n, 2**k) float64 C array,
+    and returned as its (T, 2**k, 2**n) transpose: f[t, j, i] = f(i, j) of
+    table t, with phantom rows 1 in real columns and phantom columns 0."""
     for t, table in enumerate(tables):
         f[t, : table.n_rows, : table.n_cols] = table.bits
         f[t, table.n_rows :, : table.n_cols] = 1.0
+        f[t, :, table.n_cols :] = 0.0
     return f.transpose(0, 2, 1)
 
 
@@ -150,7 +151,7 @@ class OracleHandle:
 
     @cached_property
     def f(self) -> np.ndarray:
-        return _padded_f([self.table], self.n, self.k)[0]
+        return _padded_f([self.table], np.empty((1, 1 << self.n, 1 << self.k)))[0]
 
     @property
     def n_rows(self) -> int:

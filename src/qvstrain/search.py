@@ -25,15 +25,21 @@ controlled AND-simulation per verification shot (:func:`meter_sim_and`).
 The search state is held in three factors, psi(r, j, i) = P[f, r, j] +
 Q[r, i] + f E[r & 1, i] with f = f(i, j) (:class:`SimAndSearchOracle`), so
 it takes O(2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes,
-and no factor is the size of the table.  A search whose peak
-(:func:`search_state_bytes`, for one table or a stack) would exceed
-:func:`state_byte_limit` (the machine's physical memory, or the
-address-space limit less what the process maps, if smaller) is refused
-before anything is allocated; the stack checks again when it is built.
+and no factor is the size of the table.  Every array over two of the axes
+r, j and i, each iteration's scratch included, is laid out by
+:func:`_stack_plan` in one allocation made when the search is built, so an
+iteration allocates only vectors.  A search whose peak
+(:func:`search_state_bytes`: the plan, the vectors and numpy's buffers, for
+one table or a stack) would exceed :func:`state_byte_limit` (the machine's
+physical memory, or the address-space limit less what the process maps, if
+smaller) is refused before anything is allocated; the stack checks again
+just before its allocation.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 import resource
@@ -56,17 +62,24 @@ VERIFY_REPEATS = 15
 MAX_ROUNDS = 3
 
 
+@functools.cache
+def _map_blas_buffer() -> None:
+    """One 256 x 256 product, once per process, so that the BLAS work buffer
+    (32 MiB with OpenBLAS, kept once mapped) is mapped."""
+    probe = np.ones((256, 256))
+    np.dot(probe, probe)
+
+
 def state_byte_limit() -> int:
     """Bytes a search state may take: the machine's physical memory, or, if
     smaller, the address-space limit (RLIMIT_AS) less what the process maps
-    (VmSize; 0 without /proc), read after a 256 x 256 product so that it
-    includes the BLAS work buffer (32 MiB with OpenBLAS, kept once mapped)."""
+    (VmSize; 0 without /proc), read after :func:`_map_blas_buffer` so that
+    it includes the BLAS work buffer."""
     limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft == resource.RLIM_INFINITY:
         return limit
-    probe = np.ones((256, 256))
-    np.dot(probe, probe)
+    _map_blas_buffer()
     try:
         with open("/proc/self/statm") as fh:
             soft -= int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
@@ -83,28 +96,36 @@ def _require_bytes(need: int, what: str) -> None:
         raise ValueError(f"{what} {need} bytes, over the limit of {limit} bytes")
 
 
+def _stack_plan(n: int, k: int, tables: int) -> dict[str, tuple[tuple[int, ...], np.dtype]]:
+    """The shape and dtype of every array over (r, j), (r, i) or (j, i) that
+    a stack of ``tables`` searches over 2**n x 2**k tables holds, in the
+    order :class:`_SearchStack` lays them out in its one allocation: the
+    tables f (the C arrays the stack reads transposed), P's two halves, the
+    rotation spectrum mu, psi's sums over the f=0 and the f=1 rows, Q, and
+    the scratch every iteration writes, one complex (r, j) and one float
+    (r, i) array."""
+    c16, f8 = np.dtype(np.complex128), np.dtype(np.float64)
+    dl = 1 << l_bits(n)
+    rj, ri = ((tables, dl, 1 << k), c16), (tables, dl, 1 << n)
+    return {"f": ((tables, 1 << n, 1 << k), f8), "p0": rj, "p1": rj, "mu": rj, "sum_a": rj,
+            "sum_b": rj, "q": (ri, c16), "scratch": rj, "floats": (ri, f8)}
+
+
 def search_state_bytes(n_rows: int, n_cols: int, tables: int = 1) -> int:
     """Bytes a search over an N x K table holds at its peak, or a stack of
-    ``tables`` such searches advanced together (:class:`SimAndSearchOracle`).
-    Per table: the float64 table f (8 bytes per entry); P, Q and
-    the rotation spectrum (3 * 2**(l+k) + 2**(l+n) complex amplitudes),
-    every reachable marginal with its CDF and the kick vector; the larger of
-    an iteration's three (2**l, 2**k) complex sums, shifts or products, the
-    diffusion's (2**l, 2**k) complex difference with its (2**l, 2**n) real
-    product; 256 bytes per data row for E and
-    the vectors over i, and 256 bytes per plane for the vectors over j (the
-    shifts' weights and sums over r).  Once per stack: numpy's iterator
+    ``tables`` such searches advanced together (:class:`SimAndSearchOracle`):
+    the arrays of :func:`_stack_plan`; per table, every reachable marginal
+    with its CDF and the kick vector, 256 bytes per data row for E and the
+    vectors over i, and 256 bytes per plane for the vectors over j (the
+    shifts' weights and sums over r); once per stack, numpy's iterator
     buffers (three complex operands) and SMALL_ARRAY_BYTES for the rest."""
     n, k = _ceil_log2(n_rows), _ceil_log2(n_cols)
-    l = l_bits(n)
-    kn, lk, ln = 1 << (k + n), 1 << (l + k), 1 << (l + n)
-    table = 8 * kn
-    factors = 16 * (3 * lk + ln)
+    planned = sum(math.prod(shape) * dtype.itemsize
+                  for shape, dtype in _stack_plan(n, k, tables).values())
     marginals = 8 * (1 << k) * (2 * _iteration_cap(k) + 2)
-    temporaries = max(48 * lk, 16 * lk + 8 * ln)
     vectors = 256 * ((1 << n) + (1 << k))
     shared = 48 * np.getbufsize() + SMALL_ARRAY_BYTES
-    return tables * (table + factors + marginals + temporaries + vectors) + shared
+    return planned + tables * (marginals + vectors) + shared
 
 
 def _require_state_fits(n_rows: int, n_cols: int) -> None:
@@ -172,8 +193,11 @@ class _SearchStack:
     shape, held with a leading table axis and advanced together: every
     product and reduction runs per table, in the order one table alone
     runs it, so a table's marginals, CDFs and kicks do not depend on the
-    stack it is in.  Builds the tables as one (T, 2**k, 2**n) array
-    (:func:`~qvstrain.oracles._padded_f`)."""
+    stack it is in.  Every array over (r, j), (r, i) or (j, i), the scratch
+    included, is a part of one allocation laid out by :func:`_stack_plan`:
+    the tables (:func:`~qvstrain.oracles._padded_f`), the spectrum and
+    each iteration write into them, so an iteration allocates only
+    vectors."""
 
     def __init__(self, handles: list[OracleHandle]):
         n, k = handles[0].n, handles[0].k
@@ -183,25 +207,38 @@ class _SearchStack:
         _require_bytes(search_state_bytes(1 << n, 1 << k, tables), "the search state needs")
         self.l = l_bits(n)
         dl, dk, dn = 1 << self.l, 1 << k, 1 << n
-        self.f = _padded_f([h.table for h in handles], n, k)
-        self._counts, self.kicks, *self._spectrum = _rotation_spectrum(self.f, self.l)
-        self._cols = self.f.sum(axis=1)[:, None]  # f=1 columns per row
-        self.p = [np.zeros((tables, dl, dk), dtype=np.complex128) for _ in range(2)]
-        self.q = np.full((tables, dl, dn), 1.0 / math.sqrt(dl * dk * dn), dtype=np.complex128)
+        # one block, reused whole by the next build once freed: freed arrays
+        # under the allocator's mmap threshold let it trim the heap, and
+        # each build would fault the same pages in again
+        plan = _stack_plan(n, k, tables).values()
+        sizes = [math.prod(shape) * dtype.itemsize for shape, dtype in plan]
+        block = np.empty(sum(sizes), np.uint8)
+        f, *self.p, self._mu, self._sum_a, self._sum_b, self.q, self._scratch, self._floats = (
+            np.ndarray(shape, dtype, buffer=block, offset=start)
+            for (shape, dtype), start in zip(plan, itertools.accumulate(sizes, initial=0)))
+        self.f = _padded_f([h.table for h in handles], f)
+        for half in self.p:
+            half.fill(0.0)
+        self.q.fill(1.0 / math.sqrt(dl * dk * dn))
         self.e = np.zeros((tables, 2, dn), dtype=np.complex128)
-        # views every iteration reads, as the factors are updated in place:
-        # f by data row; Q and P[1] by the parity of r; Q's and P's real and
-        # imaginary parts; Q as one row and one column of floats per table
+        self._counts, self.kicks, self._coef = _rotation_spectrum(self.f, self._mu, self._scratch)
+        self._cols = self.f.sum(axis=1)[:, None]  # f=1 columns per row
+        # views every iteration reads, as the arrays are updated in place:
+        # f by data row; Q, P[1] and the f=1 sums by the parity of r; Q's
+        # and P's real and imaginary parts; Q as one row and one column of
+        # floats per table; the scratch as two float (T, 2**l, 2**k) halves
         self._f_t = self.f.transpose(0, 2, 1)
         self._q_parity, self._p1_parity = _by_parity(self.q), _by_parity(self.p[1])
+        self._sum_b_parity = _by_parity(self._sum_b)
         self._q_parts = [self.q.view(np.float64)[:, :, x::2] for x in range(2)]
         self._p_parts = [[half.view(np.float64)[:, :, x::2] for half in self.p] for x in range(2)]
         self._q_row = self.q.view(np.float64).reshape(tables, 1, -1)
         self._q_col = self._q_row.transpose(0, 2, 1)
+        self._halves = self._scratch.view(np.float64).reshape(2, tables, dl, dk)
         # the uniform start has P = E = 0: psi's sums are Q's, and each
         # plane's weight in the marginal is |Q|**2 (adding the zero terms
         # would change no bit)
-        self._sums = self._q_sums()
+        self._q_sums()
         self.marginals, self.cdfs = [], []
         weights = np.empty((tables, dk))
         weights[:] = self._q_norms()
@@ -216,25 +253,28 @@ class _SearchStack:
         out.imag = x.imag @ f_t
         return out
 
-    def _q_sums(self) -> tuple:
-        """Q's sums over the f=0 and over the f=1 rows of each (r, j), and
-        over the even and the odd phase rows."""
-        q = self.q
-        sum_b = self._ones_sums(q)
-        sum_a = np.subtract(q.sum(axis=2)[:, :, None], sum_b)
-        return sum_a, sum_b, _row_sums(_phase_rows(q.shape[1])[2:], q)
+    def _q_sums(self) -> None:
+        """Q's sums over the f=0 and over the f=1 rows of each (r, j), into
+        the sums, and over the even and the odd phase rows.  Each part of Q
+        is copied into the float scratch for its product with f: numpy would
+        copy the strided part itself, outside the planned memory."""
+        q, sum_b = self.q, self._sum_b
+        for part, half in zip(self._q_parts, self._halves):
+            np.copyto(self._floats, part)
+            np.matmul(self._floats, self._f_t, out=half)
+        sum_b.real, sum_b.imag = self._halves
+        np.subtract(q.sum(axis=2)[:, :, None], sum_b, out=self._sum_a)
+        self._q_par = _row_sums(_phase_rows(q.shape[1])[2:], q)
 
-    def _reduce(self) -> tuple:
+    def _reduce(self) -> None:
         """The sums that both the marginal and the next AND-simulation read:
         psi's sums over the f=0 and over the f=1 rows of each (r, j), and Q's
         sums over the even and the odd phase rows."""
-        p = self.p
-        sum_a, sum_b, q_par = self._q_sums()
-        sum_a += self._counts[0] * p[0]
-        sum_b += self._counts[1] * p[1]
-        by_parity = _by_parity(sum_b)
-        by_parity += self._ones_sums(self.e)[:, None]
-        return sum_a, sum_b, q_par
+        self._q_sums()
+        for sums, count, half in zip((self._sum_a, self._sum_b), self._counts, self.p):
+            np.multiply(count, half, out=self._scratch)
+            sums += self._scratch
+        self._sum_b_parity += self._ones_sums(self.e)[:, None]
 
     def _q_norms(self) -> np.ndarray:
         """|Q|**2 per table, as a (T, 1) column: one dot product of Q's
@@ -250,17 +290,16 @@ class _SearchStack:
         2**(l-1) rows of one parity is 1, E's own term moves to the other
         parity unchanged.  The diffusion's negation of P is folded into its
         update: each half becomes its correction less (P + shift)."""
-        f, p, q, e = self.f, self.p, self.q, self.e
+        f, p, q, e, q_par = self.f, self.p, self.q, self.e, self._q_par
         dl, dk = p[0].shape[1:]
         rows = _phase_rows(dl)
-        sum_a, sum_b, q_par = self._sums
-        self._sums = None  # the shifts are written over the sums, freed below
         w = 2.0 / dl
         corr_a = (w * _row_sums(rows[0], p[0]))[:, None]
         corr_b = (w * _row_sums(rows[1], p[1]))[:, None, None] * rows[1, :2, None]
-        for half, shift in zip(p, _rotation_shifts(sum_a, sum_b, *self._spectrum)):
+        # the shifts are written over the sums
+        shifts = _rotation_shifts(self._sum_a, self._sum_b, self._mu, self._coef, self._scratch)
+        for half, shift in zip(p, shifts):
             half += shift
-        del sum_a, sum_b, shift
         np.subtract(corr_a, p[0], out=p[0])
         np.subtract(corr_b, self._p1_parity, out=self._p1_parity)
         e[:] = e[:, ::-1] + 2.0 * w * q_par[:, ::-1]
@@ -271,27 +310,26 @@ class _SearchStack:
         self._q_parity += (g * self._cols * e - w * (q_par[:, 0] + q_par[:, 1])[:, None])[:, None]
         q -= (g * p[0].sum(axis=2))[:, :, None]
         # g (P[1] - P[0]) before the negation, its real and imaginary parts
-        # in two C arrays the products read in place
-        d_p = np.empty((2, *p[0].shape))
+        # in the scratch's two halves, C arrays the products read in place
+        d_p = self._halves
         for x in range(2):
             np.subtract(*self._p_parts[x], out=d_p[x])
         d_p *= g
         for x in range(2):  # one (T, 2**l, 2**n) product at a time
-            self._q_parts[x] += d_p[x] @ f
+            np.matmul(d_p[x], f, out=self._floats)
+            self._q_parts[x] += self._floats
         np.negative(e, out=e)
 
     def _plane_weights(self) -> np.ndarray:
         """The sum over r and i of |psi|**2 for each hyperplane j of each
         table: P's terms read off the row sums, |Q|**2, and the sum over r
         of |Q + E|**2 - |Q|**2 on the f=1 rows."""
-        p, e = self.p, self.e
+        p, e, q_par, t = self.p, self.e, self._q_par, self._scratch
         tables, dl, dk = p[0].shape
-        sum_a, sum_b, q_par = self._sums
         # twice the sum over r of Re(conj(P) (sums - count P / 2)) per half
         ones = _phase_rows(dl)[0]
-        t = np.empty_like(p[0])
         terms = []
-        for p_f, sum_f, count in zip(p, (sum_a, sum_b), self._counts):
+        for p_f, sum_f, count in zip(p, (self._sum_a, self._sum_b), self._counts):
             np.multiply(p_f, -0.5 * count, out=t)
             t += sum_f
             pairs = t.view(np.float64)
@@ -317,7 +355,7 @@ class _SearchStack:
         iterations from the fully uniform state."""
         while len(self.marginals) <= r:
             self._step()
-            self._sums = self._reduce()
+            self._reduce()
             self._add_marginal(self._plane_weights())
 
 

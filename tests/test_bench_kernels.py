@@ -83,6 +83,17 @@ def test_search_rows_time_oracle_build(bench, monkeypatch):
         assert row["speedup"] == row["ladder_ms"] / row["change_iteration_ms"]
 
 
+def test_search_rows_skip_the_ladder_above_its_size(bench, monkeypatch):
+    monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2), (0, 1)))
+    monkeypatch.setattr(bench, "LADDER_AMPS", 1 << (bench.l_bits(0) + 1))  # (0, 1)'s dense state
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
+    big, small = bench.search_rows(None)
+    assert "ladder_ms" not in big and "speedup" not in big and big["change_iteration_ms"] > 0
+    assert small["speedup"] == small["ladder_ms"] / small["change_iteration_ms"]
+
+
 def test_sweep_rows_time_every_cell(bench, monkeypatch):
     monkeypatch.setattr(bench, "SWEEP_CALLS", ("sweep(8, 4, 1, seed)", "sweep(8, 4, 2, seed)"))
     monkeypatch.setattr(bench, "CHILD_REPEATS", 1)

@@ -586,6 +586,27 @@ def cap_address_space(limit=1 << 30):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+# Run as ``python -c`` with N and K: a seeded N x K table's search, built
+# and advanced under an address-space cap of what the process maps after the
+# guard's own probe, plus search_state_bytes(N, K) and 1 MiB.
+MAPPED_CHILD = """
+import os, resource, sys
+import numpy as np
+from qvstrain import search
+from qvstrain.oracles import OracleHandle, TruthTable
+rows, cols = int(sys.argv[1]), int(sys.argv[2])
+bits = (np.random.default_rng(0).random((rows, cols)) < 0.9).astype(np.uint8)
+handle = OracleHandle(TruthTable(bits))
+resource.setrlimit(resource.RLIMIT_AS, (1 << 40, 1 << 40))
+search.state_byte_limit()
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+cap = mapped + search.search_state_bytes(rows, cols) + (1 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+search.SimAndSearchOracle(handle).plane_marginal(3)
+"""
+
+
 class TestStateSizeLimit:
     # The child may map at most 1 GiB, which bounds the search state on any
     # host, so each state below is refused; allocating it, or the planes,
@@ -603,7 +624,7 @@ class TestStateSizeLimit:
 
     def test_dense_sized_search_runs_under_the_cap(self):
         # n = 10, k = 9, l = 8: 2**27 amplitudes (2 GiB) held dense; the
-        # factored search needs about 22 MB (search_state_bytes)
+        # factored search needs about 24 MB (search_state_bytes)
         proc = run_cli_process("andor", "--random", "1024,512,1", "--seed", "0",
                                preexec_fn=cap_address_space)
         assert proc.returncode == 0, proc.stderr
@@ -611,7 +632,7 @@ class TestStateSizeLimit:
 
     @pytest.mark.parametrize("table", ["4096,2048,1", "4096,1024,1", "2048,2048,1"])
     def test_guard_counts_what_the_process_maps(self, table):
-        # 114 to 194 MiB of search state under a 256 MiB cap, where the
+        # 130 to 211 MiB of search state under a 256 MiB cap, where the
         # interpreter with numpy and the BLAS work buffer already take a
         # large share: the guard must refuse what cannot fit, not let numpy
         # or the BLAS library fail to allocate it
@@ -620,6 +641,14 @@ class TestStateSizeLimit:
         assert proc.returncode in (0, 2), proc.stderr
         assert "Traceback" not in proc.stderr
         assert "OpenBLAS error" not in proc.stderr
+
+    @pytest.mark.parametrize("table", [(1024, 1024), (4096, 1024)], ids=["1024x1024", "4096x1024"])
+    def test_search_state_bytes_covers_what_the_search_maps(self, table):
+        # capped at what the process maps once the guard has probed, plus
+        # the search's bound and 1 MiB, a search is built and iterated
+        proc = subprocess.run([sys.executable, "-c", MAPPED_CHILD, *map(str, table)],
+                              capture_output=True, text=True, env=cli_process_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("flags,largest", [
         # (n_max, k_max) with the other at its default (5 and 3)
@@ -670,8 +699,8 @@ class TestStateSizeLimit:
         assert err.getvalue().startswith(f"andor: the search state needs {need} bytes")
 
     def test_late_memory_error_exits_2(self, monkeypatch):
-        # past the checks, the allocator's own retention can still exhaust
-        # an address-space cap; that ends in a usage error, not a traceback
+        # past the checks, building an instance can still exhaust an
+        # address-space cap; that ends in a usage error, not a traceback
         def exhausted(*_args, **_kwargs):
             raise MemoryError("Unable to allocate 16.0 MiB for an array")
 

@@ -136,6 +136,23 @@ class TestSimAndSearchOracle:
         with pytest.raises(ValueError, match=f"needs {need} bytes"):
             SimAndSearchOracle(fixture_handle)
 
+    def test_guard_maps_the_blas_buffer_once(self, monkeypatch):
+        # under a cap every call reads what the process maps, but only the
+        # first multiplies the probe that maps the BLAS work buffer
+        products, reads = [], []
+        dot, read = np.dot, open
+
+        def counted(record, call):
+            return lambda *args: record.append(args) or call(*args)
+
+        monkeypatch.setattr(search.resource, "getrlimit", lambda _: (1 << 40, 1 << 40))
+        monkeypatch.setattr(np, "dot", counted(products, dot))
+        monkeypatch.setattr(search, "open", counted(reads, read), raising=False)
+        search._map_blas_buffer.cache_clear()
+        for _ in range(3):
+            search.state_byte_limit()
+        assert len(products) == 1 and len(reads) == 3
+
     @pytest.mark.parametrize("bits", [
         # a criterion-5 table whose zero column summed to -5.4e-16 unclipped
         [[1, 0, 0, 0], [1, 0, 1, 1]],
@@ -229,6 +246,48 @@ class TestSearchStack:
         finally:
             tracemalloc.stop()
         assert peak <= search_state_bytes(*shape, count)
+
+    @pytest.mark.parametrize("shape,count", [((4096, 8), 1), ((256, 256), 1), ((64, 8), 3)],
+                             ids=["4096x8", "256x256", "64x8x3"])
+    def test_iteration_allocates_only_vectors(self, shape, count):
+        # the arrays over two of r, j and i are allocated when the stack is
+        # built: an iteration allocates vectors and numpy's buffers only
+        rng = np.random.default_rng(3)
+        handles = [OracleHandle(TruthTable((rng.random(shape) < 0.9).astype(np.uint8)))
+                   for _ in range(count)]
+        oracle = SimAndSearchOracle.stack(handles)[0]
+        oracle.plane_marginal(1)
+        tracemalloc.start()
+        try:
+            oracle.plane_marginal(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vectors = count * 256 * ((1 << oracle.n) + (1 << oracle.k))
+        assert peak <= vectors + 48 * np.getbufsize() + search.SMALL_ARRAY_BYTES
+
+    @pytest.mark.parametrize("shape,count", [((4, 3), 1), ((64, 47), 1), ((300, 4), 1),
+                                             ((64, 8), 3)],
+                             ids=["4x3", "64x47", "300x4", "64x8x3"])
+    def test_holds_exactly_the_planned_arrays(self, shape, count):
+        rng = np.random.default_rng(4)
+        handles = [OracleHandle(TruthTable((rng.random(shape) < 0.9).astype(np.uint8)))
+                   for _ in range(count)]
+        oracle = SimAndSearchOracle.stack(handles)[0]
+        oracle.plane_marginal(3)
+        # the C arrays over two of r, j and i, each once (f is held as the
+        # transpose of its plan entry too)
+        dl, dk, dn = 1 << oracle.l, 1 << oracle.k, 1 << oracle.n
+        pairs = [sorted(pair) for pair in ((dl, dk), (dl, dn), (dk, dn))]
+        held = {(a.ctypes.data, a.shape, a.dtype.str): a for a in held_arrays(oracle)
+                if a.ndim == 3 and a.flags.c_contiguous and a.shape[0] == count
+                and sorted(a.shape[1:]) in pairs}
+        plan = search._stack_plan(oracle.n, oracle.k, count).values()
+        assert sorted(key[1:] for key in held) == sorted((shape, np.dtype(dtype).str)
+                                                         for shape, dtype in plan)
+        # all parts of one allocation, of the plan's bytes
+        (block,) = {id(a.base): a.base for a in held.values()}.values()
+        assert block.nbytes == sum(a.nbytes for a in held.values())
 
 
 # marginals over 1-64 planes, with zero entries and single-entry ones
