@@ -1,12 +1,13 @@
 """``scripts/bench_kernels.py`` times the package's layers and records them
 in ``BENCH_*.json``; nothing else runs it, so a change to what the timed
 functions accept or return would break it unseen.  The script is loaded from
-its file, three of its layers run at their smallest sizes, and its pinned-run
-recorder runs one small argv per subcommand.  Loading it sets the BLAS thread
+its file, every call of its layers runs once, and its pinned-run recorder
+runs one small argv per subcommand.  Loading it sets the BLAS thread
 variables to 1, which the fixture restores afterwards."""
 
 import importlib.util
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -29,27 +30,30 @@ def bench(monkeypatch):
     return module
 
 
-def test_table_rows_time_from_perceptron(bench, monkeypatch):
-    monkeypatch.setattr(bench, "TABLE_SIZES", ((64, 47),))
-    (row,) = bench.table_rows()
-    assert (row["N"], row["K"]) == (64, 47)
-    assert row["median_ms"] > 0
-
-
-def test_instance_timer_runs_every_call(bench, monkeypatch):
+def test_every_call_of_every_layer_runs(bench, monkeypatch):
     monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
     monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
-    rows = bench.instance_rows(None)
-    assert [row["call"] for row in rows] == list(bench.INSTANCE_CALLS)
-    assert all(row["change_ms"] > 0 for row in rows)
+    rows = bench.layer_rows(None)
+    assert list(rows) == list(bench.LAYERS)
+    for name, (_, calls) in bench.LAYERS.items():
+        assert [row["call"] for row in rows[name]] == calls
+        assert all(row["change_ms"] > 0 and len(row["change_runs"]) == 1 for row in rows[name])
+    mains = [call for call in bench.LAYERS["cli"][1] if call.startswith("main(")]
+    assert [call.split("'")[1] for call in mains] == ["train", "sweep", "verify"]
+    assert all("str(seed)" in call for call in mains)
 
 
-def test_verify_rows_time_identity_and_readout(bench, monkeypatch):
+def test_rows_keep_each_sides_runs(bench, monkeypatch):
+    layer = ("data = generate_planted_dataset(8, 2, 0.2, rng_seed=0)[0]",
+             ["from_perceptron(data, sample_hyperplanes(4, 2, seed))"])
+    monkeypatch.setattr(bench, "LAYERS", {"instances": layer})
     monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
-    rows = bench.verify_rows(None)
-    assert [row["call"] for row in rows] == list(bench.VERIFY_CALLS)
-    assert all(row["change_ms"] > 0 for row in rows)
+    monkeypatch.setattr(bench, "CHILD_ROUNDS", 2)
+    (row,) = bench.layer_rows(bench.ROOT)["instances"]  # this checkout as its own parent
+    assert row["call"] == layer[1][0]
+    for side in ("change", "parent"):
+        assert len(row[f"{side}_runs"]) == 2 and all(ms > 0 for ms in row[f"{side}_runs"])
+        assert row[f"{side}_ms"] == statistics.median(row[f"{side}_runs"])
 
 
 def test_pinned_rows_run_every_subcommand(bench, monkeypatch):
@@ -68,60 +72,6 @@ def test_pinned_rows_run_every_subcommand(bench, monkeypatch):
     assert list(rows) == [" ".join(argv) for argv in argvs]
     assert [row["exit"] for row in rows.values()] == [0, 0, 1, 0, 0, 0]
     assert all(row["stdout"] for row in rows.values())
-
-
-def test_search_rows_time_oracle_build(bench, monkeypatch):
-    monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2), (0, 1)))
-    monkeypatch.setattr(bench, "REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_ROUNDS", 2)
-    rows = bench.search_rows(bench.ROOT)  # this checkout as its own parent
-    assert [(row["n"], row["k"]) for row in rows] == [(3, 2), (0, 1)]
-    for row in rows:
-        assert all(row[f"{side}_{part}"] > 0 for side in ("change", "parent")
-                   for part in ("build_ms", "iteration_ms"))
-        assert row["speedup"] == row["ladder_ms"] / row["change_iteration_ms"]
-
-
-def test_search_rows_skip_the_ladder_above_its_size(bench, monkeypatch):
-    monkeypatch.setattr(bench, "SEARCH_GRID", ((3, 2), (0, 1)))
-    monkeypatch.setattr(bench, "LADDER_AMPS", 1 << (bench.l_bits(0) + 1))  # (0, 1)'s dense state
-    monkeypatch.setattr(bench, "REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
-    big, small = bench.search_rows(None)
-    assert "ladder_ms" not in big and "speedup" not in big and big["change_iteration_ms"] > 0
-    assert small["speedup"] == small["ladder_ms"] / small["change_iteration_ms"]
-
-
-def test_sweep_rows_time_every_cell(bench, monkeypatch):
-    monkeypatch.setattr(bench, "SWEEP_CALLS", ("sweep(8, 4, 1, seed)", "sweep(8, 4, 2, seed)"))
-    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
-    rows = bench.sweep_rows(None)
-    assert [row["call"] for row in rows] == list(bench.SWEEP_CALLS)
-    assert all(row["change_ms"] > 0 for row in rows)
-
-
-def test_cli_rows_time_every_workload(bench, monkeypatch):
-    monkeypatch.setattr(bench, "CHILD_REPEATS", 1)
-    monkeypatch.setattr(bench, "CHILD_ROUNDS", 1)
-    assert [call.split("'")[1] for call in bench.CLI_CALLS] == ["train", "sweep", "verify"]
-    assert all("str(seed)" in call for call in bench.CLI_CALLS)
-    rows = bench.cli_rows(None)
-    assert [row["call"] for row in rows] == list(bench.CLI_CALLS)
-    assert all(row["change_ms"] > 0 for row in rows)
-
-
-def test_stack_rows_time_a_cell_both_ways(bench, monkeypatch):
-    monkeypatch.setattr(bench, "STACK_CELLS", ((3, 3, 2), (1, 0, 0)))
-    monkeypatch.setattr(bench, "REPEATS", 1)
-    rows = bench.stack_rows()
-    assert [(row["tables"], row["n"], row["k"]) for row in rows] == [(3, 3, 2), (1, 0, 0)]
-    for row in rows:
-        assert row["r"] == bench.STACK_ADVANCE
-        assert row["stacked_ms"] > 0 and row["one_at_a_time_ms"] > 0
-        assert row["stacked_over_one_at_a_time"] == row["stacked_ms"] / row["one_at_a_time_ms"]
 
 
 def test_ledger_counts_sum_queries_per_run(bench):
