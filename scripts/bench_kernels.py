@@ -117,16 +117,18 @@ LAYERS = {
         "            for g in (0.1, 0.2) for n in (12, 64)}",
         [f"train_perceptron(datasets[({g}, {n})], 0.1, rng_seed=seed)"
          for g in (0.1, 0.2) for n in (12, 64)]),
-    # seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, and verify's
+    # seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, verify's
     # default suites: identity (20 tables, n <= 4, n + k <= 8),
-    # sign-and-fidelity (50 tables, n <= 5, k <= 3) and phase gap (n <= 12)
+    # sign-and-fidelity (50 tables, n <= 5, k <= 3) and phase gap (n <= 12),
+    # and every readout of a 1024 x 64 table from a fresh handle
     "verify": (
-        "",
+        "readout_table = random_handle(np.random.default_rng(4), 10, 6).table",
         ["controlled_phase_oracle_identity_gap(half_table(seed, 16, 16))",
          "controlled_phase_oracle_identity_gap(half_table(seed, 8, 16))",
          "_oracle_identity_sweep(np.random.default_rng(seed), 20)",
          "_sign_fidelity_sweep(np.random.default_rng(seed), 50, 5, 3, False)",
-         "_phase_gap_sweep(12)"]),
+         "_phase_gap_sweep(12)",
+         "list(g_tilde_readouts(OracleHandle(readout_table)))"]),
     # one-cell sweeps (N, K, workers) of 9 trials: sweep-n's largest cell,
     # searched in one stack; two cells just under STACK_BYTES, in stacks of
     # two; two just over it, each table alone; sweep-n's cell over two workers
@@ -148,7 +150,7 @@ import io, json, statistics, sys, time
 import numpy as np
 from qvstrain.cli import (_oracle_identity_sweep, _phase_gap_sweep, _sign_fidelity_sweep,
                           _single_solution_instance, build_parser, main)
-from qvstrain.counting import grover_operator, l_bits
+from qvstrain.counting import g_tilde_readouts, grover_operator, l_bits
 from qvstrain.oracles import (OracleHandle, TruthTable, controlled_phase_oracle_identity_gap,
                               from_perceptron)
 from qvstrain.perceptron import generate_planted_dataset, sample_hyperplanes

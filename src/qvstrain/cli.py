@@ -80,8 +80,11 @@ def _int_list(flag: str, text: str, form: str = "comma-separated integers",
 
 
 def _run_payloads(fn, payloads, workers: int) -> list:
-    """``fn`` over every payload in order, through one process pool when
-    ``workers > 1``."""
+    """``fn`` over every payload in order, through one pool of ``workers``
+    processes capped at one per payload and per CPU (a forking pool starts
+    them all at its first submit), or serially when that cap is one."""
+    if workers > 1:  # os.cpu_count() reads a file under /sys: one worker skips it
+        workers = min(workers, len(payloads), os.cpu_count() or 1)
     if workers > 1:
         # imported here: it loads multiprocessing, which one worker never uses
         from concurrent.futures import ProcessPoolExecutor
@@ -150,11 +153,11 @@ def cmd_train(args, out) -> int:
 # -- verify --------------------------------------------------------------------
 
 # Peak bytes per entry of a table the sign-and-fidelity suite draws: the
-# uniform draws and their comparison (8 + 1), then the bit table and the
-# handle's float64 table f (1 + 8).  On top of that, VERIFY_SMALL_BYTES
-# holds numpy's cast buffer (8192 doubles) for f and the
-# per-column vectors, among them one block of the table's readout
-# (counting.READOUT_BLOCK_AMPS values per temporary).
+# uniform draws and their comparison (8 + 1); the suite then holds only the
+# bit table, whose column counts the readouts read.  On top of that,
+# VERIFY_SMALL_BYTES holds numpy's cast buffer (8192 doubles) for those
+# counts and the per-column vectors, among them one block of the readout's
+# spectrum (counting.READOUT_BLOCK_AMPS values per temporary).
 VERIFY_BYTES_PER_ENTRY = 9
 VERIFY_SMALL_BYTES = 1 << 17
 # values of m per array expression in the phase-gap suite

@@ -14,20 +14,22 @@ readout, then uncompute, so with w_r = (-1)**r / sqrt(2**l)
     SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda,
     u_lambda,r = w_r lambda**(-r),
 
-over the eigenvalues lambda and eigenprojections Pi_lambda of G.  The
-search applies this closed form to its factored state
-(:class:`qvstrain.search.SimAndSearchOracle`), with the per-(r, j) part
-written once in :func:`_rotation_shifts`.  The phase readout on the uniform
-input is the Fejer-kernel law of amplitude estimation,
-1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
+over the eigenvalues lambda and eigenprojections Pi_lambda of G.  Every
+closed form thus reads a column through its count b_j alone, so the
+readouts take the handle's column counts
+(:func:`~qvstrain.oracles._column_counts`), never its table f.  The phase
+readout on the uniform input is the Fejer-kernel law of amplitude
+estimation, 1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
 (:func:`phase_register_distribution`, an FFT kept for ``quantum_count``,
-which samples the whole readout).  At the 10..0 readout s = 2**(l-1) the two
-branches are complex conjugates, each 2**-l sum_r (-1)**r e^{2i r theta} =
-mean_r mu_r with mu the rotation spectrum, so P(readout = 10..0) =
-|mean_r mu_r|**2 (:func:`_kick_probabilities`), the probability that a
-phase-kickback shot votes "all ones".  ``sim_and_overlap`` returns
-<in|SimAnd|in> = 1 - 2 |mean_r mu_r|**2 and the search reads the same
-expression for every column at once, so the diagnostics run no simulation.
+which samples the whole readout).  At the 10..0 readout s = 2**(l-1) the
+two branches are complex conjugates, each 2**-l sum_r (-1)**r e^{2i r theta}
+= mean_r mu_r with mu the rotation spectrum (:func:`_phase_spectrum`), so
+P(readout = 10..0) = |mean_r mu_r|**2 (:func:`_kick_probabilities`), the
+probability that a phase-kickback shot votes "all ones", and
+``sim_and_overlap`` returns <in|SimAnd|in> = 1 - 2 |mean_r mu_r|**2: the
+diagnostics run no simulation.  The search applies SimAnd to its factored
+state with kernels of its own (:mod:`qvstrain.search`) over the same
+spectrum and kicks.
 
 Each circuit thus runs two ways: the closed forms above in production, and
 the gate engine of :mod:`qvstrain.statevec` and :mod:`qvstrain.oracles` as
@@ -37,10 +39,9 @@ plus the data diffusion on the control-1 view of the state,
 transform on the phase register, and ``sim_and`` is phase estimation, the
 10..0 flip and the inverse; the tests check the closed forms against them.
 
-Metering rule: the private kernels (``_rotation_shifts``, ``_diffuse_data``)
-only move amplitudes and never touch a ledger.  The ledger is charged where
-an algorithm logically runs a circuit, always through
-:meth:`QueryLedger.charge`: the gate engine per oracle call, so
+Metering rule: the private kernels, here and in the search, never touch a
+ledger.  The ledger is charged where an algorithm logically runs a circuit,
+always through :meth:`QueryLedger.charge`: the gate engine per oracle call, so
 ``grover_operator[_inverse]`` once per step, ``phase_estimate[_inverse]``
 2**l - 1 times, one singly controlled call per step, and ``sim_and``
 2 * (2**l - 1) times, the cost :func:`meter_sim_and` charges for the
@@ -52,14 +53,14 @@ charge nothing.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import OracleHandle, QueryLedger, _check_table_layout, apply_phase_oracle
+from .oracles import (OracleHandle, QueryLedger, _check_table_layout, _column_counts,
+                      apply_phase_oracle)
 from .statevec import (
     RegisterLayout,
     StateVector,
@@ -71,7 +72,7 @@ from .statevec import (
 )
 
 
-# values per block of columns in g_tilde_readouts: a few 32 KiB temporaries
+# spectrum values per block of columns in g_tilde_readouts: a few 32 KiB temporaries
 READOUT_BLOCK_AMPS = 1 << 11
 
 
@@ -103,12 +104,10 @@ def _diffuse_data(view: np.ndarray, d: int, axis=-1) -> None:
     view += total * (2.0 / d)
 
 
-def _rotation_angles(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a (columns, 2**n) block of the handle's f: the number
-    of f = 1 rows and the Grover angle theta with sin theta =
-    sqrt(ones / 2**n)."""
-    ones = f.sum(axis=-1)
-    return ones, np.arcsin(np.sqrt(ones / f.shape[-1]))
+def _rotation_angles(ones: np.ndarray, n: int) -> np.ndarray:
+    """The Grover angle theta, sin theta = sqrt(ones / 2**n), of columns
+    with ``ones`` f = 1 rows out of 2**n."""
+    return np.arcsin(np.sqrt(ones / (1 << n)))
 
 
 def _phase_spectrum(theta: np.ndarray, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -128,131 +127,13 @@ def _kicks(mu: np.ndarray) -> np.ndarray:
     return np.abs(mu.sum(axis=-1) / mu.shape[-1]) ** 2
 
 
-def _kick_probabilities(f: np.ndarray, l: int) -> np.ndarray:
+def _kick_probabilities(ones: np.ndarray, n: int, l: int) -> np.ndarray:
     """P(readout = 10..0) after phase estimation from the uniform data
-    register, per column of a (..., columns, 2**n) block of f, under a phase
+    register, per column with ``ones`` f = 1 rows out of 2**n, under a phase
     register of l bits: |mean_r mu_r|**2 with mu (:func:`_phase_spectrum`)
     held as (..., columns, 2**l), so each column sums along the contiguous
     last axis, in one (pairwise) order for a column, a table or a stack."""
-    return _kicks(_phase_spectrum(_rotation_angles(f)[1][..., None], np.arange(1 << l)))
-
-
-def _rotation_spectrum(f: np.ndarray, mu: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per column of a (tables, columns, 2**n) stack of f, from one
-    evaluation of the spectrum into ``buf`` (a complex C array of mu's size)
-    in the (tables, columns, 2**l) layout of :func:`_kick_probabilities`,
-    then copied into ``mu``, the (tables, 2**l, columns) C array that
-    :func:`_rotation_shifts` reads: the f=0 and the f=1 row counts as one
-    (2, tables, 1, columns) array; the (tables, columns) kick
-    probabilities, equal to :func:`_kick_probabilities` bit for bit, as
-    they are summed in its order; and mu's (5, 2, tables, 1, columns)
-    complex weights per column.  With a and b the inverse square roots of
-    the two row counts (0 for an empty count) and c = 2/2**l, the weights'
-    rows are [a, ib] and [a, -ib] (kx and ky from the rotation-plane sums),
-    [c a**2, c b**2] (the row means), and [-c a/2, -c a/2] and
-    [ic b/2, -ic b/2] (the f=0 and the f=1 rows' factors of dx and dy).
-    The size-1 axes broadcast over r."""
-    tables, dl, columns = mu.shape
-    ones, theta = _rotation_angles(f)
-    spectrum = buf.reshape(tables, columns, dl)
-    _phase_spectrum(theta[..., None], np.arange(dl), out=spectrum)
-    kicks = _kicks(spectrum)
-    np.copyto(mu, spectrum.transpose(0, 2, 1))
-    counts = np.array([f.shape[-1] - ones, ones])[:, :, None]
-    inv = np.divide(1.0, np.sqrt(counts), out=np.zeros(counts.shape), where=counts > 0)
-    coef = inv[[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]].reshape(5, 2, *inv.shape[1:])  # [a, b] ... [b, b]
-    coef[2] **= 2
-    c = 2.0 / dl
-    scale = np.array([[1.0, 1j], [1.0, -1j], [c, c], [-0.5 * c, -0.5 * c], [0.5j * c, -0.5j * c]])
-    return counts, kicks, coef * scale[:, :, None, None, None]
-
-
-@functools.cache
-def _phase_rows(dl: int) -> np.ndarray:
-    """Real weights over the dl values r of a phase register, as the rows of
-    one read-only (4, dl) array: 1, (-1)**r, 1 on the even r and 1 on the
-    odd r."""
-    rows = np.zeros((4, dl))
-    rows[0] = 1.0
-    rows[1] = 1.0 - 2.0 * (np.arange(dl) & 1)
-    rows[2, 0::2] = 1.0
-    rows[3, 1::2] = 1.0
-    rows.flags.writeable = False
-    return rows
-
-
-def _row_sums(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``weights @ x`` for a complex (..., 2**l, m) C array x and real
-    weights over r (one row, or a stack of rows of :func:`_phase_rows`), from
-    one real product per table with x's float view: numpy's sums over a
-    leading axis cost more than the product."""
-    return (weights @ x.view(np.float64)).view(np.complex128)
-
-
-def _by_parity(x: np.ndarray) -> np.ndarray:
-    """A (..., 2**l, m) array viewed as (..., 2**(l-1), 2, m), with axis -2
-    the parity of the phase row r."""
-    return x.reshape(*x.shape[:-2], -1, 2, x.shape[-1])
-
-
-def _rotation_shifts(sum_a, sum_b, mu, coef, buf) -> tuple[np.ndarray, np.ndarray]:
-    """The part of SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda
-    that is constant over the f=0 rows and over the f=1 rows of each (r, j).
-
-    ``sum_a`` and ``sum_b`` are the (tables, 2**l, columns) complex sums of
-    a stack of states over the f=0 and the f=1 rows; ``mu`` and ``coef`` are
-    :func:`_rotation_spectrum`'s.  The -1 eigenspace (zero-sum part of the
-    f=0 rows) pairs with u_r = 1/sqrt(2**l), so the f=0 rows lose 2/2**l
-    times the plain sum over r; the +1 eigenspace (zero-sum part of the f=1
-    rows) pairs with u_r = w_r, the alternating sum.  Those two corrections
-    are the caller's; they also remove the row means, which ``shift_a`` and
-    ``shift_b`` put back.  The rotation plane is handled in its eigenbasis
-    x = alpha + i beta (lambda = e^{2i theta}), y = alpha - i beta
-    (lambda = e^{-2i theta}), with alpha, beta the normalized f=0 and f=1
-    row sums.
-
-    The six sums over r (of mu and conj(mu) times each row sum, and the row
-    sums' plain and alternating sums) are products with rows of
-    :func:`_phase_rows` into one array, weighted per column by ``coef`` in
-    one product; each product with mu or conj(mu) is written into ``buf``
-    (a complex array of mu's shape) or over the consumed sums, so the kernel
-    allocates nothing of their size.  Every product runs per table, so each
-    table's shifts do not depend on the stack it is in.
-
-    Returns what each f=0 row (``shift_a``) and each f=1 row (``shift_b``)
-    of (r, j) gains, written over ``sum_a`` and ``sum_b``."""
-    ones, signs = _phase_rows(mu.shape[1])[:2]
-    pairs_a, pairs_b = sum_a.view(np.float64), sum_b.view(np.float64)
-    np.multiply(mu, sum_a, out=buf)
-    pairs = buf.view(np.float64)
-    sums = np.empty((6, pairs.shape[0], pairs.shape[2]))
-    np.matmul(ones, pairs, out=sums[0])
-    np.multiply(mu, sum_b, out=buf)
-    np.matmul(ones, pairs, out=sums[1])
-    np.matmul(ones, pairs_a, out=sums[4])
-    np.matmul(signs, pairs_b, out=sums[5])
-    np.conjugate(mu, out=buf)
-    np.multiply(buf, sum_a, out=sum_a)
-    np.matmul(ones, pairs_a, out=sums[2])
-    np.multiply(buf, sum_b, out=sum_b)
-    np.matmul(ones, pairs_b, out=sums[3])
-    # [[a mu.a, ib mu.b], [a mu~.a, -ib mu~.b], [c a**2 sum a, c b**2 alt b]]:
-    # the first two rows sum to kx and ky, sqrt(2**(l+1)) times the
-    # rotation-plane amplitudes on <u_lambda|; the last holds the row means
-    sums = sums.view(np.complex128).reshape(coef[:3].shape)
-    sums *= coef[:3]
-    # factors[h] scales dx = conj(mu) kx and dy = mu ky into the f=h rows' shift
-    factors = coef[3:] * sums[:2].sum(axis=1)
-    np.multiply(buf, factors[0, 0], out=sum_a)
-    np.multiply(buf, factors[1, 0], out=sum_b)
-    np.multiply(mu, factors[0, 1], out=buf)
-    buf += sums[2, 0]
-    sum_a += buf
-    np.multiply(mu, factors[1, 1], out=buf)
-    alternating = _by_parity(buf)
-    alternating += signs[:2, None] * sums[2, 1][:, :, None]
-    sum_b += buf
-    return sum_a, sum_b
+    return _kicks(_phase_spectrum(_rotation_angles(ones, n)[..., None], np.arange(1 << l)))
 
 
 # -- public operations ---------------------------------------------------------
@@ -371,21 +252,15 @@ def _phase_bits(j: int, handle: OracleHandle, l: int | None) -> int:
     return l
 
 
-def _sim_and_overlaps(f: np.ndarray, l: int) -> np.ndarray:
-    """<input| SimAnd |input> for every column of a (columns, 2**n) block of
-    f, under a phase register of l bits: exactly 1 - 2 P(s = 10..0), since
-    SimAnd flips that readout between phase estimation and its uncompute,
-    with P(s = 10..0) the kick probability (:func:`_kick_probabilities`).
-    The overlaps are real."""
-    return 1.0 - 2.0 * _kick_probabilities(f, l)
-
-
 def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> complex:
-    """<input| SimAnd |input> for the basis hyperplane j
-    (:func:`_sim_and_overlaps`).  An exact amplitude diagnostic: charges
-    nothing."""
+    """<input| SimAnd |input> for the basis hyperplane j, under a phase
+    register of l bits: exactly 1 - 2 P(s = 10..0), since SimAnd flips that
+    readout between phase estimation and its uncompute, with P(s = 10..0)
+    the kick probability of column j's count (:func:`_kick_probabilities`).
+    The overlap is real.  An exact amplitude diagnostic: charges nothing."""
     l = _phase_bits(j, handle, l)
-    return complex(_sim_and_overlaps(handle.f[j : j + 1], l)[0])
+    ones = _column_counts(handle)[j : j + 1]
+    return complex((1.0 - 2.0 * _kick_probabilities(ones, handle.n, l))[0])
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
@@ -399,15 +274,15 @@ def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTild
 
 def g_tilde_readouts(handle: OracleHandle, l: int | None = None) -> Iterator[GTildeReadout]:
     """:func:`g_tilde_readout` of every hyperplane of the padded table, in
-    order, equal to the readouts taken one column at a time.  The columns
-    go through :func:`_sim_and_overlaps` in blocks whose rows of f and
-    spectrum hold at most READOUT_BLOCK_AMPS values each (one block for
-    every table of ``verify``'s defaults), and the readouts are yielded as
-    they are read, so no table-sized list is held.  Charges nothing."""
+    order, equal to the readouts taken one column at a time.  The columns'
+    counts go through :func:`_kick_probabilities` in blocks whose spectrum
+    holds at most READOUT_BLOCK_AMPS values (one block for every table of
+    ``verify``'s defaults), and the readouts are yielded as they are read,
+    so no table-sized list is held.  Charges nothing."""
     l = _phase_bits(0, handle, l)
-    cols = max(1, READOUT_BLOCK_AMPS >> max(handle.n, l))
-    blocks = (_sim_and_overlaps(handle.f[first : first + cols], l)
-              for first in range(0, 1 << handle.k, cols))
+    counts, cols = _column_counts(handle), max(1, READOUT_BLOCK_AMPS >> l)
+    blocks = (1.0 - 2.0 * _kick_probabilities(counts[first : first + cols], handle.n, l)
+              for first in range(0, counts.size, cols))
     return (_readout(eta) for block in blocks for eta in block.tolist())
 
 
@@ -422,7 +297,7 @@ def phase_register_distribution(
     circuit and charges nothing."""
     l = _phase_bits(j, handle, l)
     dl = 1 << l
-    _, theta = _rotation_angles(handle.f[j])
+    theta = _rotation_angles(_column_counts(handle)[j], handle.n)
     # phase-register state of each branch lambda = e^{+-2i theta} after the
     # ladder, sum_r lambda**r |r> / sqrt(2**l), then the inverse Fourier transform
     branches = np.exp(np.outer((2j, -2j), np.arange(dl) * theta)) / math.sqrt(dl)

@@ -138,10 +138,19 @@ def _padded_f(tables: list[TruthTable], f: np.ndarray) -> np.ndarray:
     return f.transpose(0, 2, 1)
 
 
+def _column_counts(handle: OracleHandle) -> np.ndarray:
+    """The f = 1 rows of every column of the handle's padded f, (2**k,)
+    float64, from the table's bits: a real column's ones plus the phantom
+    rows, and 0 for a phantom column."""
+    counts = np.zeros(1 << handle.k)
+    counts[: handle.n_cols] = handle.table.bits.sum(axis=0) + ((1 << handle.n) - handle.n_rows)
+    return counts
+
+
 class OracleHandle:
     """A truth table bound to a query ledger, and ``f[j, i] = f(i, j)`` over
     the padded registers (:func:`_padded_f`), (2**k, 2**n) float64, built on
-    first read: only the gate engine and the readouts read it."""
+    first read: only the gate engine reads it."""
 
     def __init__(self, table: TruthTable):
         self.table = table

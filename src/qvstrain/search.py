@@ -4,36 +4,46 @@ multi-criterion search, and the end-to-end version-space trainer.
 
 Within one search run the unitary pieces are deterministic, so iterated
 states and verification probabilities are computed once per table and
-reused across Monte Carlo repetitions.  Tables of one padded shape can be
-searched through one stack (:meth:`SimAndSearchOracle.stack`): their
-states are held with a leading table axis and advanced together, each
-product and reduction still per table, so a table's numbers do not depend
-on the stack it is in; a single search is a stack of one.  Each iteration
-applies the AND-simulation in its closed form from the Grover spectrum,
-SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda (see
-:mod:`qvstrain.counting`), so no Grover step is executed; a verification shot votes "all ones" with the
-probability P(readout = 10..0) = (1 - Re <in|SimAnd|in>) / 2 =
-|mean_r mu[r, j]|**2, which the oracle reads for every column j at once
-through the readouts' own kernel (the kick vector).  The search is one fixed
-construction: a majority vote of VERIFY_REPEATS shots per candidate, and at
-most MAX_ROUNDS passes of the randomized-iteration schedule.  The
-amplitude kernels and the overlap diagnostic charge nothing; the search
-alone charges the ledger, by the closed-form cost of what each run
-logically performs: one AND-simulation per Grover iteration and one
-controlled AND-simulation per verification shot (:func:`meter_sim_and`).
+reused across Monte Carlo repetitions.  From the uniform start every
+(AND-simulation, hyperplane diffusion) iterate has the exact form
 
-The search state is held in three factors, psi(r, j, i) = P[f, r, j] +
-Q[r, i] + f E[r & 1, i] with f = f(i, j) (:class:`SimAndSearchOracle`), so
-it takes O(2**(l+k) + 2**(l+n)) memory instead of 2**(l+k+n) amplitudes,
-and no factor is the size of the table.  Every array over two of the axes
-r, j and i, each iteration's scratch included, is laid out by
-:func:`_stack_plan` in one allocation made when the search is built, so an
-iteration allocates only vectors.  A search whose peak
-(:func:`search_state_bytes`: the plan, the vectors and numpy's buffers, for
-one table or a stack) would exceed :func:`state_byte_limit` (the machine's
-physical memory, or the address-space limit less what the process maps, if
-smaller) is refused before anything is allocated; the stack checks again
-just before its allocation.
+    psi(r, j, i) = P[f, r, j] + Q[r, i] + f E[r & 1, i],  f = f(i, j),
+
+over phase row r, hyperplane j and data row i, so a search holds three
+factors (2 x 2**l x 2**k, 2**l x 2**n and 2 x 2**n complex) instead of
+2**(l+k+n) amplitudes, and no factor is the size of the table.  Each
+iteration applies the AND-simulation in its closed form from the Grover
+spectrum of each column's row count (see :mod:`qvstrain.counting`), so no
+Grover step is executed: :func:`_rotation_shifts` adds its per-(r, j)
+shifts to P and :meth:`_SearchStack._step` its eigenspace corrections;
+the diffusion over j negates P and E and adds twice their mean over j to
+Q.  The only work of order 2**(l+k+n) is two products with the table per
+iteration: Q's, for the f=1 row sums, and P[1] - P[0]'s, for the
+diffusion's mean.  A verification shot votes "all ones" with the
+probability P(readout = 10..0) = |mean_r mu[r, j]|**2, read for every
+column j at once off the same evaluation of the spectrum
+(:func:`_rotation_spectrum`, the kick vector).
+
+Tables of one padded shape can be searched through one stack
+(:meth:`SimAndSearchOracle.stack`): their states are held with a leading
+table axis and advanced together, each product and reduction still per
+table, so a table's numbers do not depend on the stack it is in; a single
+search is a stack of one.  The search is one fixed construction: a
+majority vote of VERIFY_REPEATS shots per candidate, and at most
+MAX_ROUNDS passes of the randomized-iteration schedule.  The kernels
+charge nothing; the search alone charges the ledger, by the closed-form
+cost of what each run logically performs: one AND-simulation per Grover
+iteration and one controlled AND-simulation per verification shot
+(:func:`meter_sim_and`).
+
+Every array over two of the axes r, j and i, each iteration's scratch
+included, is laid out by :func:`_stack_plan` in one allocation made when
+the search is built, so an iteration allocates only vectors.  A search
+whose peak (:func:`search_state_bytes`: the plan, the vectors and numpy's
+buffers, for one table or a stack) would exceed :func:`state_byte_limit`
+(the machine's physical memory, or the address-space limit less what the
+process maps, if smaller) is refused before anything is allocated; the
+stack checks again just before its allocation.
 """
 
 from __future__ import annotations
@@ -47,8 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import (_by_parity, _phase_rows, _rotation_shifts, _rotation_spectrum, _row_sums,
-                       l_bits, meter_sim_and)
+from .counting import _kicks, _phase_spectrum, _rotation_angles, l_bits, meter_sim_and
 from .oracles import OracleHandle, QueryLedger, _ceil_log2, _padded_f, from_perceptron
 from .perceptron import Dataset, required_sample_count, sample_hyperplanes
 
@@ -188,6 +197,124 @@ def _draw(cdf: np.ndarray, rng) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _rotation_spectrum(ones, n: int, mu, buf) -> tuple[np.ndarray, ...]:
+    """Per column of a stack of tables with ``ones`` its (tables, columns)
+    f = 1 row counts out of 2**n, from one evaluation of the spectrum into
+    ``buf`` (a complex C array of mu's size) in the (tables, columns, 2**l)
+    layout of :func:`~qvstrain.counting._kick_probabilities`, then copied
+    into ``mu``, the (tables, 2**l, columns) C array that
+    :func:`_rotation_shifts` reads: the f=0 and the f=1 row counts as one
+    (2, tables, 1, columns) array; the (tables, columns) kick
+    probabilities, equal to ``_kick_probabilities`` bit for bit, as they
+    are summed in its order; and mu's (5, 2, tables, 1, columns) complex
+    weights per column.  With a and b the inverse square roots of the two
+    row counts (0 for an empty count) and c = 2/2**l, the weights' rows are
+    [a, ib] and [a, -ib] (kx and ky from the rotation-plane sums),
+    [c a**2, c b**2] (the row means), and [-c a/2, -c a/2] and
+    [ic b/2, -ic b/2] (the f=0 and the f=1 rows' factors of dx and dy).
+    The size-1 axes broadcast over r."""
+    tables, dl, columns = mu.shape
+    spectrum = buf.reshape(tables, columns, dl)
+    _phase_spectrum(_rotation_angles(ones, n)[..., None], np.arange(dl), out=spectrum)
+    kicks = _kicks(spectrum)
+    np.copyto(mu, spectrum.transpose(0, 2, 1))
+    counts = np.array([(1 << n) - ones, ones])[:, :, None]
+    inv = np.divide(1.0, np.sqrt(counts), out=np.zeros(counts.shape), where=counts > 0)
+    coef = inv[[0, 1, 0, 1, 0, 1, 0, 0, 1, 1]].reshape(5, 2, *inv.shape[1:])  # [a, b] ... [b, b]
+    coef[2] **= 2
+    c = 2.0 / dl
+    scale = np.array([[1.0, 1j], [1.0, -1j], [c, c], [-0.5 * c, -0.5 * c], [0.5j * c, -0.5j * c]])
+    return counts, kicks, coef * scale[:, :, None, None, None]
+
+
+@functools.cache
+def _phase_rows(dl: int) -> np.ndarray:
+    """Real weights over the dl values r of a phase register, as the rows of
+    one read-only (4, dl) array: 1, (-1)**r, 1 on the even r and 1 on the
+    odd r."""
+    rows = np.zeros((4, dl))
+    rows[0] = 1.0
+    rows[1] = 1.0 - 2.0 * (np.arange(dl) & 1)
+    rows[2, 0::2] = 1.0
+    rows[3, 1::2] = 1.0
+    rows.flags.writeable = False
+    return rows
+
+
+def _row_sums(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``weights @ x`` for a complex (..., 2**l, m) C array x and real
+    weights over r (one row, or a stack of rows of :func:`_phase_rows`), from
+    one real product per table with x's float view: numpy's sums over a
+    leading axis cost more than the product."""
+    return (weights @ x.view(np.float64)).view(np.complex128)
+
+
+def _by_parity(x: np.ndarray) -> np.ndarray:
+    """A (..., 2**l, m) array viewed as (..., 2**(l-1), 2, m), with axis -2
+    the parity of the phase row r."""
+    return x.reshape(*x.shape[:-2], -1, 2, x.shape[-1])
+
+
+def _rotation_shifts(sum_a, sum_b, mu, coef, buf) -> tuple[np.ndarray, np.ndarray]:
+    """The part of SimAnd = I - 2 sum_lambda |u_lambda><u_lambda| (x) Pi_lambda
+    that is constant over the f=0 rows and over the f=1 rows of each (r, j).
+
+    ``sum_a`` and ``sum_b`` are the (tables, 2**l, columns) complex sums of
+    a stack of states over the f=0 and the f=1 rows; ``mu`` and ``coef`` are
+    :func:`_rotation_spectrum`'s.  The -1 eigenspace (zero-sum part of the
+    f=0 rows) pairs with u_r = 1/sqrt(2**l), so the f=0 rows lose 2/2**l
+    times the plain sum over r; the +1 eigenspace (zero-sum part of the f=1
+    rows) pairs with u_r = w_r, the alternating sum.  Those two corrections
+    are :meth:`_SearchStack._step`'s; they also remove the row means, which
+    ``shift_a`` and ``shift_b`` put back.  The rotation plane is handled in its eigenbasis
+    x = alpha + i beta (lambda = e^{2i theta}), y = alpha - i beta
+    (lambda = e^{-2i theta}), with alpha, beta the normalized f=0 and f=1
+    row sums.
+
+    The six sums over r (of mu and conj(mu) times each row sum, and the row
+    sums' plain and alternating sums) are products with rows of
+    :func:`_phase_rows` into one array, weighted per column by ``coef`` in
+    one product; each product with mu or conj(mu) is written into ``buf``
+    (a complex array of mu's shape) or over the consumed sums, so the kernel
+    allocates nothing of their size.  Every product runs per table, so each
+    table's shifts do not depend on the stack it is in.
+
+    Returns what each f=0 row (``shift_a``) and each f=1 row (``shift_b``)
+    of (r, j) gains, written over ``sum_a`` and ``sum_b``."""
+    ones, signs = _phase_rows(mu.shape[1])[:2]
+    pairs_a, pairs_b = sum_a.view(np.float64), sum_b.view(np.float64)
+    np.multiply(mu, sum_a, out=buf)
+    pairs = buf.view(np.float64)
+    sums = np.empty((6, pairs.shape[0], pairs.shape[2]))
+    np.matmul(ones, pairs, out=sums[0])
+    np.multiply(mu, sum_b, out=buf)
+    np.matmul(ones, pairs, out=sums[1])
+    np.matmul(ones, pairs_a, out=sums[4])
+    np.matmul(signs, pairs_b, out=sums[5])
+    np.conjugate(mu, out=buf)
+    np.multiply(buf, sum_a, out=sum_a)
+    np.matmul(ones, pairs_a, out=sums[2])
+    np.multiply(buf, sum_b, out=sum_b)
+    np.matmul(ones, pairs_b, out=sums[3])
+    # [[a mu.a, ib mu.b], [a mu~.a, -ib mu~.b], [c a**2 sum a, c b**2 alt b]]:
+    # the first two rows sum to kx and ky, sqrt(2**(l+1)) times the
+    # rotation-plane amplitudes on <u_lambda|; the last holds the row means
+    sums = sums.view(np.complex128).reshape(coef[:3].shape)
+    sums *= coef[:3]
+    # factors[h] scales dx = conj(mu) kx and dy = mu ky into the f=h rows' shift
+    factors = coef[3:] * sums[:2].sum(axis=1)
+    np.multiply(buf, factors[0, 0], out=sum_a)
+    np.multiply(buf, factors[1, 0], out=sum_b)
+    np.multiply(mu, factors[0, 1], out=buf)
+    buf += sums[2, 0]
+    sum_a += buf
+    np.multiply(mu, factors[1, 1], out=buf)
+    alternating = _by_parity(buf)
+    alternating += signs[:2, None] * sums[2, 1][:, :, None]
+    sum_b += buf
+    return sum_a, sum_b
+
+
 class _SearchStack:
     """The factors of :class:`SimAndSearchOracle` for T tables of one padded
     shape, held with a leading table axis and advanced together: every
@@ -221,7 +348,8 @@ class _SearchStack:
             half.fill(0.0)
         self.q.fill(1.0 / math.sqrt(dl * dk * dn))
         self.e = np.zeros((tables, 2, dn), dtype=np.complex128)
-        self._counts, self.kicks, self._coef = _rotation_spectrum(self.f, self._mu, self._scratch)
+        self._counts, self.kicks, self._coef = _rotation_spectrum(
+            self.f.sum(axis=-1), n, self._mu, self._scratch)
         self._cols = self.f.sum(axis=1)[:, None]  # f=1 columns per row
         # views every iteration reads, as the arrays are updated in place:
         # f by data row; Q, P[1] and the f=1 sums by the parity of r; Q's
@@ -361,21 +489,8 @@ class _SearchStack:
 
 class SimAndSearchOracle:
     """The AND-simulation circuit bound to an oracle handle, prepared for use
-    as the reflection inside bounded-error search.
-
-    From the uniform start every (reflection, hyperplane diffusion) iterate
-    has the exact form
-
-        psi(r, j, i) = P[f, r, j] + Q[r, i] + f E[r & 1, i],  f = f(i, j)
-
-    over phase row r, hyperplane j and data row i, so the oracle holds three
-    factors (2 x 2**l x 2**k, 2**l x 2**n and 2 x 2**n complex) instead of
-    2**(l+k+n) amplitudes.  The AND-simulation updates each in closed form
-    and adds its per-(r, j) shifts (:func:`~qvstrain.counting._rotation_shifts`)
-    to P; the diffusion over j negates P and E and adds twice their mean
-    over j to Q.  The only work of order 2**(l+k+n) is two products with the
-    table per iteration: Q's, for the f=1 row sums, and P[1] - P[0]'s, for
-    the diffusion's mean.
+    as the reflection inside bounded-error search, over the factored state
+    of the module docstring.
 
     The factors live in a stack of tables of one padded shape, advanced
     together (:meth:`stack`); ``SimAndSearchOracle(handle)`` is a stack of
@@ -383,11 +498,9 @@ class SimAndSearchOracle:
     advanced in place to the largest iteration count any of its tables has
     asked for; the hyperplane marginal after every iteration so far, with
     the CDF its candidates are drawn from; and the kick vector, every
-    column's verification probability, read off the same one evaluation of
-    the rotation spectrum as the shifts' constants
-    (:func:`~qvstrain.counting._rotation_spectrum`).  This oracle reads its
-    table's row of each.  Nothing here charges the ledger; the search
-    charges each run through :func:`meter_sim_and`.
+    column's verification probability.  This oracle reads its table's row
+    of each.  Nothing here charges the ledger; the search charges each run
+    through :func:`meter_sim_and`.
     """
 
     def __init__(self, handle: OracleHandle):

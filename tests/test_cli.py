@@ -220,6 +220,48 @@ class TestSweep:
         assert len(fits) == 1 and fits[0][-2] == "N"
 
 
+class TestRunPayloads:
+    """A forking pool starts every process at its first submit, so --workers
+    starts at most one process per payload and per CPU, and none when that
+    is one.  The pool is a fake that records its size and maps in process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    @pytest.mark.parametrize("payloads,workers,cpus,sizes", [
+        (1, 4, 8, []), (3, 1000, 8, [3]), (20, 1000, 8, [8]), (5, 2, 8, [2]),
+        (5, 4, None, []), (5, 1, 8, [])])
+    def test_pool_size(self, monkeypatch, pools, payloads, workers, cpus, sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli._run_payloads(abs, list(range(-payloads, 0)), workers) == \
+            list(range(payloads, 0, -1))
+        assert pools == sizes
+
+    def test_one_trial_starts_no_pool(self, monkeypatch, pools):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        args = ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "1", "--seed", "13")
+        assert run_cli(*args, "--workers", "4") == run_cli(*args)
+        assert pools == []
+
+
 def reference_single_solution_instance(n_points, n_planes, gamma, seed):
     """The sweep's instance assembled the way the table is specified: the
     batches' non-member columns stacked in draw order, cut to K - 1, and the
@@ -555,8 +597,8 @@ class TestInvalidArgv:
 @pytest.mark.parametrize("command,reads", [("train", False), ("sweep", False),
                                            ("andor", False), ("verify", True)])
 def test_only_verify_reads_a_handles_f(monkeypatch, command, reads):
-    # the search builds its own tables; a handle's f is for the gate engine
-    # and the readouts, which only verify runs
+    # the search builds its own tables; a handle's f is for the gate engine,
+    # which only verify's identity suite runs
     read = []
     f = OracleHandle.f
     monkeypatch.setattr(OracleHandle, "f", property(lambda h: read.append(h) or f.func(h)))

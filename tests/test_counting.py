@@ -432,6 +432,41 @@ class TestGTildeReadout:
         assert columns > 20_000
 
 
+class TestReadoutsReadCounts:
+    """A readout depends on a column through its count of f = 1 rows alone,
+    so it reads the table's column counts and never builds the handle's
+    float64 f, which is for the gate engine."""
+
+    @pytest.mark.parametrize("readout", [
+        lambda h: sim_and_overlap(1, h),
+        lambda h: g_tilde_readout(3, h),
+        lambda h: list(g_tilde_readouts(h)),
+        lambda h: phase_register_distribution(1, h),
+        lambda h: quantum_count(1, h, shots=4, rng_seed=0),
+        lambda h: cli._sign_fidelity_sweep(np.random.default_rng(0), 5, 4, 3, False),
+    ], ids=["sim_and_overlap", "g_tilde_readout", "g_tilde_readouts",
+            "phase_register_distribution", "quantum_count", "sign_fidelity_sweep"])
+    def test_no_readout_builds_f(self, monkeypatch, readout):
+        read = []
+        f = OracleHandle.f
+        monkeypatch.setattr(OracleHandle, "f", property(lambda h: read.append(h) or f.func(h)))
+        readout(OracleHandle(TruthTable(FIXTURE_BITS)))
+        assert read == []
+
+    def test_readout_peak_is_under_the_tables_f(self):
+        import tracemalloc
+        table = TruthTable((np.random.default_rng(5).random((1024, 64)) < 0.9).astype(np.uint8))
+        g_tilde_readout(3, OracleHandle(table))  # numpy's one-off set-up
+        handle = OracleHandle(table)
+        tracemalloc.start()
+        try:
+            g_tilde_readout(3, handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10, f"peak {peak} B"  # f alone would be 512 KiB
+
+
 class TestQuantumCount:
     def test_exact_for_full_column(self, fixture_handle):
         est = quantum_count(2, fixture_handle, shots=32, rng_seed=1)

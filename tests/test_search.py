@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qvstrain.counting import _kick_probabilities, l_bits, sim_and
-from qvstrain.oracles import OracleHandle, TruthTable
+from qvstrain.oracles import OracleHandle, TruthTable, _column_counts
 from qvstrain.perceptron import generate_planted_dataset, in_version_space
 from qvstrain import search
 from qvstrain.search import (
@@ -230,6 +230,7 @@ class TestSearchStack:
         for table, handle in zip(tables, handles, strict=True):
             assert (table == handle.f).all()
             assert table.strides == handle.f.strides
+            assert (_column_counts(handle) == handle.f.sum(axis=1)).all()
 
     @pytest.mark.parametrize("shape,count", [((4, 3), 5), ((64, 8), 3), ((64, 47), 6),
                                              ((16, 200), 2), ((300, 4), 4), ((256, 8), 3)],
@@ -330,7 +331,7 @@ def test_kick_vector_equals_kick_kernel(seed):
     handle = random_kernel_table(np.random.default_rng(seed))
     oracle = SimAndSearchOracle(handle)
     kicks = np.array([oracle.kick_probability(j) for j in range(1 << oracle.k)])
-    assert (kicks == _kick_probabilities(handle.f, oracle.l)).all()
+    assert (kicks == _kick_probabilities(_column_counts(handle), oracle.n, oracle.l)).all()
 
 
 def held_arrays(value):
@@ -422,7 +423,7 @@ class TestTrainPerceptron:
 
 
 def test_search_never_builds_the_handles_f(monkeypatch):
-    # only the gate engine and the readouts read a handle's f
+    # only the gate engine reads a handle's f
     handle = OracleHandle(TruthTable(np.ones((4, 3), dtype=np.uint8)))
     multi_criterion_search(handle, rng_seed=0)
     stacked = padded_tables(np.random.default_rng(2), 2, 2, 3)
