@@ -53,8 +53,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads as perfbench_workloads  # noqa: E402
 
-CHILD_REPEATS = 21  # seeds 0..20, one call each, in each child run
-CHILD_ROUNDS = 5  # child runs per checkout, alternating
+CHILD_REPEATS = 9  # seeds 0..8, one call each, in each child run
+CHILD_ROUNDS = 11  # child runs per checkout, alternating
 FIRST_SEED = 20001  # perfbench seed of the first pair; not used while building
 SECONDS = 40.0  # perfbench run length
 WORKLOADS = ("train-n64", "sweep-n", "verify")

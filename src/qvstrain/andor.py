@@ -28,8 +28,7 @@ def evaluate_via_search(table: TruthTable, rng_seed=None) -> tuple[int, SearchOu
     """Run multi-criterion search over the table; Found maps to 1, NotFound
     to 0.  Correct with probability >= 2/3."""
     outcome = multi_criterion_search(OracleHandle(table), rng_seed)
-    value = int(outcome.found and outcome.index < table.n_cols)
-    return value, outcome
+    return int(outcome.found), outcome
 
 
 def save_instance(table: TruthTable, path) -> None:

@@ -12,29 +12,24 @@ from .search import SearchOutcome
 
 def classical_version_space_search(handle: OracleHandle) -> SearchOutcome:
     """Scan columns left to right, rows top down, leaving a column at its
-    first 0; every f lookup is metered as one classical query."""
+    first 0; every f lookup is metered as one classical query.  Each column
+    is read in one call: its first 0 is its argmin, and a column whose
+    argmin is a 1 is all ones, N lookups, and ends the scan."""
     bits = handle.table.bits
     queries = 0
+    index = None
     for j in range(handle.n_cols):
-        ok = True
-        for i in range(handle.n_rows):
-            queries += 1
-            if bits[i, j] == 0:
-                ok = False
-                break
-        if ok:
-            handle.ledger.record("classical_f", queries)
-            return SearchOutcome(
-                index=j,
-                queries={"classical_f": queries},
-                trials={"columns_scanned": j + 1},
-            )
+        first = int(bits[:, j].argmin())
+        if bits[first, j]:
+            queries += handle.n_rows
+            index = j
+            break
+        queries += first + 1
     handle.ledger.record("classical_f", queries)
-    return SearchOutcome(
-        index=None,
-        queries={"classical_f": queries},
-        trials={"columns_scanned": handle.n_cols, "reason": "exhausted"},
-    )
+    trials = {"columns_scanned": handle.n_cols if index is None else index + 1}
+    if index is None:
+        trials["reason"] = "exhausted"
+    return SearchOutcome(index=index, queries={"classical_f": queries}, trials=trials)
 
 
 def brute_force_g(handle: OracleHandle) -> np.ndarray:

@@ -98,10 +98,8 @@ def _run_payloads(fn, payloads, workers: int) -> list:
 
 
 def _train_trial(payload):
-    (trial, seed, dataset_path, n, m, gamma, epsilon, c) = payload
-    if dataset_path is not None:
-        data = load_dataset(dataset_path)
-    else:
+    (trial, seed, data, n, m, gamma, epsilon, c) = payload
+    if data is None:
         data, _ = generate_planted_dataset(n, m, gamma, rng_seed=seed)
     result = train_perceptron(data, epsilon, rng_seed=seed, c=c)
     ok = result.found and in_version_space(data, result.plane)
@@ -135,8 +133,10 @@ def cmd_train(args, out) -> int:
         _check_count("--m", args.m)
         K = required_sample_count(args.gamma, args.epsilon, args.c_constant)
         _require_state_fits(args.n, K)
+    # one parse for every trial and worker; a malformed file exits 2 here
+    data = None if args.dataset is None else load_dataset(args.dataset)
     payloads = [
-        (t, args.seed + t, args.dataset, args.n, args.m, args.gamma,
+        (t, args.seed + t, data, args.n, args.m, args.gamma,
          args.epsilon, args.c_constant)
         for t in range(args.trials)
     ]

@@ -17,7 +17,8 @@ readout, then uncompute, so with w_r = (-1)**r / sqrt(2**l)
 over the eigenvalues lambda and eigenprojections Pi_lambda of G.  Every
 closed form thus reads a column through its count b_j alone, so the
 readouts take the handle's column counts
-(:func:`~qvstrain.oracles._column_counts`), never its table f.  The phase
+(:func:`~qvstrain.oracles._column_counts`), never its table f, and a
+one-column readout counts that column alone.  The phase
 readout on the uniform input is the Fejer-kernel law of amplitude
 estimation, 1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
 (:func:`phase_register_distribution`, an FFT kept for ``quantum_count``,
@@ -259,7 +260,7 @@ def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> compl
     the kick probability of column j's count (:func:`_kick_probabilities`).
     The overlap is real.  An exact amplitude diagnostic: charges nothing."""
     l = _phase_bits(j, handle, l)
-    ones = _column_counts(handle)[j : j + 1]
+    ones = _column_counts(handle, j)
     return complex((1.0 - 2.0 * _kick_probabilities(ones, handle.n, l))[0])
 
 
@@ -297,7 +298,7 @@ def phase_register_distribution(
     circuit and charges nothing."""
     l = _phase_bits(j, handle, l)
     dl = 1 << l
-    theta = _rotation_angles(_column_counts(handle)[j], handle.n)
+    theta = _rotation_angles(_column_counts(handle, j)[0], handle.n)
     # phase-register state of each branch lambda = e^{+-2i theta} after the
     # ladder, sum_r lambda**r |r> / sqrt(2**l), then the inverse Fourier transform
     branches = np.exp(np.outer((2j, -2j), np.arange(dl) * theta)) / math.sqrt(dl)

@@ -503,18 +503,17 @@ class SimAndSearchOracle:
     through :func:`meter_sim_and`.
     """
 
-    def __init__(self, handle: OracleHandle):
-        self._bind(handle, _SearchStack([handle]), 0)
-
-    def _bind(self, handle: OracleHandle, shared: _SearchStack, table: int) -> None:
-        """Make this the oracle of ``handle``, table ``table`` of ``shared``."""
+    def __init__(self, handle: OracleHandle, *, _stack: _SearchStack | None = None,
+                 _table: int = 0):
+        """The oracle of ``handle``, table ``_table`` of the stack ``_stack``,
+        or of a stack of one built here if that is None."""
         self.handle = handle
         self.n = handle.n
         self.k = handle.k
-        self._stack = shared
-        self._table = table
-        self.l = shared.l
-        self._kicks = shared.kicks[table]
+        self._stack = _SearchStack([handle]) if _stack is None else _stack
+        self._table = _table
+        self.l = self._stack.l
+        self._kicks = self._stack.kicks[_table]
 
     @classmethod
     def stack(cls, handles: list[OracleHandle]) -> list[SimAndSearchOracle]:
@@ -522,12 +521,7 @@ class SimAndSearchOracle:
         which must share one padded shape.  The stack is checked against
         :func:`state_byte_limit` before its tables and factors are built."""
         shared = _SearchStack(handles)
-        oracles = []
-        for t, handle in enumerate(handles):
-            oracle = cls.__new__(cls)
-            oracle._bind(handle, shared, t)
-            oracles.append(oracle)
-        return oracles
+        return [cls(h, _stack=shared, _table=t) for t, h in enumerate(handles)]
 
     def plane_marginal(self, r: int) -> np.ndarray:
         """Measurement distribution of the hyperplane register after r
@@ -545,7 +539,9 @@ class SimAndSearchOracle:
     def kick_probability(self, j: int) -> float:
         """Probability that one phase-kickback shot votes "column j is all
         ones": (1 - Re <in|SimAnd|in>) / 2 = |mean_r mu[r, j]|**2 on the |j>
-        component."""
+        component.  A phantom column has no f = 1 rows, so theta = 0 and
+        mu[r, j] = (-1)**r: its probability is exactly 0.0, no shot votes
+        for it, and the search never returns a padded index."""
         return self._kicks[j]
 
 
@@ -634,7 +630,7 @@ def train_perceptron(
     planes = sample_hyperplanes(K, data.dim, plane_seed)
     handle = OracleHandle(from_perceptron(data, planes))
     outcome = multi_criterion_search(handle, search_seed)
-    if outcome.found and outcome.index < K:
+    if outcome.found:
         return TrainResult(plane=planes[outcome.index], outcome=outcome, sampled=K)
     kind = "search" if brute_force_g(handle).any() else "sampling"
     return TrainResult(plane=None, outcome=outcome, sampled=K, failure_kind=kind)

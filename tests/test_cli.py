@@ -88,6 +88,20 @@ class TestTrain:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows[0]["n"] == 10
 
+    def test_dataset_file_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.txt"
+        save_dataset(generate_planted_dataset(10, 2, 0.25, rng_seed=3)[0], path)
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return load_dataset(p)
+
+        monkeypatch.setattr(cli, "load_dataset", counted)
+        rc, out = run_cli("train", "--dataset", str(path), "--trials", "3", "--seed", "9")
+        assert rc == 0 and len(out.splitlines()) == 4
+        assert calls == [str(path)]
+
     def test_invalid_gamma_exits_2(self):
         rc, _ = run_cli("train", "--n", "8", "--m", "2", "--gamma", "0.0",
                         "--trials", "1", "--seed", "1")

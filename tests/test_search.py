@@ -204,6 +204,34 @@ class TestSearchStack:
             assert [s.kick_probability(j) for j in columns] == [a.kick_probability(j)
                                                                 for j in columns]
 
+    def test_init_runs_once_per_table(self, monkeypatch):
+        # a stacked oracle is built by the one constructor, as a lone one is
+        calls = []
+        init = SimAndSearchOracle.__init__
+
+        def counted(self, handle, **kwargs):
+            calls.append(kwargs.get("_table"))
+            init(self, handle, **kwargs)
+
+        monkeypatch.setattr(SimAndSearchOracle, "__init__", counted)
+        oracles = SimAndSearchOracle.stack(padded_tables(np.random.default_rng(5), 2, 2, 3))
+        assert calls == [0, 1, 2]
+        assert [o._table for o in oracles] == [0, 1, 2]
+        assert len({id(o._stack) for o in oracles}) == 1
+
+    @given(n=st.integers(0, 4), k=st.integers(1, 4), count=st.integers(1, 4),
+           seed=st.integers(0, 2**31))
+    @example(n=2, k=2, count=3, seed=0)
+    def test_phantom_columns_never_kick(self, n, k, count, seed):
+        # a phantom column has theta = 0, so its spectrum (-1)**r sums to
+        # exactly 0 and no vote shot (rng.random() < p) can accept it
+        handles = padded_tables(np.random.default_rng(seed), n, k, count)
+        stacked = SimAndSearchOracle.stack(handles)
+        for handle, oracle in zip(handles, stacked, strict=True):
+            for o in (oracle, SimAndSearchOracle(handle)):
+                assert [o.kick_probability(j) for j in range(handle.n_cols, 1 << k)] == \
+                    [0.0] * ((1 << k) - handle.n_cols)
+
     def test_tables_of_other_shapes_refused(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="one padded shape"):
