@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import OracleHandle, TruthTable
+from .oracles import OracleHandle, TruthTable, _bit_row
 from .perceptron import _read_rows
 from .search import SearchOutcome, multi_criterion_search
 
@@ -42,7 +42,7 @@ def load_instance(path) -> TruthTable:
     def shape(tokens):
         return (int(tokens[0]), int(tokens[1])), 1, 1
 
-    (n, k), (bits,) = _read_rows(path, "N K", shape, lambda fields: [int(c) for c in fields[0]])
+    (n, k), (bits,) = _read_rows(path, "N K", shape, lambda fields: _bit_row(fields[0]))
     if n < 1 or k < 1:
         raise ValueError("line 1: N and K must be positive")
     if len(bits) != n * k:

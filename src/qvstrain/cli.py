@@ -79,12 +79,19 @@ def _int_list(flag: str, text: str, form: str = "comma-separated integers",
     raise ValueError(f"{flag} must be {form}, got {text!r}")
 
 
+def _workers_that_run(workers: int) -> int:
+    """``workers`` capped at one per CPU: the most processes a pool of them
+    runs at once."""
+    if workers == 1:  # os.cpu_count() reads a file under /sys: one worker skips it
+        return 1
+    return min(workers, os.cpu_count() or 1)
+
+
 def _run_payloads(fn, payloads, workers: int) -> list:
     """``fn`` over every payload in order, through one pool of ``workers``
     processes capped at one per payload and per CPU (a forking pool starts
     them all at its first submit), or serially when that cap is one."""
-    if workers > 1:  # os.cpu_count() reads a file under /sys: one worker skips it
-        workers = min(workers, len(payloads), os.cpu_count() or 1)
+    workers = min(_workers_that_run(workers), len(payloads))
     if workers > 1:
         # imported here: it loads multiprocessing, which one worker never uses
         from concurrent.futures import ProcessPoolExecutor
@@ -366,8 +373,8 @@ def cmd_sweep(args, out) -> int:
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
-    # groups small enough that every worker gets one
-    most = min(args.trials, -(-args.trials * len(cells) // args.workers))
+    # groups small enough that every worker that runs gets one
+    most = min(args.trials, -(-args.trials * len(cells) // _workers_that_run(args.workers)))
     payloads = []
     for idx, (n_points, n_planes) in enumerate(cells):
         seeds = [args.seed + 10_000 * idx + t for t in range(args.trials)]

@@ -111,14 +111,18 @@ def save_truth_table(table: TruthTable, path) -> None:
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
-def load_truth_table(path) -> TruthTable:
-    def bit_row(fields):
-        row = [int(v) for v in fields]
-        if not set(row) <= {0, 1}:
-            raise ValueError("truth table entries must be 0 or 1")
-        return row
+def _bit_row(fields) -> list[int]:
+    """The bits of one line of a table or instance file, each field or
+    character 0 or 1, else a ValueError that the reader prefixes with the
+    line."""
+    row = [int(v) for v in fields]
+    if not set(row) <= {0, 1}:
+        raise ValueError("truth table entries must be 0 or 1")
+    return row
 
-    _, rows = _read_rows(path, "N K", lambda t: (None, int(t[0]), int(t[1])), bit_row)
+
+def load_truth_table(path) -> TruthTable:
+    _, rows = _read_rows(path, "N K", lambda t: (None, int(t[0]), int(t[1])), _bit_row)
     return TruthTable(rows)
 
 

@@ -3,14 +3,15 @@ version-space membership, Gaussian candidate sampling and planted datasets.
 
 A :class:`Dataset` is stored as arrays, ``X`` (N, M) float64 and ``y`` (N,)
 int64, validated once when it is built.  :func:`generate_planted_dataset`
-writes its accepted points straight into those arrays, and the order of its
-per-point draws (``random``, ``standard_normal(dim)``, ``random`` on each
-try) is the seeded contract: the same seed gives the same dataset bit for
-bit.  The tries are drawn in that order into the rows of a block and
-evaluated a block at a time with each try's own arithmetic, so the contract
-is the one the per-try loop kept (the tests keep that loop as the
-reference).  A hyperplane is one (M + 1,) row ``[w | b]``, and a set of K
-of them one (K, M + 1) array of such rows.
+computes its points in place in those arrays, and the order of its
+per-point draws (``random``, ``standard_normal(dim)``, ``random``) is the
+seeded contract: the same seed gives the same dataset bit for bit.  Every
+point drawn lies at least gamma from the plane, so the N points are the
+first N draws.  They are drawn in that order into the rows of a block and
+computed a block at a time with each point's own arithmetic, so the
+contract is the one a per-point loop keeps (the tests keep that loop as
+the reference).  A hyperplane is one (M + 1,) row ``[w | b]``, and a set
+of K of them one (K, M + 1) array of such rows.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import math
 
 import numpy as np
 
-# Planted clusters have radius CLUSTER_RADIUS_FACTOR * gamma; each point gets
-# at most MAX_TRIES_PER_POINT rejection-sampling draws, evaluated in blocks of
-# at most PLANTED_BLOCK_BYTES of arrays.
+# Planted clusters have radius CLUSTER_RADIUS_FACTOR * gamma; their points
+# are computed in blocks of at most PLANTED_BLOCK_BYTES of arrays.
 CLUSTER_RADIUS_FACTOR = 4.0
-MAX_TRIES_PER_POINT = 1000
 PLANTED_BLOCK_BYTES = 1 << 18
 
 
@@ -124,41 +123,14 @@ def required_sample_count(gamma: float, epsilon: float, c: float = 2.0) -> int:
 
 
 def _planted_block_rows(dim: int) -> int:
-    """Tries per block of :func:`generate_planted_dataset`: the most whose
-    arrays, about four dim-vectors and sixteen 8-byte words each, fit in
-    PLANTED_BLOCK_BYTES.  Eight of the words are the two lists of Python
-    floats (a pointer and a 24-byte float per entry) that the radius goes
-    through."""
+    """Points per block of :func:`generate_planted_dataset`: the most for
+    which four dim-vectors and sixteen 8-byte words each fit in
+    PLANTED_BLOCK_BYTES.  A block computes its points in their own rows of
+    ``X``; beyond them it holds one dim-vector per point (the gathered
+    cluster centers) and fewer than sixteen words, eight of which are the
+    two lists of Python floats (a pointer and a 24-byte float per entry)
+    that the radius goes through."""
     return max(1, PLANTED_BLOCK_BYTES // (8 * (4 * dim + 16)))
-
-
-def _take_accepted(accepted: np.ndarray, streak: int, need: int) -> tuple[np.ndarray, int]:
-    """Acceptance bookkeeping of one block of tries.
-
-    ``accepted`` flags the block's tries in draw order, ``streak`` counts the
-    rejected tries that ended the blocks before it and ``need`` (>= 1) the
-    points still missing.  Returns the indices of the first ``need``
-    accepted tries and the streak this block passes on: 0 once the last
-    point is found, else the rejected tries since the last acceptance.  It
-    raises RuntimeError when one point's tries reach MAX_TRIES_PER_POINT
-    rejections in a row, where a per-point loop would give up.
-
-    A try's margin is at least gamma + rho - radius >= gamma, so a try is
-    rejected only by rounding: no seeded run reaches the RuntimeError, and
-    only the tests cover it."""
-    taken = accepted.nonzero()[0][:need]
-    done = taken.size == need
-    # the rejections before each taken try and, while points are still
-    # missing, the ones after the last
-    ends = taken if done else np.concatenate((taken, [accepted.size]))
-    runs = ends.copy()
-    runs[1:] -= ends[:-1] + 1
-    runs[0] += streak
-    if runs.max() >= MAX_TRIES_PER_POINT:
-        raise RuntimeError(
-            f"rejection sampling exhausted after {MAX_TRIES_PER_POINT} tries for one point"
-        )
-    return taken, 0 if done else int(runs[-1])
 
 
 def generate_planted_dataset(
@@ -171,20 +143,21 @@ def generate_planted_dataset(
     ``[w | b]`` with unit-norm w, whose geometric margin is at least
     ``gamma``.
 
-    Points form two clusters of radius ``CLUSTER_RADIUS_FACTOR * gamma``
-    centered on either side of the plane, then rejection-sampled so that no
-    point lies within ``gamma`` of it.  Keeping the cluster spread
+    Points are drawn uniformly from two balls of radius
+    ``rho = CLUSTER_RADIUS_FACTOR * gamma`` centered at signed distance
+    +-(gamma + rho) from the plane, so a point's distance from it is at
+    least gamma + rho - radius >= gamma.  Keeping the cluster spread
     proportional to gamma keeps the Gaussian version-space hit rate scaling
     linearly in gamma with an N-independent constant.
 
-    Each try draws ``random()`` (the cluster), ``standard_normal(dim)`` (the
-    direction) and ``random()`` (the radius), in that order, and the first
-    ``n_points`` accepted tries are the points.  Tries are drawn into the
-    rows of a block (the radius together with the next try's cluster) and
-    evaluated a block at a time, with the per-try arithmetic: each row's
-    dot products run through BLAS ddot, as ``x.dot(x)`` does, and the
-    radius through Python's float pow.  The generator is local, so draws
-    past the last needed try change nothing.
+    Point i draws ``random()`` (the cluster), ``standard_normal(dim)`` (the
+    direction) and ``random()`` (the radius), in that order.  The draws go
+    into the rows of a block (the radius together with the next point's
+    cluster), and each block is computed in its rows of ``X`` with the
+    per-point arithmetic: each row's dot products run through BLAS ddot,
+    as ``x.dot(x)`` does, and the radius through Python's float pow.  A
+    point within gamma of the plane can come only from rounding; it raises
+    RuntimeError rather than return a set whose claimed margin is false.
     """
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
@@ -200,31 +173,27 @@ def generate_planted_dataset(
     X = np.empty((n_points, dim))
     y = np.empty(n_points, dtype=np.int64)
     rows = min(n_points, _planted_block_rows(dim))
-    directions = np.empty((rows, dim))
-    # u[2t] is try t's cluster draw and u[2t + 1] its radius draw, so row t
-    # of ``pairs`` holds try t's radius and try t + 1's cluster
+    # u[2t] is point t's cluster draw and u[2t + 1] its radius draw, so row
+    # t of ``pairs`` holds point t's radius and point t + 1's cluster
     u = np.empty(2 * rows + 1)
     pairs = u[1:].reshape(rows, 2)
     u[0] = random()
-    filled = streak = 0
-    while filled < n_points:
-        tries = min(rows, n_points - filled)
+    for first in range(0, n_points, rows):
+        x = X[first : first + rows]
+        tries = len(x)
         for t in range(tries):
-            normal(out=directions[t])
+            normal(out=x[t])
             random(out=pairs[t])
-        d = directions[:tries]
         # stacked (1, M) @ (M, 1) products: one BLAS ddot per row, rounded as
-        # x.dot(x) and w @ x round; (d * d).sum(1) and einsum round otherwise
-        d /= np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
-        # Python's float pow, as one try computes it
-        radius = rho * np.array([v**power for v in u[1 : 2 * tries : 2].tolist()])
-        x = centers[(u[: 2 * tries : 2] < 0.5).astype(np.intp)]
-        x += radius[:, None] * d
+        # x.dot(x) and w @ x round; (x * x).sum(1) and einsum round otherwise
+        x /= np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+        # Python's float pow, as one point computes it
+        x *= rho * np.array([v**power for v in u[1 : 2 * tries : 2].tolist()])[:, None]
+        x += centers[(u[: 2 * tries : 2] < 0.5).astype(np.intp)]
         margin = (x[:, None, :] @ w[:, None])[:, 0, 0] + b
-        taken, streak = _take_accepted(np.abs(margin) >= gamma, streak, n_points - filled)
-        X[filled : filled + taken.size] = x[taken]
-        y[filled : filled + taken.size] = np.where(margin[taken] >= 0, 1, -1)
-        filled += taken.size
+        if not (np.abs(margin) >= gamma).all():
+            raise RuntimeError(f"a planted point rounded to within gamma = {gamma} of the plane")
+        y[first : first + tries] = np.where(margin >= 0, 1, -1)
         u[0] = u[2 * tries]
     return Dataset._owning(X, y, claimed_margin=gamma), np.append(w, b)
 

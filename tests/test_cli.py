@@ -197,7 +197,8 @@ class TestSweep:
 
     def test_workers_each_get_a_group(self, monkeypatch):
         # the nine trials of an 8 x 8 cell fit one stack; with two workers
-        # they are split into two groups, one per worker
+        # they are split into two groups, one per worker, and so with 64
+        # workers on two CPUs, which run as two
         sizes = []
         run_payloads = cli._run_payloads
 
@@ -206,11 +207,13 @@ class TestSweep:
             return run_payloads(fn, payloads, workers)
 
         monkeypatch.setattr(cli, "_run_payloads", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         args = ("sweep", "--n-grid", "8", "--k-grid", "8", "--trials", "9", "--seed", "3")
         rc, serial = run_cli(*args)
         assert rc == 0
         assert run_cli(*args, "--workers", "2") == (0, serial)
-        assert sizes == [[9], [5, 4]]
+        assert run_cli(*args, "--workers", "64") == (0, serial)
+        assert sizes == [[9], [5, 4], [5, 4]]
 
     def test_stacking_leaves_the_rows_unchanged(self, monkeypatch):
         args = ("sweep", "--n-grid", "8,16,64", "--k-grid", "4,8", "--trials", "5",
@@ -432,7 +435,8 @@ class TestStrictLoaders:
         ("dataset", "2 1 0.5\n1.0 1\n-1.0 1.5\n",
          "line 3: invalid literal for int() with base 10: '1.5'"),
         ("instance", "-2 -2\n1111\n", "line 1: N and K must be positive"),
-    ], ids=["label-0", "nan-coordinate", "label-1.5", "negative-fan-ins"])
+        ("instance", "2 2\n1112\n", "line 2: truth table entries must be 0 or 1"),
+    ], ids=["label-0", "nan-coordinate", "label-1.5", "negative-fan-ins", "bad-bit"])
     def test_value_defects_name_their_line(self, loader, body, message, tmp_path, capsys):
         argv, _ = self.CASES[loader]
         path = tmp_path / "input.txt"

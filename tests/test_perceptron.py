@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from qvstrain.oracles import from_perceptron
 from qvstrain.perceptron import (
     CLUSTER_RADIUS_FACTOR,
-    MAX_TRIES_PER_POINT,
     PLANTED_BLOCK_BYTES,
     Dataset,
     _planted_block_rows,
-    _take_accepted,
     generate_planted_dataset,
     geometric_margin,
     in_version_space,
@@ -186,7 +184,7 @@ def reference_planted_dataset(n_points, dim, gamma, rng_seed):
     X = np.empty((n_points, dim))
     y = np.empty(n_points, dtype=np.int64)
     for i in range(n_points):
-        for _ in range(MAX_TRIES_PER_POINT):
+        for _ in range(1000):
             center = centers[int(rng.random() < 0.5)]
             direction = rng.standard_normal(dim)
             direction /= math.sqrt(direction.dot(direction))
@@ -231,84 +229,42 @@ class TestBlockedPlantedGenerator:
         assert peak - (data.X.nbytes + data.y.nbytes) <= PLANTED_BLOCK_BYTES
 
 
-def per_try_accepts(stream, need):
-    """What the per-point loop keeps of an accept/reject ``stream``: the
-    indices of the accepted tries it takes, and whether a point ran out of
-    tries (MAX_TRIES_PER_POINT rejections in a row)."""
-    taken, t = [], 0
-    for _ in range(need):
-        for _ in range(MAX_TRIES_PER_POINT):
-            if t == len(stream):
-                return taken, False
-            t += 1
-            if stream[t - 1]:
-                taken.append(t - 1)
-                break
-        else:
-            return taken, True
-    return taken, False
+class OnTheEdge(np.random.Generator):
+    """A Generator whose every direction is the plane's normal w (all ones
+    at M = 1), whose b is 0, whose cluster draws pick the negative cluster
+    and whose radius draws are 1.0, so every point lies exactly gamma from
+    the plane before rounding."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        if out is None:
+            return np.ones(size)
+        out[...] = 1.0
+        return out
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return 0.0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if out is None:
+            return 0.0
+        out[...] = (1.0, 0.0)  # a radius draw, then the next cluster draw
+        return out
 
 
-def blocked_accepts(stream, need, cuts):
-    """The same through ``_take_accepted``, block by block between ``cuts``:
-    (taken, exhausted, streak left at the end)."""
-    taken, streak, start = [], 0, 0
-    for end in sorted(set(cuts) | {len(stream)}):
-        if len(taken) == need:
-            break
-        if end <= start:
-            continue
-        try:
-            idx, streak = _take_accepted(stream[start:end], streak, need - len(taken))
-        except RuntimeError:
-            return taken, True, streak
-        taken += (start + idx).tolist()
-        start = end
-    return taken, False, streak
+class TestPlantedMarginCheck:
+    def test_point_rounded_within_gamma_raises(self):
+        # gamma = 0.1: the margin rounds to 0.4 - 0.5 = -0.09999999999999998
+        with pytest.raises(RuntimeError, match="within gamma"):
+            generate_planted_dataset(3, 1, 0.1, rng_seed=OnTheEdge())
 
-
-def accept_stream(runs):
-    """Booleans from (rejections, acceptances) run pairs."""
-    return np.array([v for r, a in runs for v in [False] * r + [True] * a], dtype=bool)
-
-
-class TestTakeAccepted:
-    rejections = st.one_of(st.integers(0, 4), st.sampled_from(
-        [MAX_TRIES_PER_POINT - 2, MAX_TRIES_PER_POINT - 1, MAX_TRIES_PER_POINT,
-         MAX_TRIES_PER_POINT + 1]))
-
-    @given(runs=st.lists(st.tuples(rejections, st.integers(0, 3)), min_size=1, max_size=8),
-           need=st.integers(1, 12), cuts=st.lists(st.integers(0, 5000), max_size=6))
-    def test_blocks_follow_per_try_semantics(self, runs, need, cuts):
-        stream = accept_stream(runs)
-        taken, exhausted = per_try_accepts(stream, need)
-        got, got_exhausted, streak = blocked_accepts(stream, need, cuts)
-        assert got_exhausted == exhausted
-        if not exhausted:
-            assert got == taken
-            if len(taken) < need:  # the stream ran out first
-                assert streak == len(stream) - 1 - (taken[-1] if taken else -1)
-
-    def test_streak_spanning_a_block_boundary(self):
-        # 600 rejections end one block and 400 open the next: one point's tries
-        stream = accept_stream([(5, 1), (600, 0), (MAX_TRIES_PER_POINT - 600, 1)])
-        assert blocked_accepts(stream, 3, [606])[1]
-        stream = accept_stream([(5, 1), (600, 0), (MAX_TRIES_PER_POINT - 601, 1)])
-        assert blocked_accepts(stream, 3, [606]) == ([5, 1005], False, 0)
-
-    def test_exactly_max_rejections_exhaust_a_point(self):
-        stream = accept_stream([(MAX_TRIES_PER_POINT, 1)])
-        with pytest.raises(RuntimeError, match="exhausted"):
-            _take_accepted(stream, 0, 1)
-        taken, streak = _take_accepted(stream[1:], 0, 1)
-        assert taken.tolist() == [MAX_TRIES_PER_POINT - 1] and streak == 0
-
-    def test_streak_carries_only_while_points_are_missing(self):
-        stream = accept_stream([(0, 2), (7, 0)])
-        assert _take_accepted(stream, 3, 2)[1] == 0
-        taken, streak = _take_accepted(stream, 3, 5)
-        assert taken.tolist() == [0, 1] and streak == 7
-        assert _take_accepted(accept_stream([(4, 0)]), 3, 1)[1] == 7
+    def test_point_rounded_past_gamma_is_kept(self):
+        # gamma = 0.3: rho + center = 1.2 - 1.5 = -0.30000000000000004
+        data, plane = generate_planted_dataset(3, 1, 0.3, rng_seed=OnTheEdge())
+        assert plane.tolist() == [1.0, 0.0]
+        assert data.y.tolist() == [-1, -1, -1] and (data.X == 1.2 - 1.5).all()
 
 
 class TestGammaSamplingLaw:
