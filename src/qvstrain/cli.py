@@ -7,6 +7,8 @@ query scaling on planted instances), ``andor`` (two-level AND-OR evaluation),
 per trial) or CSV for sweeps; identical configuration and seed give
 byte-identical output.  Exit codes: 0 all checks pass, 1 property violation,
 2 usage error, 141 output closed by its reader (as SIGPIPE would end it).
+The seeded trials of ``train`` and ``sweep`` run in :mod:`experiments`;
+this module checks the flags and writes the rows.
 """
 
 from __future__ import annotations
@@ -21,34 +23,25 @@ import numpy as np
 
 from . import __version__
 from .andor import evaluate_direct, evaluate_via_search, load_instance, table_from_blocks
-from .baselines import brute_force_g, classical_version_space_search
+from .baselines import brute_force_g
 from .counting import g_tilde_readouts, l_bits, phase_gap_bound_check
+from .experiments import fit_exponent, run_payloads, sweep_cells, train_trial
 from .oracles import (
     OracleHandle,
     TruthTable,
     apply_phase_oracle,
     controlled_phase_oracle_identity_gap,
-    from_perceptron,
     load_truth_table,
 )
 from .perceptron import (
     _check_gamma,
     generate_planted_dataset,
     geometric_margin,
-    in_version_space,
     load_dataset,
     required_sample_count,
-    sample_hyperplanes,
     save_dataset,
 )
-from .search import (
-    SimAndSearchOracle,
-    _require_bytes,
-    _require_state_fits,
-    bounded_error_search,
-    search_state_bytes,
-    train_perceptron,
-)
+from .search import _require_bytes, _require_state_fits, search_state_bytes
 from .statevec import new_uniform
 
 
@@ -79,50 +72,7 @@ def _int_list(flag: str, text: str, form: str = "comma-separated integers",
     raise ValueError(f"{flag} must be {form}, got {text!r}")
 
 
-def _workers_that_run(workers: int) -> int:
-    """``workers`` capped at one per CPU: the most processes a pool of them
-    runs at once."""
-    if workers == 1:  # os.cpu_count() reads a file under /sys: one worker skips it
-        return 1
-    return min(workers, os.cpu_count() or 1)
-
-
-def _run_payloads(fn, payloads, workers: int) -> list:
-    """``fn`` over every payload in order, through one pool of ``workers``
-    processes capped at one per payload and per CPU (a forking pool starts
-    them all at its first submit), or serially when that cap is one."""
-    workers = min(_workers_that_run(workers), len(payloads))
-    if workers > 1:
-        # imported here: it loads multiprocessing, which one worker never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
-
-
 # -- train ---------------------------------------------------------------------
-
-
-def _train_trial(payload):
-    (trial, seed, data, n, m, gamma, epsilon, c) = payload
-    if data is None:
-        data, _ = generate_planted_dataset(n, m, gamma, rng_seed=seed)
-    result = train_perceptron(data, epsilon, rng_seed=seed, c=c)
-    ok = result.found and in_version_space(data, result.plane)
-    return {
-        "trial": trial,
-        "seed": seed,
-        "n": data.n_points,
-        "m": data.dim,
-        "gamma": data.claimed_margin,
-        "K": result.sampled,
-        "found": result.found,
-        "index": result.outcome.result,
-        "in_version_space": bool(ok) if result.found else None,
-        "failure": result.failure_kind,
-        "queries": result.outcome.queries,
-    }
 
 
 def cmd_train(args, out) -> int:
@@ -138,16 +88,19 @@ def cmd_train(args, out) -> int:
     if args.dataset is None:
         _check_count("--n", args.n)
         _check_count("--m", args.m)
-        K = required_sample_count(args.gamma, args.epsilon, args.c_constant)
-        _require_state_fits(args.n, K)
-    # one parse for every trial and worker; a malformed file exits 2 here
-    data = None if args.dataset is None else load_dataset(args.dataset)
+        data, n_points, gamma = None, args.n, args.gamma
+    else:
+        # one parse for every trial and worker; a malformed file exits 2 here
+        data = load_dataset(args.dataset)
+        n_points, gamma = data.n_points, data.claimed_margin
+    K = required_sample_count(gamma, args.epsilon, args.c_constant)
+    _require_state_fits(n_points, K)
     payloads = [
         (t, args.seed + t, data, args.n, args.m, args.gamma,
          args.epsilon, args.c_constant)
         for t in range(args.trials)
     ]
-    rows = _run_payloads(_train_trial, payloads, args.workers)
+    rows = run_payloads(train_trial, payloads, args.workers, search_state_bytes(n_points, K))
     successes = 0
     for row in rows:
         successes += bool(row["in_version_space"])
@@ -287,73 +240,6 @@ def cmd_verify(args, out) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-# Bytes of search state (search_state_bytes with a table count) that one
-# stack of a cell's trials may hold: the trials are searched in groups as
-# large as fit, and a table over it is searched alone.  A stack saves numpy
-# calls but advances every table to the largest r any of them asks for, so
-# it pays only while a table's arithmetic is small.  In one-cell sweeps of
-# 18 trials (one BLAS thread, 2 vCPUs), every stack of at most 1.5 MiB ran
-# faster than its tables searched alone (64 x 8 in groups of 2-6, 128 x 8
-# and 64 x 64 in pairs); of the larger ones, 64 x 64 in groups of 6-18 and
-# 128 x 16 in groups of 3-9 ran 5-10% slower.
-STACK_BYTES = 3 << 19
-
-
-def _single_solution_instance(n_points: int, n_planes: int, gamma: float, seed) -> TruthTable:
-    """N x K truth table of a planted dataset against K planes: the planted
-    one (margin >= gamma, so an all-ones column) at a seeded position, and
-    the first non-member columns, in draw order, of batches of ``n_planes``
-    Gaussian planes, each batch classified in one table and its kept
-    columns written straight into the table around the planted one."""
-    rng = np.random.default_rng(seed)
-    data, _ = generate_planted_dataset(n_points, 2, gamma, rng_seed=int(rng.integers(2**63)))
-    position = int(rng.integers(0, n_planes))
-    bits = np.ones((n_points, n_planes), dtype=np.uint8)
-    targets = np.arange(n_planes - 1)  # the non-member columns, in order
-    targets[position:] += 1
-    filled = 0
-    while filled < n_planes - 1:
-        batch = from_perceptron(data, sample_hyperplanes(n_planes, 2, int(rng.integers(2**63)))).bits
-        kept = np.flatnonzero(~batch.all(axis=0))[: targets.size - filled]
-        bits[:, targets[filled : filled + kept.size]] = batch[:, kept]
-        filled += kept.size
-    return TruthTable(bits)
-
-
-def _stack_size(n_points: int, n_planes: int, most: int) -> int:
-    """Trials of an N x K cell per stack: as many as fit STACK_BYTES, at
-    least one and at most ``most``."""
-    size = 1
-    while size < most and search_state_bytes(n_points, n_planes, size + 1) <= STACK_BYTES:
-        size += 1
-    return size
-
-
-def _sweep_trials(payload) -> list[dict]:
-    """One row per seed of a group of a cell's trials: each seed draws its
-    instance and seeds its search, and the group's tables are searched
-    through one stack (:meth:`SimAndSearchOracle.stack`)."""
-    (n_points, n_planes, gamma, seeds) = payload
-    handles = [OracleHandle(_single_solution_instance(n_points, n_planes, gamma, seed))
-               for seed in seeds]
-    rows = []
-    for seed, oracle in zip(seeds, SimAndSearchOracle.stack(handles)):
-        outcome = bounded_error_search(oracle, rng_seed=seed)
-        sound = (not outcome.found) or bool(brute_force_g(oracle.handle)[outcome.index])
-        classical = classical_version_space_search(oracle.handle)
-        rows.append({
-            "quantum_bits": outcome.queries["bit_oracle"],
-            "classical": classical.queries["classical_f"],
-            "found": outcome.found,
-            "sound": sound,
-        })
-    return rows
-
-
-def _fit_slope(sizes, medians) -> float:
-    return float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
-
-
 def cmd_sweep(args, out) -> int:
     n_grid = _int_list("--n-grid", args.n_grid)
     k_grid = _int_list("--k-grid", args.k_grid)
@@ -373,38 +259,16 @@ def cmd_sweep(args, out) -> int:
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
-    # groups small enough that every worker that runs gets one
-    most = min(args.trials, -(-args.trials * len(cells) // _workers_that_run(args.workers)))
-    payloads = []
-    for idx, (n_points, n_planes) in enumerate(cells):
-        seeds = [args.seed + 10_000 * idx + t for t in range(args.trials)]
-        size = _stack_size(n_points, n_planes, most)
-        payloads += [(n_points, n_planes, args.gamma, seeds[first : first + size])
-                     for first in range(0, args.trials, size)]
-    groups = _run_payloads(_sweep_trials, payloads, args.workers)
-    all_rows = [row for rows in groups for row in rows]
-    results = {}
-    for idx, cell in enumerate(cells):
-        rows = all_rows[idx * args.trials : (idx + 1) * args.trials]
-        qmed = float(np.median([r["quantum_bits"] for r in rows]))
-        cmed = float(np.median([r["classical"] for r in rows]))
-        found = sum(r["found"] for r in rows) / len(rows)
-        sound = all(r["sound"] for r in rows)
-        results[cell] = (qmed, cmed, found, sound)
-        writer.writerow(["cell", cell[0], cell[1], args.gamma, args.trials,
-                         qmed, cmed, found, sound, "", ""])
-    exit_code = 0
-    if not all(res[3] for res in results.values()):
-        exit_code = 1
-    for axis, grid, fixed_grid in (("N", n_grid, k_grid), ("K", k_grid, n_grid)):
-        if len(grid) < 2 or len(fixed_grid) != 1:
-            continue
-        fixed = fixed_grid[0]
-        sizes = grid
-        meds = [results[(n, fixed) if axis == "N" else (fixed, n)][0] for n in sizes]
-        slope = _fit_slope(sizes, meds)
-        writer.writerow(["fit", "", "", args.gamma, args.trials, "", "", "", "", axis, slope])
-    return exit_code
+    results = sweep_cells(cells, args.gamma, args.trials, args.seed, args.workers)
+    for cell, result in zip(cells, results):
+        writer.writerow(["cell", *cell, args.gamma, args.trials, *result, "", ""])
+    for axis, grid, other_grid in (("N", n_grid, k_grid), ("K", k_grid, n_grid)):
+        if len(grid) >= 2 and len(other_grid) == 1:
+            # the cells run N-major, so with one value on the other axis
+            # they are this axis's grid in order
+            slope = fit_exponent(grid, [quantum for quantum, *_ in results])
+            writer.writerow(["fit", "", "", args.gamma, args.trials, "", "", "", "", axis, slope])
+    return 0 if all(sound for *_, sound in results) else 1
 
 
 # -- andor ---------------------------------------------------------------------

@@ -79,12 +79,17 @@ def _map_blas_buffer() -> None:
     np.dot(probe, probe)
 
 
+def physical_memory() -> int:
+    """Bytes of the machine's physical memory, which every process shares."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def state_byte_limit() -> int:
     """Bytes a search state may take: the machine's physical memory, or, if
     smaller, the address-space limit (RLIMIT_AS) less what the process maps
     (VmSize; 0 without /proc), read after :func:`_map_blas_buffer` so that
     it includes the BLAS work buffer."""
-    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limit = physical_memory()
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft == resource.RLIM_INFINITY:
         return limit

@@ -16,15 +16,15 @@ import qvstrain
 
 from qvstrain.andor import load_instance, save_instance
 from qvstrain.baselines import classical_version_space_search
-from qvstrain import cli, search
+from qvstrain import cli, experiments, search
 from qvstrain.cli import (
     VERIFY_BYTES_PER_ENTRY,
     _phase_gap_sweep,
     _sign_fidelity_sweep,
-    _single_solution_instance,
     _verify_table_bytes,
     main,
 )
+from qvstrain.experiments import single_solution_instance
 from qvstrain.oracles import (
     OracleHandle,
     TruthTable,
@@ -36,6 +36,7 @@ from qvstrain.perceptron import (
     Dataset,
     generate_planted_dataset,
     load_dataset,
+    required_sample_count,
     sample_hyperplanes,
     save_dataset,
 )
@@ -172,7 +173,7 @@ class TestSweep:
         reported_median = float(cell[6])
         counts = []
         for t in range(trials):
-            handle = OracleHandle(_single_solution_instance(8, 4, 0.2, seed + t))
+            handle = OracleHandle(single_solution_instance(8, 4, 0.2, seed + t))
             counts.append(classical_version_space_search(handle).queries["classical_f"])
         assert reported_median == float(np.median(counts))
 
@@ -189,7 +190,7 @@ class TestSweep:
         # the N = 8 cell's three trials fit one stack; a 1024 x 8 table is
         # over STACK_BYTES, so that cell's trials are searched one at a time
         # and two workers split them
-        assert cli._stack_size(8, 8, 3) == 3 and cli._stack_size(1024, 8, 3) == 1
+        assert experiments._stack_size(8, 8, 3) == 3 and experiments._stack_size(1024, 8, 3) == 1
         args = ("sweep", "--n-grid", "8,1024", "--k-grid", "8", "--trials", "3", "--seed", "5")
         rc, serial = run_cli(*args)
         assert rc == 0
@@ -200,13 +201,13 @@ class TestSweep:
         # they are split into two groups, one per worker, and so with 64
         # workers on two CPUs, which run as two
         sizes = []
-        run_payloads = cli._run_payloads
+        run_payloads = experiments.run_payloads
 
-        def spy(fn, payloads, workers):
+        def spy(fn, payloads, workers, need):
             sizes.append([len(payload[3]) for payload in payloads])
-            return run_payloads(fn, payloads, workers)
+            return run_payloads(fn, payloads, workers, need)
 
-        monkeypatch.setattr(cli, "_run_payloads", spy)
+        monkeypatch.setattr(experiments, "run_payloads", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         args = ("sweep", "--n-grid", "8", "--k-grid", "8", "--trials", "9", "--seed", "3")
         rc, serial = run_cli(*args)
@@ -219,9 +220,9 @@ class TestSweep:
         args = ("sweep", "--n-grid", "8,16,64", "--k-grid", "4,8", "--trials", "5",
                 "--seed", "9")
         rc, stacked = run_cli(*args)
-        assert rc == 0 and cli._stack_size(64, 8, 5) == 5
-        monkeypatch.setattr(cli, "STACK_BYTES", 0)  # every table alone
-        assert cli._stack_size(8, 4, 5) == 1
+        assert rc == 0 and experiments._stack_size(64, 8, 5) == 5
+        monkeypatch.setattr(experiments, "STACK_BYTES", 0)  # every table alone
+        assert experiments._stack_size(8, 4, 5) == 1
         assert run_cli(*args) == (0, stacked)
 
     def test_duplicate_grid_value_exits_2(self):
@@ -239,8 +240,9 @@ class TestSweep:
 
 class TestRunPayloads:
     """A forking pool starts every process at its first submit, so --workers
-    starts at most one process per payload and per CPU, and none when that
-    is one.  The pool is a fake that records its size and maps in process."""
+    starts at most one process per payload, per CPU and per search that
+    physical memory holds, and none when that is one.  The pool is a fake
+    that records its size and maps in process."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -268,7 +270,7 @@ class TestRunPayloads:
         (5, 4, None, []), (5, 1, 8, [])])
     def test_pool_size(self, monkeypatch, pools, payloads, workers, cpus, sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert cli._run_payloads(abs, list(range(-payloads, 0)), workers) == \
+        assert experiments.run_payloads(abs, list(range(-payloads, 0)), workers, 1) == \
             list(range(payloads, 0, -1))
         assert pools == sizes
 
@@ -276,6 +278,40 @@ class TestRunPayloads:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         args = ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "1", "--seed", "13")
         assert run_cli(*args, "--workers", "4") == run_cli(*args)
+        assert pools == []
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--n-grid", "8,16", "--k-grid", "8", "--trials", "3", "--seed", "31"),
+        ("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "2", "--seed", "13"),
+    ], ids=["sweep", "train"])
+    def test_searches_at_once_fit_physical_memory(self, monkeypatch, pools, argv):
+        # the sweep's largest group is its 16 x 8 cell's three trials in one
+        # stack; a train trial is one search over its K planes
+        if argv[0] == "sweep":
+            assert experiments._stack_size(16, 8, 3) == 3
+            need = search_state_bytes(16, 8, 3)
+        else:
+            need = search_state_bytes(8, required_sample_count(0.3, 0.1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = run_cli(*argv)
+        assert serial[0] == 0
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 3 * need // 2)
+        assert run_cli(*argv, "--workers", "2") == serial
+        assert pools == []  # room for one search at a time: no pool
+        monkeypatch.setattr(experiments, "physical_memory", lambda: 2 * need)
+        assert run_cli(*argv, "--workers", "2") == serial
+        assert pools == [2]
+
+    def test_one_worker_reads_no_machine_figure(self, monkeypatch, pools):
+        def unread():
+            raise AssertionError("read with one worker")
+
+        monkeypatch.setattr(os, "cpu_count", unread)
+        monkeypatch.setattr(experiments, "physical_memory", unread)
+        assert run_cli("sweep", "--n-grid", "8", "--k-grid", "4", "--trials", "2",
+                       "--seed", "1")[0] == 0
+        assert run_cli("train", "--n", "8", "--m", "2", "--gamma", "0.3", "--trials", "2",
+                       "--seed", "1")[0] == 0
         assert pools == []
 
 
@@ -300,7 +336,7 @@ class TestSingleSolutionInstance:
     ])
     def test_equals_stacked_assembly(self, n_points, n_planes, seeds):
         for seed in range(seeds):
-            bits = _single_solution_instance(n_points, n_planes, 0.2, seed).bits
+            bits = single_solution_instance(n_points, n_planes, 0.2, seed).bits
             expected = reference_single_solution_instance(n_points, n_planes, 0.2, seed)
             assert bits.dtype == expected.dtype and bits.shape == (n_points, n_planes)
             assert np.array_equal(bits, expected), seed

@@ -1,10 +1,11 @@
 """``scripts/run_scaling_sweep.py`` drives the ``sweep`` command over both
-axes and ``scripts/summarize_sweep.py`` reads the CSV files it writes;
-nothing else runs them, so a change to the command's flags or columns would
-break them unseen.  Both are loaded from their files and run once, with one
+axes; nothing else runs it, so a change to the command's flags or columns
+would break it unseen.  It is loaded from its file and run once, with one
 trial per cell."""
 
+import csv
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -18,16 +19,12 @@ def load_script(name):
     return module
 
 
-def test_sweep_scripts_write_and_summarize_both_axes(tmp_path, monkeypatch, capsys):
+def test_sweep_script_writes_both_axes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["run_scaling_sweep.py", "--trials", "1"])
     assert load_script("run_scaling_sweep").main() == 0
-    summarize = load_script("summarize_sweep").summarize
-    capsys.readouterr()
     for tag, axis in (("n", "N"), ("k", "K")):
-        summarize(f"sweep_{tag}.csv")
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"== sweep_{tag}.csv =="
-        assert sum("ratio=" in line for line in lines) == 4
-        fits = [line for line in lines if "slope vs" in line]
-        assert len(fits) == 1 and fits[0].startswith(f"  slope vs {axis}: ")
+        with open(f"sweep_{tag}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["kind"] for row in rows] == ["cell"] * 4 + ["fit"]
+        assert rows[-1]["slope_axis"] == axis and math.isfinite(float(rows[-1]["slope"]))
