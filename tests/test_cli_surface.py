@@ -37,6 +37,12 @@ SURFACE_ARGV = (
     ("sweep", "--seed", "1", "--trials", "x"),
     ("-h", "train"),
     ("--", "train", "--seed", "1"),
+    ("train", "--seed", "1", "--bogus"),
+    ("train", "--version"),
+    ("train", "--bogus", "1", "--seed", "1"),
+    ("train", "--seed", "1", "--", "extra"),
+    ("verify", "a", "b"),
+    ("train", "-h", "extra"),
 )
 
 # one argv per command that gives every one of its options a value
