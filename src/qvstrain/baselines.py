@@ -10,17 +10,37 @@ from .perceptron import Dataset, _functional_margins
 from .search import SearchOutcome
 
 
+# rows of a column's first read in the classical scan; each later read doubles
+SCAN_FIRST_ROWS = 64
+
+
+def _first_zero(column: np.ndarray) -> int:
+    """The row of the first 0 of a 0/1 column, or its length if it is all
+    ones.  The column is read in blocks of SCAN_FIRST_ROWS rows, doubling,
+    up to the block that holds its first 0, so the rows read are at most
+    twice the rows up to it, or SCAN_FIRST_ROWS: a block's first 0 is its
+    argmin."""
+    first, rows = 0, SCAN_FIRST_ROWS
+    while first < column.size:
+        block = column[first : first + rows]
+        at = int(block.argmin())
+        if not block[at]:
+            return first + at
+        first, rows = first + rows, 2 * rows
+    return column.size
+
+
 def classical_version_space_search(handle: OracleHandle) -> SearchOutcome:
     """Scan columns left to right, rows top down, leaving a column at its
-    first 0; every f lookup is metered as one classical query.  Each column
-    is read in one call: its first 0 is its argmin, and a column whose
-    argmin is a 1 is all ones, N lookups, and ends the scan."""
+    first 0 (:func:`_first_zero`); every f lookup is metered as one
+    classical query.  A column with no 0 is all ones, N lookups, and ends
+    the scan."""
     bits = handle.table.bits
     queries = 0
     index = None
     for j in range(handle.n_cols):
-        first = int(bits[:, j].argmin())
-        if bits[first, j]:
+        first = _first_zero(bits[:, j])
+        if first == handle.n_rows:
             queries += handle.n_rows
             index = j
             break

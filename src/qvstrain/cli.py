@@ -9,11 +9,18 @@ byte-identical output.  Exit codes: 0 all checks pass, 1 property violation,
 2 usage error, 141 output closed by its reader (as SIGPIPE would end it).
 The seeded trials of ``train`` and ``sweep`` run in :mod:`experiments`;
 this module checks the flags and writes the rows.
+
+Each command's options are declared once, in ``COMMANDS``, and two parsers
+are built from them (:func:`build_parser`): a call whose argv starts with a
+command name is parsed by that command's parser alone, and the whole tree
+(the top-level parser with every command as a subparser) is built only for
+any other argv, or to report arguments the command's parser left over.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import json
 import os
@@ -24,11 +31,12 @@ import numpy as np
 from . import __version__
 from .andor import evaluate_direct, evaluate_via_search, load_instance, table_from_blocks
 from .baselines import brute_force_g
-from .counting import g_tilde_readouts, l_bits, phase_gap_bound_check
+from .counting import _count_readouts, l_bits, phase_gap_bound_check
 from .experiments import fit_exponent, run_payloads, sweep_cells, train_trial
 from .oracles import (
     OracleHandle,
     TruthTable,
+    _column_counts,
     apply_phase_oracle,
     controlled_phase_oracle_identity_gap,
     load_truth_table,
@@ -114,12 +122,17 @@ def cmd_train(args, out) -> int:
 
 # Peak bytes per entry of a table the sign-and-fidelity suite draws: the
 # uniform draws and their comparison (8 + 1); the suite then holds only the
-# bit table, whose column counts the readouts read.  On top of that,
+# bit table, whose column counts and ANDs it keeps.  On top of that,
 # VERIFY_SMALL_BYTES holds numpy's cast buffer (8192 doubles) for those
-# counts and the per-column vectors, among them one block of the readout's
-# spectrum (counting.READOUT_BLOCK_AMPS values per temporary).
+# counts, one block of the readout's spectrum (counting.READOUT_BLOCK_AMPS
+# values per temporary, about 100 KB at its peak), and the columns held for
+# their check with the check's per-column vectors: VERIFY_CHECK_COLUMNS
+# columns at most, from up to half as many tables.  Under tracemalloc the
+# suite peaked at 123 KB on 1500 tables of n <= 8, k = 1, whose budget is
+# 136 KB; at 256 columns it overran that budget.
 VERIFY_BYTES_PER_ENTRY = 9
 VERIFY_SMALL_BYTES = 1 << 17
+VERIFY_CHECK_COLUMNS = 1 << 7
 # values of m per array expression in the phase-gap suite
 GAP_BLOCK = 1 << 16
 
@@ -149,27 +162,64 @@ def _random_table(rng, n_max: int, k_max: int, force_close_column: bool = False)
 
 
 def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool):
-    violations = []
-    checked = 0
+    """Draw ``tables`` tables and check the readout of every padded column:
+    its sign is -(-1)**g, its fidelity at least 2/3, and exactly 1 where g
+    = 1.  Each table keeps only its column counts and ANDs, copied into
+    buffers of VERIFY_CHECK_COLUMNS columns; the held columns are checked
+    together before they would overflow them, and at the end."""
+    violations, held = [], []  # held: (table, n, k, l, first column, first buffer row)
+    counts_at = np.empty(VERIFY_CHECK_COLUMNS)
+    g_at = np.empty(VERIFY_CHECK_COLUMNS, dtype=np.uint8)
+    checked = waiting = 0
     for t in range(tables):
         handle = OracleHandle(_random_table(rng, n_max, k_max, force_close_column=fault_l))
-        l = max(1, (handle.n + 1) // 2 if fault_l else l_bits(handle.n))
-        g = np.zeros(1 << handle.k, dtype=np.uint8)
+        n, k = handle.n, handle.k
+        l = max(1, (n + 1) // 2 if fault_l else l_bits(n))
+        g = np.zeros(1 << k, dtype=np.uint8)
         g[: handle.n_cols] = brute_force_g(handle)
-        for j, readout in enumerate(g_tilde_readouts(handle, l)):
-            checked += 1
-            expected_sign = -1 if g[j] else +1
-            bad_sign = readout.sign != expected_sign
-            bad_fid = readout.fidelity < 2.0 / 3.0
-            bad_exact = g[j] == 1 and abs(readout.fidelity - 1.0) > 1e-9
-            if bad_sign or bad_fid or bad_exact:
-                violations.append({
-                    "table": t, "n": handle.n, "k": handle.k, "j": j, "l": l,
-                    "g": int(g[j]), "sign": readout.sign,
-                    "fidelity": readout.fidelity,
-                })
-        del handle  # so the next table is drawn with none held (_verify_table_bytes)
+        counts = _column_counts(handle)
+        for first in range(0, g.size, VERIFY_CHECK_COLUMNS):
+            size = min(VERIFY_CHECK_COLUMNS, g.size - first)
+            if waiting + size > VERIFY_CHECK_COLUMNS:
+                violations += _readout_violations(held, counts_at[:waiting], g_at[:waiting])
+                held, waiting = [], 0
+            held.append((t, n, k, l, first, waiting))
+            counts_at[waiting : waiting + size] = counts[first : first + size]
+            g_at[waiting : waiting + size] = g[first : first + size]
+            waiting += size
+        checked += g.size
+        del handle, counts, g  # so the next table is drawn with none held (_verify_table_bytes)
+    if held:
+        violations += _readout_violations(held, counts_at[:waiting], g_at[:waiting])
     return checked, violations
+
+
+def _readout_violations(held, counts: np.ndarray, g: np.ndarray) -> list[dict]:
+    """The violation rows of the held columns, with ``counts`` and ANDs
+    ``g``, in (table, j) order.  A readout reads its column through the
+    count alone, and l depends on n alone, so each distinct count of each n
+    is read once (:func:`~qvstrain.counting._count_readouts`) and every
+    column is checked at once."""
+    tables, ns, ks, ls, firsts, starts = zip(*held)
+    # one key per (n, count), ordered by n, then count: counts lie in [0, 2**n]
+    span = float((1 << max(ns)) + 1)
+    keys, index = np.unique(np.repeat(ns, np.diff([*starts, g.size])) * span + counts,
+                            return_inverse=True)
+    key_n = keys // span
+    readouts = []
+    for size, l in sorted(dict(zip(ns, ls)).items()):
+        readouts += _count_readouts(keys[key_n == size] - size * span, size, l)
+    sign = np.array([r.sign for r in readouts])[index]
+    fidelity = np.array([r.fidelity for r in readouts])[index]
+    bad = ((sign != np.where(g, -1, 1)) | (fidelity < 2.0 / 3.0)
+           | ((g == 1) & (np.abs(fidelity - 1.0) > 1e-9)))
+    rows = []
+    for i in np.flatnonzero(bad).tolist():
+        h = bisect.bisect_right(starts, i) - 1
+        rows.append({"table": tables[h], "n": ns[h], "k": ks[h], "j": firsts[h] + i - starts[h],
+                     "l": ls[h], "g": int(g[i]), "sign": int(sign[i]),
+                     "fidelity": float(fidelity[i])})
+    return rows
 
 
 def _phase_gap_sweep(n_max: int):
@@ -382,36 +432,47 @@ COMMANDS = {
 }
 
 
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with command ``name``'s options and handler."""
+    _, func, options = COMMANDS[name]
+    for flag, spec in options:
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(func=func, command=name)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every command is registered with its help, so the
-    top-level usage and help read the same either way; with ``command``
-    only that command gets its options, ``-h`` and handler, and the others
-    are bare names argparse never dispatches to.  ``None`` builds them
-    all."""
+    """The CLI's parser.  With ``command``, that command's parser alone,
+    named ``qvstrain <command>`` as its subparser is, so its help and usage
+    errors read the same; it parses the arguments after the command name.
+    ``None`` builds the whole tree: the top-level parser with every command
+    as a subparser, which parses a whole argv."""
+    if command is not None:
+        return _add_command(argparse.ArgumentParser(prog=f"qvstrain {command}"), command)
     parser = argparse.ArgumentParser(
         prog="qvstrain",
         description="Quantum version-space perceptron training: simulator and benchmarks",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, options) in COMMANDS.items():
-        if command not in (None, name):
-            sub.add_parser(name, help=help_text, add_help=False)
-            continue
-        p = sub.add_parser(name, help=help_text)
-        for flag, spec in options:
-            p.add_argument(flag, **spec)
-        p.set_defaults(func=func)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None, out=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level options take no value and exit, so a command name first
-    # is the command argparse runs; anything else gets every command's parser
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        # the top-level options take no value and exit, so the tree would
+        # hand an argv that starts with a command name, whole, to that
+        # command's subparser: that parser alone parses it, and the tree is
+        # built only to report what it leaves over, in the tree's words
+        if argv and argv[0] in COMMANDS:
+            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     stream = out if out is not None else sys.stdout

@@ -275,14 +275,22 @@ def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTild
 
 def g_tilde_readouts(handle: OracleHandle, l: int | None = None) -> Iterator[GTildeReadout]:
     """:func:`g_tilde_readout` of every hyperplane of the padded table, in
-    order, equal to the readouts taken one column at a time.  The columns'
-    counts go through :func:`_kick_probabilities` in blocks whose spectrum
-    holds at most READOUT_BLOCK_AMPS values (one block for every table of
-    ``verify``'s defaults), and the readouts are yielded as they are read,
-    so no table-sized list is held.  Charges nothing."""
+    order, equal to the readouts taken one column at a time: the column
+    counts read in blocks (:func:`_count_readouts`), so no table-sized list
+    is held.  Charges nothing."""
     l = _phase_bits(0, handle, l)
-    counts, cols = _column_counts(handle), max(1, READOUT_BLOCK_AMPS >> l)
-    blocks = (1.0 - 2.0 * _kick_probabilities(counts[first : first + cols], handle.n, l)
+    return _count_readouts(_column_counts(handle), handle.n, l)
+
+
+def _count_readouts(counts: np.ndarray, n: int, l: int) -> Iterator[GTildeReadout]:
+    """The readouts, in order, of columns with ``counts`` f = 1 rows out of
+    2**n under a phase register of l bits: the counts go through
+    :func:`_kick_probabilities` in blocks whose spectrum holds at most
+    READOUT_BLOCK_AMPS values, and the readouts are yielded as they are
+    read.  A readout reads its column through the count alone, so a
+    count's readout is the same whichever block it is read in."""
+    cols = max(1, READOUT_BLOCK_AMPS >> l)
+    blocks = (1.0 - 2.0 * _kick_probabilities(counts[first : first + cols], n, l)
               for first in range(0, counts.size, cols))
     return (_readout(eta) for block in blocks for eta in block.tolist())
 

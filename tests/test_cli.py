@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qvstrain
 
 from qvstrain.andor import load_instance, save_instance
-from qvstrain.baselines import classical_version_space_search
+from qvstrain.baselines import brute_force_g, classical_version_space_search
 from qvstrain import cli, experiments, search
 from qvstrain.cli import (
     VERIFY_BYTES_PER_ENTRY,
@@ -24,6 +24,7 @@ from qvstrain.cli import (
     _verify_table_bytes,
     main,
 )
+from qvstrain.counting import g_tilde_readout, l_bits
 from qvstrain.experiments import single_solution_instance
 from qvstrain.oracles import (
     OracleHandle,
@@ -808,7 +809,38 @@ class TestStateSizeLimit:
         assert err.getvalue() == "andor: Unable to allocate 16.0 MiB for an array\n"
 
 
+def per_column_sweep(rng, tables, n_max, k_max, fault_l):
+    """The reference sign-and-fidelity suite: each table's readouts taken
+    one column at a time and checked one by one."""
+    checked, violations = 0, []
+    for t in range(tables):
+        handle = OracleHandle(cli._random_table(rng, n_max, k_max, force_close_column=fault_l))
+        l = max(1, (handle.n + 1) // 2 if fault_l else l_bits(handle.n))
+        g = np.zeros(1 << handle.k, dtype=np.uint8)
+        g[: handle.n_cols] = brute_force_g(handle)
+        for j in range(1 << handle.k):
+            readout = g_tilde_readout(j, handle, l)
+            checked += 1
+            if (readout.sign != (-1 if g[j] else 1) or readout.fidelity < 2.0 / 3.0
+                    or (g[j] == 1 and abs(readout.fidelity - 1.0) > 1e-9)):
+                violations.append({"table": t, "n": handle.n, "k": handle.k, "j": j, "l": l,
+                                   "g": int(g[j]), "sign": readout.sign,
+                                   "fidelity": readout.fidelity})
+    return checked, violations
+
+
 class TestVerifyTables:
+    @pytest.mark.parametrize("fault", [False, True], ids=["default-l", "low-precision"])
+    @pytest.mark.parametrize("check_columns", [None, 8], ids=["default", "8-columns"])
+    def test_sweep_equals_per_column_readouts(self, monkeypatch, fault, check_columns):
+        # 8 columns at once splits tables of up to 32 columns over checks
+        if check_columns is not None:
+            monkeypatch.setattr(cli, "VERIFY_CHECK_COLUMNS", check_columns)
+        for seed in range(3):
+            rows = _sign_fidelity_sweep(np.random.default_rng(seed), 40, 7, 5, fault)
+            assert rows == per_column_sweep(np.random.default_rng(seed), 40, 7, 5, fault)
+            assert bool(rows[1]) == fault
+
     def test_peak_allocation_pins_the_per_entry_constant(self):
         import tracemalloc
         # seed 66 draws (n, k) = (10, 10), the largest these flags allow: the

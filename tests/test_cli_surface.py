@@ -1,8 +1,9 @@
 """The CLI's help, version and usage-error text, byte for byte.
 
-``main`` builds only the options of the command it runs, so nothing else
-would notice if the top-level usage, a command's help or a usage error
-changed with it.  ``cli_surface.json`` holds, for each argv of SURFACE_ARGV,
+``main`` parses an argv that starts with a command name with that
+command's parser alone, and builds the whole parser tree only for any other
+argv or to report unrecognized arguments, so nothing else would notice if
+the top-level usage, a command's help or a usage error changed with it.  ``cli_surface.json`` holds, for each argv of SURFACE_ARGV,
 the exit code and the exact stdout and stderr of ``main`` at a terminal
 width of 80 columns.  Regenerate it only for an intended change of the
 text, from the root of a checkout:
@@ -10,6 +11,7 @@ text, from the root of a checkout:
     PYTHONPATH=src python tests/test_cli_surface.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qvstrain.cli import build_parser, main
+from qvstrain.cli import COMMANDS, build_parser, main
 
 EXPECTED_PATH = Path(__file__).resolve().parent / "cli_surface.json"
 
@@ -77,7 +79,29 @@ def test_cli_surface_is_byte_identical(argv, monkeypatch):
 
 @pytest.mark.parametrize("argv", FULL_ARGV, ids=lambda argv: argv[0])
 def test_command_parser_parses_as_the_full_parser(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    assert vars(build_parser(argv[0]).parse_args(argv[1:])) == vars(build_parser().parse_args(argv))
+
+
+TREE = ["qvstrain", *(f"qvstrain {name}" for name in COMMANDS)]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (("verify", "--tables", "1", "--n-max", "1", "--k-max", "1", "--gap-n-max", "1",
+      "--identity-tables", "1"), ["qvstrain verify"]),
+    (("--version",), TREE),
+    (("train", "--seed", "1", "extra"), ["qvstrain train", *TREE]),
+], ids=["command", "top-level", "leftover"])
+def test_a_call_builds_its_commands_parser_alone(argv, built, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    surface(argv)
+    assert progs == built
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Questions about one column read that column alone: the classical scan
-reads each column in one call, and a column's padded count is read from
-its own bits."""
+reads each column up to its first 0, in blocks, and a column's padded
+count is read from its own bits."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qvstrain.baselines import classical_version_space_search
+from qvstrain.baselines import SCAN_FIRST_ROWS, classical_version_space_search
 from qvstrain.oracles import OracleHandle, TruthTable, _column_counts
 from qvstrain.search import SearchOutcome
 
@@ -65,6 +66,22 @@ class TestPerColumnScan:
         assert out.index == ref.index
         assert out.queries == ref.queries
         assert list(out.trials.items()) == list(ref.trials.items())
+        assert scanned.ledger.snapshot() == reference.ledger.snapshot()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("solution", [False, True], ids=["no-solution", "all-ones-column"])
+    def test_blocks_equal_per_entry_loop(self, seed, solution):
+        # first 0s far past the first block, and N not a multiple of it
+        rng = np.random.default_rng(seed)
+        rows = 7 * SCAN_FIRST_ROWS + 37
+        bits = (rng.random((rows, 16)) < rng.uniform(0.99, 0.999)).astype(np.uint8)
+        bits[rows - 1 - seed, :] = 0  # no column is all ones by chance
+        if solution:
+            bits[:, int(rng.integers(0, 16))] = 1
+        scanned, reference = OracleHandle(TruthTable(bits)), OracleHandle(TruthTable(bits))
+        out, ref = classical_version_space_search(scanned), entry_scan(reference)
+        assert (out.index is None) is not solution
+        assert (out.index, out.queries, out.trials) == (ref.index, ref.queries, ref.trials)
         assert scanned.ledger.snapshot() == reference.ledger.snapshot()
 
 
