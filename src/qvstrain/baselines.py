@@ -17,9 +17,9 @@ SCAN_FIRST_ROWS = 64
 def _first_zero(column: np.ndarray) -> int:
     """The row of the first 0 of a 0/1 column, or its length if it is all
     ones.  The column is read in blocks of SCAN_FIRST_ROWS rows, doubling,
-    up to the block that holds its first 0, so the rows read are at most
-    twice the rows up to it, or SCAN_FIRST_ROWS: a block's first 0 is its
-    argmin."""
+    up to the block that holds its first 0 (a block's first 0 is its
+    argmin), so the rows read are at most twice the rows up to that 0, plus
+    SCAN_FIRST_ROWS."""
     first, rows = 0, SCAN_FIRST_ROWS
     while first < column.size:
         block = column[first : first + rows]
