@@ -120,15 +120,15 @@ LAYERS = {
     # seeded (n, k) = (4, 4) and (3, 4) tables of density 1/2, verify's
     # default suites: identity (20 tables, n <= 4, n + k <= 8),
     # sign-and-fidelity (50 tables, n <= 5, k <= 3) and phase gap (n <= 12),
-    # and every readout of a 1024 x 64 table from a fresh handle
+    # and the sign-and-fidelity suite on 4 tables of n <= 10, k <= 6
     "verify": (
-        "readout_table = random_handle(np.random.default_rng(4), 10, 6).table",
+        "",
         ["controlled_phase_oracle_identity_gap(half_table(seed, 16, 16))",
          "controlled_phase_oracle_identity_gap(half_table(seed, 8, 16))",
          "_oracle_identity_sweep(np.random.default_rng(seed), 20)",
          "_sign_fidelity_sweep(np.random.default_rng(seed), 50, 5, 3, False)",
          "_phase_gap_sweep(12)",
-         "list(g_tilde_readouts(OracleHandle(readout_table)))"]),
+         "_sign_fidelity_sweep(np.random.default_rng(seed), 4, 10, 6, False)"]),
     # one-cell sweeps (N, K, workers) of 9 trials: sweep-n's largest cell,
     # searched in one stack; two cells just under STACK_BYTES, in stacks of
     # two; two just over it, each table alone; sweep-n's cell over two workers
@@ -150,11 +150,8 @@ import io, json, statistics, sys, time
 import numpy as np
 from qvstrain.cli import (_oracle_identity_sweep, _phase_gap_sweep, _sign_fidelity_sweep,
                           build_parser, main)
-try:
-    from qvstrain.experiments import single_solution_instance
-except ImportError:  # a parent from before qvstrain.experiments; drop once none is compared
-    from qvstrain.cli import _single_solution_instance as single_solution_instance
-from qvstrain.counting import g_tilde_readouts, grover_operator, l_bits
+from qvstrain.counting import grover_operator, l_bits
+from qvstrain.experiments import single_solution_instance
 from qvstrain.oracles import (OracleHandle, TruthTable, controlled_phase_oracle_identity_gap,
                               from_perceptron)
 from qvstrain.perceptron import generate_planted_dataset, sample_hyperplanes

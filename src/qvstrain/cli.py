@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .andor import evaluate_direct, evaluate_via_search, load_instance, table_from_blocks
 from .baselines import brute_force_g
-from .counting import _count_readouts, l_bits, phase_gap_bound_check
+from .counting import _readouts, l_bits, phase_gap_bound_check
 from .experiments import fit_exponent, run_payloads, sweep_cells, train_trial
 from .oracles import (
     OracleHandle,
@@ -125,11 +125,12 @@ def cmd_train(args, out) -> int:
 # bit table, whose column counts and ANDs it keeps.  On top of that,
 # VERIFY_SMALL_BYTES holds numpy's cast buffer (8192 doubles) for those
 # counts, one block of the readout's spectrum (counting.READOUT_BLOCK_AMPS
-# values per temporary, about 100 KB at its peak), and the columns held for
-# their check with the check's per-column vectors: VERIFY_CHECK_COLUMNS
-# columns at most, from up to half as many tables.  Under tracemalloc the
-# suite peaked at 123 KB on 1500 tables of n <= 8, k = 1, whose budget is
-# 136 KB; at 256 columns it overran that budget.
+# values, about 103 KB at its peak with numpy's buffers), and the columns
+# held for their check with the check's per-column vectors:
+# VERIFY_CHECK_COLUMNS columns at most, from up to half as many tables.
+# Under tracemalloc the suite peaked at 119-121 KB on 1500 tables of
+# n <= 8, k = 1 (seeds 0-1), whose budget is 136 KB; at 256 columns it
+# overran that budget.
 VERIFY_BYTES_PER_ENTRY = 9
 VERIFY_SMALL_BYTES = 1 << 17
 VERIFY_CHECK_COLUMNS = 1 << 7
@@ -198,19 +199,19 @@ def _readout_violations(held, counts: np.ndarray, g: np.ndarray) -> list[dict]:
     """The violation rows of the held columns, with ``counts`` and ANDs
     ``g``, in (table, j) order.  A readout reads its column through the
     count alone, and l depends on n alone, so each distinct count of each n
-    is read once (:func:`~qvstrain.counting._count_readouts`) and every
-    column is checked at once."""
+    is read once (:func:`~qvstrain.counting._readouts`) and every column
+    is checked at once."""
     tables, ns, ks, ls, firsts, starts = zip(*held)
     # one key per (n, count), ordered by n, then count: counts lie in [0, 2**n]
     span = float((1 << max(ns)) + 1)
     keys, index = np.unique(np.repeat(ns, np.diff([*starts, g.size])) * span + counts,
                             return_inverse=True)
     key_n = keys // span
-    readouts = []
-    for size, l in sorted(dict(zip(ns, ls)).items()):
-        readouts += _count_readouts(keys[key_n == size] - size * span, size, l)
-    sign = np.array([r.sign for r in readouts])[index]
-    fidelity = np.array([r.fidelity for r in readouts])[index]
+    sign, fidelity = np.empty(keys.size, dtype=np.int8), np.empty(keys.size)
+    for size, l in dict(zip(ns, ls)).items():
+        at = key_n == size
+        _, sign[at], fidelity[at] = _readouts(keys[at] - size * span, size, l)
+    sign, fidelity = sign[index], fidelity[index]
     bad = ((sign != np.where(g, -1, 1)) | (fidelity < 2.0 / 3.0)
            | ((g == 1) & (np.abs(fidelity - 1.0) > 1e-9)))
     rows = []

@@ -25,12 +25,13 @@ estimation, 1/2 Fejer(s | theta/pi) + 1/2 Fejer(s | 1 - theta/pi)
 which samples the whole readout).  At the 10..0 readout s = 2**(l-1) the
 two branches are complex conjugates, each 2**-l sum_r (-1)**r e^{2i r theta}
 = mean_r mu_r with mu the rotation spectrum (:func:`_phase_spectrum`), so
-P(readout = 10..0) = |mean_r mu_r|**2 (:func:`_kick_probabilities`), the
-probability that a phase-kickback shot votes "all ones", and
-``sim_and_overlap`` returns <in|SimAnd|in> = 1 - 2 |mean_r mu_r|**2: the
-diagnostics run no simulation.  The search applies SimAnd to its factored
-state with kernels of its own (:mod:`qvstrain.search`) over the same
-spectrum and kicks.
+P(readout = 10..0) = |mean_r mu_r|**2 (:func:`_kick_probabilities`, the
+one evaluation of the spectrum, which the search also calls), the
+probability that a phase-kickback shot votes "all ones".  :func:`_readouts`
+turns it into the overlaps <in|SimAnd|in> = 1 - 2 |mean_r mu_r|**2, signs
+and fidelities that the diagnostics and ``verify`` read: they run no
+simulation.  The search applies SimAnd to its factored state with kernels
+of its own (:mod:`qvstrain.search`).
 
 Each circuit thus runs two ways: the closed forms above in production, and
 the gate engine of :mod:`qvstrain.statevec` and :mod:`qvstrain.oracles` as
@@ -55,7 +56,6 @@ charge nothing.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +73,9 @@ from .statevec import (
 )
 
 
-# spectrum values per block of columns in g_tilde_readouts: a few 32 KiB temporaries
+# Spectrum values per block of columns in _readouts.  Under tracemalloc a
+# full block peaks at about 103 KB: its 32 KiB complex spectrum and about
+# 67 KB of numpy's buffers for the broadcast complex multiply that builds it.
 READOUT_BLOCK_AMPS = 1 << 11
 
 
@@ -120,21 +122,19 @@ def _phase_spectrum(theta: np.ndarray, r: np.ndarray, out: np.ndarray | None = N
     return np.multiply(1.0 - 2.0 * (r & 1), out, out=out)
 
 
-def _kicks(mu: np.ndarray) -> np.ndarray:
-    """|mean_r mu_r|**2 per row of a (columns, 2**l) spectrum: the sum over
-    r divided by its length, which is what ``mean`` computes, without its
-    per-call overhead.  A mean of unit-modulus numbers, so no clip is
-    needed to use it as a probability."""
-    return np.abs(mu.sum(axis=-1) / mu.shape[-1]) ** 2
-
-
-def _kick_probabilities(ones: np.ndarray, n: int, l: int) -> np.ndarray:
+def _kick_probabilities(
+    ones: np.ndarray, n: int, l: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """P(readout = 10..0) after phase estimation from the uniform data
     register, per column with ``ones`` f = 1 rows out of 2**n, under a phase
     register of l bits: |mean_r mu_r|**2 with mu (:func:`_phase_spectrum`)
-    held as (..., columns, 2**l), so each column sums along the contiguous
-    last axis, in one (pairwise) order for a column, a table or a stack."""
-    return _kicks(_phase_spectrum(_rotation_angles(ones, n)[..., None], np.arange(1 << l)))
+    held as (..., columns, 2**l), written into ``out`` if given, so each
+    column sums along the contiguous last axis, in one (pairwise) order for
+    a column, a table or a stack.  The sum is divided by its length, which
+    is what ``mean`` computes, without its per-call overhead; a mean of
+    unit-modulus numbers, so no clip is needed to use it as a probability."""
+    mu = _phase_spectrum(_rotation_angles(ones, n)[..., None], np.arange(1 << l), out=out)
+    return np.abs(mu.sum(axis=-1) / mu.shape[-1]) ** 2
 
 
 # -- public operations ---------------------------------------------------------
@@ -235,12 +235,6 @@ class GTildeReadout:
     fidelity: float
 
 
-def _readout(eta: float) -> GTildeReadout:
-    """The readout of a real overlap eta = <in|out>; see :func:`g_tilde_readout`."""
-    sign = 0 if abs(eta) <= 1e-12 else (-1 if eta < 0.0 else +1)
-    return GTildeReadout(sign=sign, fidelity=abs(eta) ** 2)
-
-
 def _phase_bits(j: int, handle: OracleHandle, l: int | None) -> int:
     """The phase-register width for a readout on hyperplane j: ``l``, or
     :func:`l_bits` if None, after checking j and l."""
@@ -260,39 +254,36 @@ def sim_and_overlap(j: int, handle: OracleHandle, l: int | None = None) -> compl
     the kick probability of column j's count (:func:`_kick_probabilities`).
     The overlap is real.  An exact amplitude diagnostic: charges nothing."""
     l = _phase_bits(j, handle, l)
-    ones = _column_counts(handle, j)
-    return complex((1.0 - 2.0 * _kick_probabilities(ones, handle.n, l))[0])
+    overlap, _, _ = _readouts(_column_counts(handle, j), handle.n, l)
+    return complex(overlap[0])
 
 
 def g_tilde_readout(j: int, handle: OracleHandle, l: int | None = None) -> GTildeReadout:
     """Deterministic diagnostic of the AND-simulation on hyperplane j:
-    sign of Re <in|out> and |<in|out>|**2.  The sign is 0 where
-    |Re <in|out>| <= 1e-12, the tolerance the kernels are tested to: there
-    the overlap may be 0 in exact arithmetic, and the sign of its computed
-    value would be the sign of a rounding error.  Charges nothing."""
-    return _readout(sim_and_overlap(j, handle, l).real)
+    sign of Re <in|out> and |<in|out>|**2 (:func:`_readouts`).  Charges
+    nothing."""
+    l = _phase_bits(j, handle, l)
+    _, sign, fidelity = _readouts(_column_counts(handle, j), handle.n, l)
+    return GTildeReadout(sign=int(sign[0]), fidelity=float(fidelity[0]))
 
 
-def g_tilde_readouts(handle: OracleHandle, l: int | None = None) -> Iterator[GTildeReadout]:
-    """:func:`g_tilde_readout` of every hyperplane of the padded table, in
-    order, equal to the readouts taken one column at a time: the column
-    counts read in blocks (:func:`_count_readouts`), so no table-sized list
-    is held.  Charges nothing."""
-    l = _phase_bits(0, handle, l)
-    return _count_readouts(_column_counts(handle), handle.n, l)
-
-
-def _count_readouts(counts: np.ndarray, n: int, l: int) -> Iterator[GTildeReadout]:
-    """The readouts, in order, of columns with ``counts`` f = 1 rows out of
-    2**n under a phase register of l bits: the counts go through
+def _readouts(counts: np.ndarray, n: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The overlaps eta = <in|SimAnd|in> = 1 - 2 P(s = 10..0), their signs
+    and their fidelities eta**2, of columns with ``counts`` f = 1 rows out
+    of 2**n under a phase register of l bits.  The counts go through
     :func:`_kick_probabilities` in blocks whose spectrum holds at most
-    READOUT_BLOCK_AMPS values, and the readouts are yielded as they are
-    read.  A readout reads its column through the count alone, so a
-    count's readout is the same whichever block it is read in."""
+    READOUT_BLOCK_AMPS values; a column is read through its count alone, so
+    a count's readout is the same whichever block it is read in.  The sign
+    is 0 where |eta| <= 1e-12, the tolerance the kernels are tested to:
+    there the overlap may be 0 in exact arithmetic, and the sign of its
+    computed value would be the sign of a rounding error."""
+    overlap = np.empty(counts.shape)
     cols = max(1, READOUT_BLOCK_AMPS >> l)
-    blocks = (1.0 - 2.0 * _kick_probabilities(counts[first : first + cols], n, l)
-              for first in range(0, counts.size, cols))
-    return (_readout(eta) for block in blocks for eta in block.tolist())
+    for first in range(0, counts.size, cols):
+        kicks = _kick_probabilities(counts[first : first + cols], n, l)
+        overlap[first : first + cols] = 1.0 - 2.0 * kicks
+    sign = (overlap > 1e-12).astype(np.int8) - (overlap < -1e-12)
+    return overlap, sign, overlap ** 2
 
 
 def phase_register_distribution(

@@ -146,10 +146,13 @@ def _column_counts(handle: OracleHandle, j: int | None = None) -> np.ndarray:
     """The f = 1 rows of every column of the handle's padded f, (2**k,)
     float64, from the table's bits: a real column's ones plus the phantom
     rows, and 0 for a phantom column.  With ``j``, column j's count alone,
-    (1,), from that column of the bits."""
+    (1,), from that column of the bits.  Bits are summed as float64 into
+    the counts (exact for 0/1), so no per-column temporary is held."""
     bits = handle.table.bits if j is None else handle.table.bits[:, j : j + 1]
     counts = np.zeros(1 << handle.k if j is None else 1)
-    counts[: bits.shape[1]] = bits.sum(axis=0) + ((1 << handle.n) - handle.n_rows)
+    real = counts[: bits.shape[1]]
+    bits.sum(axis=0, dtype=np.float64, out=real)
+    real += (1 << handle.n) - handle.n_rows
     return counts
 
 

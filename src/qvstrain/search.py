@@ -22,7 +22,8 @@ iteration: Q's, for the f=1 row sums, and P[1] - P[0]'s, for the
 diffusion's mean.  A verification shot votes "all ones" with the
 probability P(readout = 10..0) = |mean_r mu[r, j]|**2, read for every
 column j at once off the same evaluation of the spectrum
-(:func:`_rotation_spectrum`, the kick vector).
+(:func:`_rotation_spectrum`, the kick vector that
+:func:`~qvstrain.counting._kick_probabilities` returns).
 
 Tables of one padded shape can be searched through one stack
 (:meth:`SimAndSearchOracle.stack`): their states are held with a leading
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import _kicks, _phase_spectrum, _rotation_angles, l_bits, meter_sim_and
+from .counting import _kick_probabilities, l_bits, meter_sim_and
 from .oracles import OracleHandle, QueryLedger, _ceil_log2, _padded_f, from_perceptron
 from .perceptron import Dataset, required_sample_count, sample_hyperplanes
 
@@ -204,24 +205,23 @@ def _draw(cdf: np.ndarray, rng) -> int:
 
 def _rotation_spectrum(ones, n: int, mu, buf) -> tuple[np.ndarray, ...]:
     """Per column of a stack of tables with ``ones`` its (tables, columns)
-    f = 1 row counts out of 2**n, from one evaluation of the spectrum into
-    ``buf`` (a complex C array of mu's size) in the (tables, columns, 2**l)
-    layout of :func:`~qvstrain.counting._kick_probabilities`, then copied
-    into ``mu``, the (tables, 2**l, columns) C array that
-    :func:`_rotation_shifts` reads: the f=0 and the f=1 row counts as one
-    (2, tables, 1, columns) array; the (tables, columns) kick
-    probabilities, equal to ``_kick_probabilities`` bit for bit, as they
-    are summed in its order; and mu's (5, 2, tables, 1, columns) complex
-    weights per column.  With a and b the inverse square roots of the two
-    row counts (0 for an empty count) and c = 2/2**l, the weights' rows are
-    [a, ib] and [a, -ib] (kx and ky from the rotation-plane sums),
-    [c a**2, c b**2] (the row means), and [-c a/2, -c a/2] and
-    [ic b/2, -ic b/2] (the f=0 and the f=1 rows' factors of dx and dy).
+    f = 1 row counts out of 2**n, from one call of
+    :func:`~qvstrain.counting._kick_probabilities`, which writes the
+    spectrum into ``buf`` (a complex C array of mu's size) in its
+    (tables, columns, 2**l) layout, then copied into ``mu``, the
+    (tables, 2**l, columns) C array that :func:`_rotation_shifts` reads:
+    the f=0 and the f=1 row counts as one (2, tables, 1, columns) array;
+    the (tables, columns) kick probabilities that call returns; and mu's
+    (5, 2, tables, 1, columns) complex weights per column.  With a and b
+    the inverse square roots of the two row counts (0 for an empty count)
+    and c = 2/2**l, the weights' rows are [a, ib] and [a, -ib] (kx and ky
+    from the rotation-plane sums), [c a**2, c b**2] (the row means), and
+    [-c a/2, -c a/2] and [ic b/2, -ic b/2] (the f=0 and the f=1 rows'
+    factors of dx and dy).
     The size-1 axes broadcast over r."""
     tables, dl, columns = mu.shape
     spectrum = buf.reshape(tables, columns, dl)
-    _phase_spectrum(_rotation_angles(ones, n)[..., None], np.arange(dl), out=spectrum)
-    kicks = _kicks(spectrum)
+    kicks = _kick_probabilities(ones, n, dl.bit_length() - 1, out=spectrum)
     np.copyto(mu, spectrum.transpose(0, 2, 1))
     counts = np.array([(1 << n) - ones, ones])[:, :, None]
     inv = np.divide(1.0, np.sqrt(counts), out=np.zeros(counts.shape), where=counts > 0)

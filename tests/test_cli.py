@@ -855,6 +855,21 @@ class TestVerifyTables:
         assert checked == 1 << 10 and violations == []
         assert VERIFY_BYTES_PER_ENTRY << 20 < peak <= _verify_table_bytes(10, 10)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_few_row_tables_fit_their_budget(self, seed):
+        import tracemalloc
+        # 2-row tables of up to 2**14 columns: the column counts must not
+        # hold a temporary per column beside them
+        _sign_fidelity_sweep(np.random.default_rng(0), 2, 1, 3, False)  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            _, violations = _sign_fidelity_sweep(np.random.default_rng(seed), 20, 1, 14, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert violations == []
+        assert peak <= _verify_table_bytes(1, 14), f"peak {peak} B"
+
     def test_tables_at_the_limit_are_drawn(self, monkeypatch):
         monkeypatch.setattr(search, "state_byte_limit", lambda: _verify_table_bytes(3, 2))
         assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 0

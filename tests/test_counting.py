@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from qvstrain import cli
 from qvstrain.counting import (
+    READOUT_BLOCK_AMPS,
+    GTildeReadout,
+    _readouts,
     phase_gap_bound_check,
     g_tilde_readout,
-    g_tilde_readouts,
     grover_operator,
     grover_operator_inverse,
     l_bits,
@@ -21,7 +23,8 @@ from qvstrain.counting import (
     sim_and,
     sim_and_overlap,
 )
-from qvstrain.oracles import OracleHandle, QueryLedger, TruthTable, apply_phase_oracle
+from qvstrain.oracles import (OracleHandle, QueryLedger, TruthTable, _column_counts,
+                              apply_phase_oracle)
 from qvstrain.search import SimAndSearchOracle
 from qvstrain.statevec import (
     apply_hadamards,
@@ -417,16 +420,18 @@ class TestGTildeReadout:
         assert healthy.sign == +1 and healthy.fidelity >= 2 / 3
 
     def test_table_readout_equals_per_column_readout(self):
-        # verify reads a whole table at once; on verify's own table draws,
-        # at the working and the too-narrow register width, every column
-        # must read bit for bit what the one-column readout reads (summing
-        # the spectrum in another order moves some fidelities by an ulp)
+        # verify reads a table's column counts in blocks; on verify's own
+        # table draws, at the working and the too-narrow register width,
+        # every column must read bit for bit what the one-column readout
+        # reads (summing the spectrum in another order moves some
+        # fidelities by an ulp)
         rng = np.random.default_rng(13)
         columns = 0
         for _ in range(500):
             handle = OracleHandle(cli._random_table(rng, 6, 6, force_close_column=True))
             for l in (l_bits(handle.n), (handle.n + 1) // 2):
-                table = list(g_tilde_readouts(handle, l))
+                _, sign, fidelity = _readouts(_column_counts(handle), handle.n, l)
+                table = [GTildeReadout(int(s), float(f)) for s, f in zip(sign, fidelity)]
                 assert table == [g_tilde_readout(j, handle, l) for j in range(1 << handle.k)]
                 columns += len(table)
         assert columns > 20_000
@@ -440,12 +445,10 @@ class TestReadoutsReadCounts:
     @pytest.mark.parametrize("readout", [
         lambda h: sim_and_overlap(1, h),
         lambda h: g_tilde_readout(3, h),
-        lambda h: list(g_tilde_readouts(h)),
         lambda h: phase_register_distribution(1, h),
         lambda h: quantum_count(1, h, shots=4, rng_seed=0),
         lambda h: cli._sign_fidelity_sweep(np.random.default_rng(0), 5, 4, 3, False),
-    ], ids=["sim_and_overlap", "g_tilde_readout", "g_tilde_readouts",
-            "phase_register_distribution", "quantum_count", "sign_fidelity_sweep"])
+    ], ids=["sim_and_overlap", "g_tilde_readout", "phase_register_distribution", "quantum_count", "sign_fidelity_sweep"])
     def test_no_readout_builds_f(self, monkeypatch, readout):
         read = []
         f = OracleHandle.f
@@ -465,6 +468,20 @@ class TestReadoutsReadCounts:
         finally:
             tracemalloc.stop()
         assert peak < 128 << 10, f"peak {peak} B"  # f alone would be 512 KiB
+
+    def test_full_block_peak_is_under_verifys_small_budget(self):
+        import tracemalloc
+        # verify budgets one block of the spectrum in VERIFY_SMALL_BYTES
+        n, l = 8, 7
+        counts = np.arange(READOUT_BLOCK_AMPS >> l, dtype=np.float64)  # one full block
+        _readouts(counts, n, l)  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            _readouts(counts, n, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (READOUT_BLOCK_AMPS << 4) < peak < cli.VERIFY_SMALL_BYTES, f"peak {peak} B"
 
 
 class TestQuantumCount:
