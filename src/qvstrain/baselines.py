@@ -47,8 +47,6 @@ def classical_version_space_search(handle: OracleHandle) -> SearchOutcome:
         queries += first + 1
     handle.ledger.record("classical_f", queries)
     trials = {"columns_scanned": handle.n_cols if index is None else index + 1}
-    if index is None:
-        trials["reason"] = "exhausted"
     return SearchOutcome(index=index, queries={"classical_f": queries}, trials=trials)
 
 

@@ -306,11 +306,12 @@ def cmd_sweep(args, out) -> int:
     cells = [(n, k) for n in n_grid for k in k_grid]
     for n_points, n_planes in cells:
         _require_state_fits(n_points, n_planes)
+    # every cell runs before the first row is written: a failed run writes none
+    results = sweep_cells(cells, args.gamma, args.trials, args.seed, args.workers)
     writer = csv.writer(out)
     writer.writerow(["kind", "N", "K", "gamma", "trials",
                      "median_quantum_bit_queries", "median_classical_queries",
                      "found_rate", "sound", "slope_axis", "slope"])
-    results = sweep_cells(cells, args.gamma, args.trials, args.seed, args.workers)
     for cell, result in zip(cells, results):
         writer.writerow(["cell", *cell, args.gamma, args.trials, *result, "", ""])
     for axis, grid, other_grid in (("N", n_grid, k_grid), ("K", k_grid, n_grid)):
@@ -490,10 +491,10 @@ def main(argv=None, out=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return 141
-    # MemoryError: the checks bound the search, which allocates its arrays
-    # once, not what a command builds around it (its instance, say)
+    # MemoryError: the checks bound the search, not what a command builds
+    # around it; one from a Python-level allocation has no text: name its type
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -129,12 +129,14 @@ def sweep_cells(cells, gamma: float, trials: int, seed: int,
     """Per (N, K) cell, in order: the median quantum bit queries, the median
     classical queries, the rate of found solutions and whether every found
     one is a solution, over ``trials`` trials.  Trial t of cell c has seed
-    ``seed + 10_000 c + t``; a cell's trials are searched in groups of at
-    most STACK_BYTES, small enough that every worker that runs gets one."""
+    ``seed + max(10_000, trials) c + t``, so no two trials share one; a
+    cell's trials are searched in groups of at most STACK_BYTES, small
+    enough that every worker that runs gets one."""
     most = min(trials, -(-trials * len(cells) // workers_that_run(workers)))
+    stride = max(10_000, trials)
     payloads = []
     for c, (n_points, n_planes) in enumerate(cells):
-        seeds = [seed + 10_000 * c + t for t in range(trials)]
+        seeds = [seed + stride * c + t for t in range(trials)]
         size = _stack_size(n_points, n_planes, most)
         payloads += [(n_points, n_planes, gamma, seeds[first : first + size])
                      for first in range(0, trials, size)]

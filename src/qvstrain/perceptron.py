@@ -124,13 +124,13 @@ def required_sample_count(gamma: float, epsilon: float, c: float = 2.0) -> int:
 
 def _planted_block_rows(dim: int) -> int:
     """Points per block of :func:`generate_planted_dataset`: the most for
-    which four dim-vectors and sixteen 8-byte words each fit in
-    PLANTED_BLOCK_BYTES.  A block computes its points in their own rows of
-    ``X``; beyond them it holds one dim-vector per point (the gathered
-    cluster centers) and fewer than sixteen words, eight of which are the
-    two lists of Python floats (a pointer and a 24-byte float per entry)
-    that the radius goes through."""
-    return max(1, PLANTED_BLOCK_BYTES // (8 * (4 * dim + 16)))
+    which four dim-vectors, and one dim-vector and sixteen 8-byte words a
+    point, fit in PLANTED_BLOCK_BYTES.  Beyond its rows of ``X`` a block
+    holds ``w``, the two cluster centers, the gathered centers and fewer
+    than sixteen words a point, eight of them the radius's two lists of
+    Python floats; the fourth fixed vector is headroom (with three, M =
+    1000 peaked 16 B over the budget under tracemalloc)."""
+    return max(1, (PLANTED_BLOCK_BYTES - 8 * 4 * dim) // (8 * (dim + 16)))
 
 
 def generate_planted_dataset(

@@ -32,8 +32,8 @@ table, so a table's numbers do not depend on the stack it is in; a single
 search is a stack of one.  The search is one fixed construction: a
 majority vote of VERIFY_REPEATS shots per candidate, and at most
 MAX_ROUNDS passes of the randomized-iteration schedule.  The kernels
-charge nothing; the search alone charges the ledger, by the closed-form
-cost of what each run logically performs: one AND-simulation per Grover
+charge nothing; the search alone charges the ledger, once per run, from
+the iterations and shots it tallies: one AND-simulation per Grover
 iteration and one controlled AND-simulation per verification shot
 (:func:`meter_sim_and`).
 
@@ -172,18 +172,18 @@ def _iteration_cap(k: int) -> int:
     return max(1, math.ceil(math.pi / 4.0 * math.sqrt(1 << k)))
 
 
-def _schedule(k: int):
-    """Yield the randomized-iteration bound m per round: grows by 6/5 each
-    round, capped at ceil(pi/4 * sqrt(2**k)); the full growth schedule is
-    repeated MAX_ROUNDS times."""
+@functools.cache
+def _schedule(k: int) -> tuple[int, ...]:
+    """The r bound max(1, ceil(m)) of every round: m grows by 6/5 a round,
+    capped at ceil(pi/4 * sqrt(2**k)), and the growth is repeated
+    MAX_ROUNDS times."""
     cap = float(_iteration_cap(k))
-    for _ in range(MAX_ROUNDS):
-        m = 1.0
-        while True:
-            yield m
-            if m >= cap:
-                break
-            m = min(m * GROWTH, cap)
+    bounds, m = [], 1.0
+    while True:
+        bounds.append(max(1, math.ceil(m)))
+        if m >= cap:
+            return tuple(bounds) * MAX_ROUNDS
+        m = min(m * GROWTH, cap)
 
 
 def _cdf(marginal: np.ndarray) -> np.ndarray:
@@ -505,7 +505,7 @@ class SimAndSearchOracle:
     the CDF its candidates are drawn from; and the kick vector, every
     column's verification probability.  This oracle reads its table's row
     of each.  Nothing here charges the ledger; the search charges each run
-    through :func:`meter_sim_and`.
+    once, from its tallies, through :func:`meter_sim_and`.
     """
 
     def __init__(self, handle: OracleHandle, *, _stack: _SearchStack | None = None,
@@ -550,20 +550,18 @@ class SimAndSearchOracle:
         return self._kicks[j]
 
 
-def _majority_vote(oracle: SimAndSearchOracle, j: int, rng, ledger: QueryLedger):
-    """Majority of VERIFY_REPEATS kickback shots, stopping early once decided;
-    each drawn shot is metered as one controlled AND-simulation."""
-    p = oracle.kick_probability(j)
+def _majority_vote(p: float, rng) -> tuple[bool, int]:
+    """Majority of VERIFY_REPEATS kickback shots, each voting "all ones"
+    with probability ``p``, stopping early once decided: (accepted, shots
+    drawn)."""
     need = VERIFY_REPEATS // 2 + 1
-    ones = zeros = shots = 0
+    ones = zeros = 0
     while ones < need and zeros < need:
-        shots += 1
         if rng.random() < p:
             ones += 1
         else:
             zeros += 1
-    meter_sim_and(ledger, oracle.l, times=shots, controlled=True)
-    return ones >= need, shots
+    return ones >= need, ones + zeros
 
 
 def bounded_error_search(oracle: SimAndSearchOracle, rng_seed=None) -> SearchOutcome:
@@ -572,27 +570,24 @@ def bounded_error_search(oracle: SimAndSearchOracle, rng_seed=None) -> SearchOut
     through majority-voted phase-kickback shots, as the verifier of each
     measured candidate."""
     rng = np.random.default_rng(rng_seed)
-    ledger = QueryLedger()
-    rounds = 0
-    iterations = 0
-    verifications = 0
+    rounds = iterations = verifications = 0
     found = None
-    for m in _schedule(oracle.k):
+    for bound in _schedule(oracle.k):
         rounds += 1
-        r = int(rng.integers(0, max(1, math.ceil(m))))
+        r = int(rng.integers(0, bound))
         j = oracle.sample_plane(r, rng)
-        meter_sim_and(ledger, oracle.l, times=r)
         iterations += r
-        accepted, shots = _majority_vote(oracle, j, rng, ledger)
+        accepted, shots = _majority_vote(oracle.kick_probability(j), rng)
         verifications += shots
         if accepted:
             found = j
             break
-    trials = {"rounds": rounds, "iterations": iterations, "verification_shots": verifications}
-    if found is None:
-        trials["reason"] = "budget_exhausted"
+    ledger = QueryLedger()
+    meter_sim_and(ledger, oracle.l, times=iterations)
+    meter_sim_and(ledger, oracle.l, times=verifications, controlled=True)
     for tag, value in ledger.snapshot().items():
         oracle.handle.ledger.record(tag, value)
+    trials = {"rounds": rounds, "iterations": iterations, "verification_shots": verifications}
     return SearchOutcome(index=found, queries=ledger.snapshot(), trials=trials)
 
 

@@ -226,6 +226,32 @@ class TestSweep:
         assert experiments._stack_size(8, 4, 5) == 1
         assert run_cli(*args) == (0, stacked)
 
+    def test_seeds_distinct_past_ten_thousand_trials(self, monkeypatch):
+        # at a cell stride of 10 000, trial 10 000 of the N = 8 cell would
+        # replay the first trial of the N = 16 cell
+        seeds = []
+
+        def spy(fn, payloads, workers, need):
+            groups = [payload[3] for payload in payloads]
+            seeds.extend(seed for group in groups for seed in group)
+            return [[(1, 1, True, True)] * len(group) for group in groups]
+
+        monkeypatch.setattr(experiments, "run_payloads", spy)
+        experiments.sweep_cells([(8, 8), (16, 8)], 0.2, 10_001, 1, 1)
+        assert len(seeds) == len(set(seeds)) == 20_002
+
+    def test_failed_run_writes_no_rows(self, monkeypatch):
+        # the header waits for the cells, so a run that fails leaves stdout empty
+        def exhausted(*_args):
+            raise MemoryError("Unable to allocate 16.0 MiB for an array")
+
+        monkeypatch.setattr(cli, "sweep_cells", exhausted)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = run_cli("sweep", "--n-grid", "8", "--k-grid", "4", "--seed", "1")
+        assert rc == 2 and out == ""
+        assert err.getvalue() == "sweep: Unable to allocate 16.0 MiB for an array\n"
+
     def test_duplicate_grid_value_exits_2(self):
         rc, out = run_cli("sweep", "--n-grid", "8,8", "--k-grid", "4",
                           "--trials", "1", "--seed", "1")
@@ -807,6 +833,18 @@ class TestStateSizeLimit:
             rc, out = run_cli("andor", "--random", "4,4,1", "--seed", "1")
         assert rc == 2 and out == ""
         assert err.getvalue() == "andor: Unable to allocate 16.0 MiB for an array\n"
+
+    def test_memory_error_without_text_names_its_type(self, monkeypatch):
+        # a MemoryError raised by a Python-level allocation carries no text
+        def exhausted(*_args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_payloads", exhausted)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc, out = run_cli("train", "--n", "4", "--m", "2", "--gamma", "0.3", "--seed", "1")
+        assert rc == 2 and out == ""
+        assert err.getvalue() == "train: MemoryError\n"
 
 
 def per_column_sweep(rng, tables, n_max, k_max, fault_l):

@@ -32,7 +32,7 @@ def entry_scan(handle: OracleHandle) -> SearchOutcome:
                                  trials={"columns_scanned": j + 1})
     handle.ledger.record("classical_f", queries)
     return SearchOutcome(index=None, queries={"classical_f": queries},
-                         trials={"columns_scanned": handle.n_cols, "reason": "exhausted"})
+                         trials={"columns_scanned": handle.n_cols})
 
 
 @st.composite

@@ -214,10 +214,10 @@ class TestBlockedPlantedGenerator:
         assert got.y.tobytes() == y.tobytes()
         assert plane.tobytes() == expected_plane.tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 2, 6, 40])
-    def test_block_arrays_stay_within_the_budget(self, dim):
-        # three blocks' worth of points: what the blocks hold beyond the
-        # returned arrays, which the Dataset holds without a copy, is the budget
+    @staticmethod
+    def block_peak(dim: int) -> int:
+        """The traced peak of three blocks' worth of points beyond the
+        returned arrays, which the Dataset holds without a copy."""
         n = 3 * _planted_block_rows(dim)
         generate_planted_dataset(1, dim, 0.1, rng_seed=0)  # numpy.random's one-off import
         tracemalloc.start()
@@ -226,7 +226,15 @@ class TestBlockedPlantedGenerator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - (data.X.nbytes + data.y.nbytes) <= PLANTED_BLOCK_BYTES
+        return peak - (data.X.nbytes + data.y.nbytes)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 40, 400, 1000])
+    def test_block_arrays_stay_within_the_budget(self, dim):
+        assert self.block_peak(dim) <= PLANTED_BLOCK_BYTES
+
+    def test_blocks_use_the_budget(self):
+        # a block budgeted for more than it holds is cut smaller than it need be
+        assert self.block_peak(40) > PLANTED_BLOCK_BYTES // 2
 
 
 class OnTheEdge(np.random.Generator):
