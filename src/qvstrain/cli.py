@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,7 @@ from .baselines import brute_force_g
 from .counting import _readouts, l_bits, phase_gap_bound_check
 from .experiments import fit_exponent, run_payloads, sweep_cells, train_trial
 from .oracles import (
+    GAP_BLOCK_AMPS,
     OracleHandle,
     TruthTable,
     _column_counts,
@@ -42,6 +44,7 @@ from .oracles import (
     load_truth_table,
 )
 from .perceptron import (
+    PLANTED_BLOCK_BYTES,
     _check_gamma,
     generate_planted_dataset,
     geometric_margin,
@@ -84,8 +87,11 @@ def _int_list(flag: str, text: str, form: str = "comma-separated integers",
 
 
 def cmd_train(args, out) -> int:
-    if args.dataset is None and (args.n is None or args.m is None or args.gamma is None):
+    given = [v is not None for v in (args.n, args.m, args.gamma)]
+    if args.dataset is None and not all(given):
         raise ValueError("provide --dataset or all of --n/--m/--gamma")
+    if args.dataset is not None and any(given):
+        raise ValueError("provide --dataset or --n/--m/--gamma, not both")
     _check_seed(args.seed)
     if args.gamma is not None:
         _check_gamma(args.gamma)
@@ -103,14 +109,11 @@ def cmd_train(args, out) -> int:
         n_points, gamma = data.n_points, data.claimed_margin
     K = required_sample_count(gamma, args.epsilon, args.c_constant)
     _require_state_fits(n_points, K)
-    payloads = [
-        (t, args.seed + t, data, args.n, args.m, args.gamma,
-         args.epsilon, args.c_constant)
-        for t in range(args.trials)
-    ]
-    rows = run_payloads(train_trial, payloads, args.workers, search_state_bytes(n_points, K))
+    trial = functools.partial(train_trial, args.seed, data, args.n, args.m, args.gamma,
+                              args.epsilon, args.c_constant)
     successes = 0
-    for row in rows:
+    for row in run_payloads(trial, range(args.trials), args.workers,
+                            search_state_bytes(n_points, K)):
         successes += bool(row["in_version_space"])
         _emit(out, row)
     _emit(out, {"summary": True, "trials": args.trials,
@@ -134,15 +137,48 @@ def cmd_train(args, out) -> int:
 VERIFY_BYTES_PER_ENTRY = 9
 VERIFY_SMALL_BYTES = 1 << 17
 VERIFY_CHECK_COLUMNS = 1 << 7
-# values of m per array expression in the phase-gap suite
-GAP_BLOCK = 1 << 16
+# Values of m per array expression in the phase-gap suite: a block holds m
+# and one float array beside it, 99 KB under tracemalloc, so it fits in
+# VERIFY_SMALL_BYTES, and one block holds every m of --gap-n-max 12.
+GAP_BLOCK = 1 << 12
+# Peak bytes of the controlled-oracle identity suite: its batch buffer of
+# oracles.GAP_BLOCK_AMPS complex values, the bit oracle's gathered copy of
+# at most as many, and VERIFY_SMALL_BYTES for the swap's indices, the
+# state and the rest.  Under tracemalloc it peaked at 0.93-0.99 MB over 40
+# tables (seeds 0-9) and at 1.07 MB on one all-ones (4, 4) table.
+VERIFY_IDENTITY_BYTES = 2 * 16 * GAP_BLOCK_AMPS + VERIFY_SMALL_BYTES
 
 
 def _verify_table_bytes(n_max: int, k_max: int) -> int:
-    """Peak bytes of drawing the largest table verify can draw, 2**(n_max +
-    k_max) entries, and building its oracle handle.  An exponent past 128
-    counts as 128: that many bytes are already over any limit."""
+    """Peak bytes of the sign-and-fidelity suite's largest table, 2**(n_max
+    + k_max) entries: drawing it, building its oracle handle and checking
+    its columns (VERIFY_SMALL_BYTES, in which a phase-gap block also fits,
+    so this bounds that suite too).  An exponent past 128 counts as 128:
+    that many bytes are already over any limit."""
     return (VERIFY_BYTES_PER_ENTRY << min(n_max + k_max, 128)) + VERIFY_SMALL_BYTES
+
+
+def _verify_bytes(n_max: int, k_max: int, fault: bool) -> int:
+    """Peak bytes of the suites verify runs, one at a time: the
+    sign-and-fidelity suite's tables and, unless the fault is injected
+    (which runs that suite alone), the identity suite's buffers."""
+    tables = _verify_table_bytes(n_max, k_max)
+    return tables if fault else max(tables, VERIFY_IDENTITY_BYTES)
+
+
+class _Violations:
+    """A suite's violation count and its first ``keep`` rows, the ones it
+    prints; ``+=`` adds an iterable of rows, as it does to a list."""
+
+    def __init__(self, keep: int):
+        self.count, self.rows, self.keep = 0, [], keep
+
+    def __iadd__(self, rows):
+        for row in rows:
+            self.count += 1
+            if len(self.rows) < self.keep:
+                self.rows.append(row)
+        return self
 
 
 def _random_table(rng, n_max: int, k_max: int, force_close_column: bool = False) -> TruthTable:
@@ -162,13 +198,17 @@ def _random_table(rng, n_max: int, k_max: int, force_close_column: bool = False)
     return TruthTable(bits)
 
 
-def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool):
+def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool,
+                         violations=None):
     """Draw ``tables`` tables and check the readout of every padded column:
     its sign is -(-1)**g, its fidelity at least 2/3, and exactly 1 where g
     = 1.  Each table keeps only its column counts and ANDs, copied into
     buffers of VERIFY_CHECK_COLUMNS columns; the held columns are checked
-    together before they would overflow them, and at the end."""
-    violations, held = [], []  # held: (table, n, k, l, first column, first buffer row)
+    together before they would overflow them, and at the end.  Returns the
+    columns checked and ``violations`` (a new list if None) with the
+    violation rows added."""
+    violations = [] if violations is None else violations
+    held = []  # (table, n, k, l, first column, first buffer row)
     counts_at = np.empty(VERIFY_CHECK_COLUMNS)
     g_at = np.empty(VERIFY_CHECK_COLUMNS, dtype=np.uint8)
     checked = waiting = 0
@@ -195,8 +235,8 @@ def _sign_fidelity_sweep(rng, tables: int, n_max: int, k_max: int, fault_l: bool
     return checked, violations
 
 
-def _readout_violations(held, counts: np.ndarray, g: np.ndarray) -> list[dict]:
-    """The violation rows of the held columns, with ``counts`` and ANDs
+def _readout_violations(held, counts: np.ndarray, g: np.ndarray):
+    """Yield the violation rows of the held columns, with ``counts`` and ANDs
     ``g``, in (table, j) order.  A readout reads its column through the
     count alone, and l depends on n alone, so each distinct count of each n
     is read once (:func:`~qvstrain.counting._readouts`) and every column
@@ -214,28 +254,25 @@ def _readout_violations(held, counts: np.ndarray, g: np.ndarray) -> list[dict]:
     sign, fidelity = sign[index], fidelity[index]
     bad = ((sign != np.where(g, -1, 1)) | (fidelity < 2.0 / 3.0)
            | ((g == 1) & (np.abs(fidelity - 1.0) > 1e-9)))
-    rows = []
     for i in np.flatnonzero(bad).tolist():
         h = bisect.bisect_right(starts, i) - 1
-        rows.append({"table": tables[h], "n": ns[h], "k": ks[h], "j": firsts[h] + i - starts[h],
-                     "l": ls[h], "g": int(g[i]), "sign": int(sign[i]),
-                     "fidelity": float(fidelity[i])})
-    return rows
+        yield {"table": tables[h], "n": ns[h], "k": ks[h], "j": firsts[h] + i - starts[h],
+               "l": ls[h], "g": int(g[i]), "sign": int(sign[i]), "fidelity": float(fidelity[i])}
 
 
-def _phase_gap_sweep(n_max: int):
-    violations = []
+def _phase_gap_sweep(n_max: int, violations=None):
+    violations = [] if violations is None else violations
     checked = 0
     for n in range(1, n_max + 1):
         for first in range(1, (1 << n) + 1, GAP_BLOCK):
             m = np.arange(first, min(first + GAP_BLOCK, (1 << n) + 1))
             checked += m.size
-            violations += [{"n": n, "m": int(v)} for v in m[~phase_gap_bound_check(n, m)]]
+            violations += ({"n": n, "m": int(v)} for v in m[~phase_gap_bound_check(n, m)])
     return checked, violations
 
 
-def _oracle_identity_sweep(rng, tables: int):
-    violations = []
+def _oracle_identity_sweep(rng, tables: int, violations=None):
+    violations = [] if violations is None else violations
     for t in range(tables):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(1, min(5, 9 - n)))
@@ -253,10 +290,10 @@ def _oracle_identity_sweep(rng, tables: int):
         plain_cost = mid["bit_oracle"] - before["bit_oracle"]
         ctrl_cost = after["bit_oracle"] - mid["bit_oracle"]
         if gap > 1e-10 or plain_cost != 1 or ctrl_cost != 2:
-            violations.append({
+            violations += [{
                 "table": t, "n": n, "k": k, "gap": gap,
                 "plain_bit_cost": plain_cost, "controlled_bit_cost": ctrl_cost,
-            })
+            }]
     return tables, violations
 
 
@@ -264,27 +301,28 @@ def cmd_verify(args, out) -> int:
     for flag in ("--tables", "--n-max", "--k-max", "--gap-n-max", "--identity-tables"):
         _check_count(flag, getattr(args, flag[2:].replace("-", "_")))
     _check_seed(args.seed)
-    _require_bytes(_verify_table_bytes(args.n_max, args.k_max), "the tables need")
-    rng = np.random.default_rng(args.seed)
     fault = bool(args.inject_precision_fault)
-    # (suite, sweep, extra row fields), run in order: two share the generator
+    _require_bytes(_verify_bytes(args.n_max, args.k_max, fault), "the tables need")
+    rng = np.random.default_rng(args.seed)
+    # (suite, sweep into a _Violations, extra row fields), run in order: two
+    # share the generator
     suites = [("sign_and_fidelity",
-               lambda: _sign_fidelity_sweep(rng, args.tables, args.n_max, args.k_max, fault),
+               lambda v: _sign_fidelity_sweep(rng, args.tables, args.n_max, args.k_max, fault, v),
                {"forced_low_precision": fault})]
     if not fault:
         suites += [
-            ("phase_gap_bound", lambda: _phase_gap_sweep(args.gap_n_max), {}),
+            ("phase_gap_bound", lambda v: _phase_gap_sweep(args.gap_n_max, v), {}),
             ("controlled_oracle_identity",
-             lambda: _oracle_identity_sweep(rng, args.identity_tables), {}),
+             lambda v: _oracle_identity_sweep(rng, args.identity_tables, v), {}),
         ]
     any_violation = False
     for suite, sweep, extra in suites:
-        checked, violations = sweep()
+        checked, violations = sweep(_Violations(10))
         _emit(out, {"suite": suite, "checked": checked,
-                    "violations": len(violations), **extra})
-        for v in violations[:10]:
+                    "violations": violations.count, **extra})
+        for v in violations.rows:
             _emit(out, {"violation": suite, **v})
-        any_violation |= bool(violations)
+        any_violation |= violations.count > 0
     _emit(out, {"summary": True, "ok": not any_violation})
     return 1 if any_violation else 0
 
@@ -369,6 +407,9 @@ def cmd_gen_dataset(args, out) -> int:
     _check_count("--n", args.n)
     _check_count("--m", args.m)
     _check_seed(args.seed)
+    # X and its finiteness check (9 bytes an entry), y and the planted
+    # margins (24 bytes a point), and the generator's block arrays
+    _require_bytes(args.n * (9 * args.m + 24) + PLANTED_BLOCK_BYTES, "the dataset needs")
     data, planted = generate_planted_dataset(args.n, args.m, args.gamma, rng_seed=args.seed)
     save_dataset(data, args.out_file)
     _emit(out, {

@@ -351,8 +351,11 @@ def phase_gap_bound_check(n: int, m):
     m = np.asarray(m)
     if not ((1 <= m) & (m <= (1 << n))).all():
         raise ValueError(f"m must be in [1, {1 << n}], got {m}")
-    theta = np.arccos(np.sqrt(m / (1 << n)))
-    lhs = (2.0 * math.pi - 2.0 * theta) / (2.0 * math.pi)
+    # theta = arccos(sqrt(m / 2**n)), then (2 pi - 2 theta) / 2 pi, in one array
+    lhs = np.asarray(m / (1 << n))
+    np.arccos(np.sqrt(lhs, out=lhs), out=lhs)
+    np.subtract(2.0 * math.pi, np.multiply(2.0, lhs, out=lhs), out=lhs)
+    lhs /= 2.0 * math.pi
     ok = lhs >= 0.5 + 2.0 ** -l_bits(n)
     return bool(ok) if ok.ndim == 0 else ok
 

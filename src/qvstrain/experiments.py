@@ -1,11 +1,13 @@
 """The seeded trials of ``train`` (:func:`train_trial`) and ``sweep``
 (:func:`sweep_cells`, over single-solution instances), run through one
-process pool (:func:`run_payloads`), and the exponent fit of a sweep axis.
-A trial's output depends only on its seed, not on the worker count."""
+process pool (:func:`run_payloads`), which yields each result in order as
+it ends, and the exponent fit of a sweep axis.  A trial's output depends
+only on its seed, not on the worker count."""
 
 from __future__ import annotations
 
 import os
+from collections import deque
 
 import numpy as np
 
@@ -24,13 +26,14 @@ def workers_that_run(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def run_payloads(fn, payloads, workers: int, need: int) -> list:
-    """``fn`` over every payload in order, through one pool of ``workers``
+def run_payloads(fn, payloads, workers: int, need: int):
+    """Yield ``fn`` of every payload in order, through one pool of ``workers``
     processes capped at one per payload and per CPU (a forking pool starts
     them all at its first submit) and at as many searches of ``need`` bytes
-    as physical memory holds at once, or serially when that cap is one.
-    Each process still checks its own search against its address-space
-    limit, which applies to each process alone."""
+    as physical memory holds at once, or serially when that cap is one.  At
+    most two payloads per process are submitted and not yet yielded.  Each
+    process still checks its own search against its address-space limit,
+    which applies to each process alone."""
     workers = min(workers_that_run(workers), len(payloads))
     if workers > 1:  # one process needs no memory figure
         workers = min(workers, physical_memory() // need)
@@ -39,12 +42,18 @@ def run_payloads(fn, payloads, workers: int, need: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
+            pending = deque()
+            for payload in payloads:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, payload))
+            yield from (future.result() for future in pending)
+    else:
+        yield from map(fn, payloads)
 
 
-def train_trial(payload):
-    (trial, seed, data, n, m, gamma, epsilon, c) = payload
+def train_trial(first_seed, data, n, m, gamma, epsilon, c, trial):
+    seed = first_seed + trial
     if data is None:
         data, _ = generate_planted_dataset(n, m, gamma, rng_seed=seed)
     result = train_perceptron(data, epsilon, rng_seed=seed, c=c)
@@ -130,24 +139,26 @@ def sweep_cells(cells, gamma: float, trials: int, seed: int,
     classical queries, the rate of found solutions and whether every found
     one is a solution, over ``trials`` trials.  Trial t of cell c has seed
     ``seed + max(10_000, trials) c + t``, so no two trials share one; a
-    cell's trials are searched in groups of at most STACK_BYTES, small
-    enough that every worker that runs gets one."""
+    cell's trials are searched in groups (slices of its seed range) of at
+    most STACK_BYTES, small enough that every worker that runs gets one, and
+    its rows are reduced to its four numbers as its last group arrives."""
     most = min(trials, -(-trials * len(cells) // workers_that_run(workers)))
     stride = max(10_000, trials)
     payloads = []
     for c, (n_points, n_planes) in enumerate(cells):
-        seeds = [seed + stride * c + t for t in range(trials)]
+        seeds = range(seed + stride * c, seed + stride * c + trials)
         size = _stack_size(n_points, n_planes, most)
         payloads += [(n_points, n_planes, gamma, seeds[first : first + size])
                      for first in range(0, trials, size)]
     need = max(search_state_bytes(n, k, len(group)) for n, k, _, group in payloads)
-    groups = run_payloads(_cell_group, payloads, workers, need)
-    rows = [row for group in groups for row in group]
-    results = []
-    for c in range(len(cells)):
-        quantum, classical, found, sound = zip(*rows[c * trials : (c + 1) * trials])
-        results.append((float(np.median(quantum)), float(np.median(classical)),
-                        sum(found) / trials, all(sound)))
+    results, rows = [], []
+    for group in run_payloads(_cell_group, payloads, workers, need):
+        rows += group
+        if len(rows) == trials:  # a cell's last group
+            quantum, classical, found, sound = zip(*rows)
+            results.append((float(np.median(quantum)), float(np.median(classical)),
+                            sum(found) / trials, all(sound)))
+            rows = []
     return results
 
 

@@ -200,14 +200,13 @@ def generate_planted_dataset(
 
 def save_dataset(data: Dataset, path) -> None:
     """Text format: header ``N M gamma``, then one ``x_1 .. x_M y`` line per
-    point.  Floats are written with repr precision so a round trip is
-    bit-exact."""
-    lines = [f"{data.n_points} {data.dim} {data.claimed_margin!r}"]
-    for x, label in zip(data.X, data.y):
-        coords = " ".join(repr(float(v)) for v in x)
-        lines.append(f"{coords} {int(label):d}")
+    point, each written as it is formed.  Floats are written with repr
+    precision so a round trip is bit-exact."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{data.n_points} {data.dim} {data.claimed_margin!r}\n")
+        for x, label in zip(data.X, data.y):
+            coords = " ".join(repr(float(v)) for v in x)
+            fh.write(f"{coords} {int(label):d}\n")
 
 
 def _read_rows(path, header: str, shape, parse_row):

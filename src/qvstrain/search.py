@@ -88,13 +88,19 @@ def physical_memory() -> int:
 def state_byte_limit() -> int:
     """Bytes a search state may take: the machine's physical memory, or, if
     smaller, the address-space limit (RLIMIT_AS) less what the process maps
-    (VmSize; 0 without /proc), read after :func:`_map_blas_buffer` so that
-    it includes the BLAS work buffer."""
+    (VmSize; 0 without /proc), read after :func:`_map_blas_buffer` and the
+    import of ``numpy.random`` (numpy 2 imports it on first use: 3-8 MiB of
+    shared objects) so that it includes both; 0 if ``numpy.random`` does
+    not fit."""
     limit = physical_memory()
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
     if soft == resource.RLIM_INFINITY:
         return limit
     _map_blas_buffer()
+    try:
+        import numpy.random  # noqa: F401
+    except ImportError:  # "failed to map segment from shared object"
+        return 0
     try:
         with open("/proc/self/statm") as fh:
             soft -= int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")

@@ -34,6 +34,7 @@ from qvstrain.oracles import (
     save_truth_table,
 )
 from qvstrain.perceptron import (
+    PLANTED_BLOCK_BYTES,
     Dataset,
     generate_planted_dataset,
     load_dataset,
@@ -50,6 +51,13 @@ def run_cli(*argv) -> tuple[int, str]:
     buf = io.StringIO()
     rc = main(list(argv), out=buf)
     return rc, buf.getvalue()
+
+
+class Discard(io.TextIOBase):
+    """An output stream that keeps nothing, for runs traced for memory."""
+
+    def write(self, text):
+        return len(text)
 
 
 class TestTrain:
@@ -103,6 +111,47 @@ class TestTrain:
         rc, out = run_cli("train", "--dataset", str(path), "--trials", "3", "--seed", "9")
         assert rc == 0 and len(out.splitlines()) == 4
         assert calls == [str(path)]
+
+    @pytest.mark.parametrize("flag,value", [("--n", "500"), ("--m", "7"), ("--gamma", "0.3")])
+    def test_dataset_refuses_the_generators_flags(self, tmp_path, capsys, flag, value):
+        # the file fixes the points, dimension and margin; a flag that would
+        # set one of them is refused rather than silently ignored
+        path = tmp_path / "d.txt"
+        assert run_cli("gen-dataset", "--n", "10", "--m", "2", "--gamma", "0.25",
+                       "--seed", "1", "--out-file", str(path))[0] == 0
+        capsys.readouterr()
+        assert run_cli("train", "--dataset", str(path), flag, value, "--seed", "1") == (2, "")
+        assert capsys.readouterr().err == \
+            "train: provide --dataset or --n/--m/--gamma, not both\n"
+
+    def test_rows_stream_in_constant_memory(self):
+        import tracemalloc
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main(["train", "--n", "4", "--m", "2", "--gamma", "0.3",
+                             "--trials", str(trials), "--seed", "1"], out=Discard()) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # numpy's one-off set-up
+        assert abs(peak(2000) - peak(200)) <= 32 << 10
+
+    def test_failed_run_keeps_the_rows_of_ended_trials(self, monkeypatch, capsys):
+        trial = experiments.train_trial
+
+        def third_fails(first_seed, data, n, m, gamma, epsilon, c, t):
+            if t == 2:
+                raise MemoryError("Unable to allocate 16.0 MiB for an array")
+            return trial(first_seed, data, n, m, gamma, epsilon, c, t)
+
+        monkeypatch.setattr(cli, "train_trial", third_fails)
+        rc, out = run_cli("train", "--n", "8", "--m", "2", "--gamma", "0.3",
+                          "--trials", "4", "--seed", "5")
+        assert rc == 2 and [json.loads(row)["trial"] for row in out.splitlines()] == [0, 1]
+        assert capsys.readouterr().err == "train: Unable to allocate 16.0 MiB for an array\n"
 
     def test_invalid_gamma_exits_2(self):
         rc, _ = run_cli("train", "--n", "8", "--m", "2", "--gamma", "0.0",
@@ -269,12 +318,26 @@ class TestRunPayloads:
     """A forking pool starts every process at its first submit, so --workers
     starts at most one process per payload, per CPU and per search that
     physical memory holds, and none when that is one.  The pool is a fake
-    that records its size and maps in process."""
+    that records its size and, after each submit, how many of its futures
+    are unresolved; a future runs its call in process when its result is
+    read.  Its map, which submits every payload at once, raises."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def unresolved(self):
+        return []
+
+    @pytest.fixture
+    def pools(self, monkeypatch, unresolved):
         import concurrent.futures
-        sizes = []
+        sizes, pending = [], set()
+
+        class FakeFuture:
+            def __init__(self, fn, payload):
+                self.call = lambda: fn(payload)
+
+            def result(self):
+                pending.remove(self)
+                return self.call()
 
         class FakePool:
             def __init__(self, max_workers):
@@ -287,7 +350,13 @@ class TestRunPayloads:
                 return False
 
             def map(self, fn, payloads):
-                return map(fn, payloads)
+                raise AssertionError("map submits every payload before its first result")
+
+            def submit(self, fn, payload):
+                future = FakeFuture(fn, payload)
+                pending.add(future)
+                unresolved.append(len(pending))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         return sizes
@@ -297,9 +366,25 @@ class TestRunPayloads:
         (5, 4, None, []), (5, 1, 8, [])])
     def test_pool_size(self, monkeypatch, pools, payloads, workers, cpus, sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert experiments.run_payloads(abs, list(range(-payloads, 0)), workers, 1) == \
+        assert list(experiments.run_payloads(abs, list(range(-payloads, 0)), workers, 1)) == \
             list(range(payloads, 0, -1))
         assert pools == sizes
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_payloads_in_flight_are_bounded(self, monkeypatch, pools, unresolved, workers):
+        # results come back in order with at most two payloads a process
+        # submitted and not yet read, and a reader that stops early stops
+        # the submits within as many
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        results = experiments.run_payloads(abs, range(-100, 0), workers, 1)
+        assert list(results) == list(range(100, 0, -1))
+        assert pools == [workers] and len(unresolved) == 100
+        assert max(unresolved) == 2 * workers
+        unresolved.clear()
+        results = experiments.run_payloads(abs, range(-100, 0), workers, 1)
+        assert [next(results) for _ in range(5)] == [100, 99, 98, 97, 96]
+        results.close()
+        assert len(unresolved) <= 5 + 2 * workers
 
     def test_one_trial_starts_no_pool(self, monkeypatch, pools):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -411,6 +496,34 @@ class TestAndor:
 
 
 class TestGenDataset:
+    def test_refused_before_drawing(self, monkeypatch, tmp_path, capsys):
+        need = 100 * (9 * 3 + 24) + PLANTED_BLOCK_BYTES
+        drawn = []
+        monkeypatch.setattr(cli, "generate_planted_dataset", lambda *a, **k: drawn.append(a))
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need - 1)
+        argv = ("gen-dataset", "--n", "100", "--m", "3", "--gamma", "0.2", "--seed", "1",
+                "--out-file", str(tmp_path / "d.txt"))
+        assert run_cli(*argv) == (2, "") and drawn == []
+        assert capsys.readouterr().err.startswith(f"gen-dataset: the dataset needs {need} bytes")
+        monkeypatch.undo()
+        monkeypatch.setattr(search, "state_byte_limit", lambda: need)
+        assert run_cli(*argv)[0] == 0
+
+    @pytest.mark.parametrize("n,m", [(5000, 3), (4000, 40)])
+    def test_peak_within_the_checked_bytes(self, tmp_path, n, m):
+        import tracemalloc
+        argv = ["gen-dataset", "--n", str(n), "--m", str(m), "--gamma", "0.1", "--seed", "9",
+                "--out-file", str(tmp_path / "d.txt")]
+        main(["gen-dataset", "--n", "2", "--gamma", "0.1", "--seed", "1",
+              "--out-file", str(tmp_path / "warm.txt")], out=Discard())  # numpy's one-off set-up
+        tracemalloc.start()
+        try:
+            assert main(argv, out=Discard()) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 8 * n * (m + 1) < peak <= n * (9 * m + 24) + PLANTED_BLOCK_BYTES
+
     def test_writes_loadable_file_with_margin(self, tmp_path):
         path = tmp_path / "planted.txt"
         rc, out = run_cli("gen-dataset", "--n", "12", "--m", "2",
@@ -730,6 +843,43 @@ search.SimAndSearchOracle(handle).plane_marginal(3)
 """
 
 
+# Run as ``python -c`` with an output path: forked children of a process
+# that has mapped the BLAS work buffer (and, under numpy 2, not yet
+# numpy.random, which it imports on first use), each capped
+# at that mapped size plus 0 to 8 MiB, run ``train`` and ``gen-dataset``;
+# each prints its step, command, exit status and stderr as one JSON line.
+FORKED_CAPS = """
+import json, os, resource, sys, tempfile, traceback
+from qvstrain import cli, search
+search._map_blas_buffer()
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+runs = [["train", "--n", "8", "--m", "2", "--gamma", "0.3", "--seed", "1"],
+        ["gen-dataset", "--n", "100", "--m", "2", "--gamma", "0.3", "--seed", "1",
+         "--out-file", sys.argv[1]]]
+for step in range(9):
+    for argv in runs:
+        with tempfile.TemporaryFile() as err:
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.dup2(err.fileno(), 2)
+                    cap = mapped + (step << 20)
+                    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+                    with open(os.devnull, "w") as out:
+                        code = cli.main(argv, out=out)
+                except BaseException:
+                    traceback.print_exc()
+                    code = 1
+                sys.stderr.flush()
+                os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            err.seek(0)
+            print(json.dumps([step, argv[0], os.waitstatus_to_exitcode(status),
+                              err.read().decode()]))
+"""
+
+
 class TestStateSizeLimit:
     # The child may map at most 1 GiB, which bounds the search state on any
     # host, so each state below is refused; allocating it, or the planes,
@@ -772,6 +922,20 @@ class TestStateSizeLimit:
         proc = subprocess.run([sys.executable, "-c", MAPPED_CHILD, *map(str, table)],
                               capture_output=True, text=True, env=cli_process_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_guard_maps_numpy_random_before_it_reads_the_headroom(self, tmp_path):
+        # numpy 2 imports numpy.random on first use, 3-8 MiB of shared
+        # objects: a guard that read the headroom without it passed runs
+        # that then failed to import it, with a traceback
+        proc = subprocess.run([sys.executable, "-c", FORKED_CAPS, str(tmp_path / "d.txt")],
+                              capture_output=True, text=True, env=cli_process_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(runs) == 18
+        for step, command, code, err in runs:
+            assert "Traceback" not in err, (step, err)
+            assert (code, err) == (0, "") or code == 2 and err.startswith(f"{command}: "), \
+                (step, command, code, err)
 
     @pytest.mark.parametrize("flags,largest", [
         # (n_max, k_max) with the other at its default (5 and 3)
@@ -909,10 +1073,57 @@ class TestVerifyTables:
         assert peak <= _verify_table_bytes(1, 14), f"peak {peak} B"
 
     def test_tables_at_the_limit_are_drawn(self, monkeypatch):
-        monkeypatch.setattr(search, "state_byte_limit", lambda: _verify_table_bytes(3, 2))
+        monkeypatch.setattr(search, "state_byte_limit", lambda: cli._verify_bytes(3, 2, False))
         assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 0
-        monkeypatch.setattr(search, "state_byte_limit", lambda: _verify_table_bytes(3, 2) - 1)
+        monkeypatch.setattr(search, "state_byte_limit", lambda: cli._verify_bytes(3, 2, False) - 1)
         assert run_cli("verify", "--n-max", "3", "--k-max", "2", "--tables", "3")[0] == 2
+
+    @pytest.mark.parametrize("flags", [
+        {}, {"gap_n_max": 16}, {"n_max": 1, "k_max": 1}, {"n_max": 1, "k_max": 14, "tables": 20},
+        {"n_max": 4, "tables": 2000, "fault": True},
+    ], ids=["defaults", "gap-n-max-16", "smallest-tables", "few-row-tables", "fault"])
+    def test_each_suite_peaks_within_the_checked_bytes(self, flags):
+        import tracemalloc
+        # the suites run one at a time, as cmd_verify runs them, each into
+        # the _Violations it prints from; each stays within its own budget,
+        # and so within what cmd_verify checks before the first table
+        f = {"seed": 2, "tables": 50, "n_max": 5, "k_max": 3, "gap_n_max": 12,
+             "identity_tables": 20, "fault": False, **flags}
+        rng = np.random.default_rng(f["seed"])
+        suites = [(lambda v: _sign_fidelity_sweep(rng, f["tables"], f["n_max"], f["k_max"],
+                                                  f["fault"], v),
+                   _verify_table_bytes(f["n_max"], f["k_max"]))]
+        if not f["fault"]:
+            suites += [(lambda v: _phase_gap_sweep(f["gap_n_max"], v), cli.VERIFY_SMALL_BYTES),
+                       (lambda v: cli._oracle_identity_sweep(rng, f["identity_tables"], v),
+                        cli.VERIFY_IDENTITY_BYTES)]
+        run_cli("verify", "--tables", "2")  # numpy's one-off set-up
+        peaks = []
+        tracemalloc.start()
+        try:
+            for sweep, _ in suites:
+                tracemalloc.reset_peak()
+                sweep(cli._Violations(10))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(peak <= budget for peak, (_, budget) in zip(peaks, suites)), peaks
+        assert max(peaks) <= cli._verify_bytes(f["n_max"], f["k_max"], f["fault"])
+
+    def test_fault_rows_held_do_not_grow_with_the_tables(self):
+        import tracemalloc
+
+        def peak(tables):
+            tracemalloc.start()
+            try:
+                assert main(["verify", "--seed", "1", "--tables", str(tables), "--n-max", "4",
+                             "--inject-precision-fault"], out=Discard()) == 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # numpy's one-off set-up
+        assert peak(10_000) - peak(1000) <= 64 << 10
 
     def test_phase_gap_blocks_split_without_changing_the_count(self, monkeypatch):
         whole = _phase_gap_sweep(7)

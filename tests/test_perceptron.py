@@ -302,6 +302,24 @@ class TestDatasetIO:
         assert loaded.n_points == data.n_points
         assert np.array_equal(loaded.X, data.X) and np.array_equal(loaded.y, data.y)
 
+    def test_lines_are_written_as_formed(self, tmp_path):
+        import tracemalloc
+        # a file of 200 000 points is written without a list of its lines
+        # (which peaked at 36.7 MB, 11 times X), as the lines joined once
+        data, _ = generate_planted_dataset(200_000, 2, 0.1, rng_seed=5)
+        path = tmp_path / "d.txt"
+        tracemalloc.start()
+        try:
+            save_dataset(data, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        lines = [f"{data.n_points} {data.dim} {data.claimed_margin!r}"]
+        lines += [" ".join(repr(float(v)) for v in x) + f" {int(label):d}"
+                  for x, label in zip(data.X, data.y)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
     def test_header_format(self, tmp_path):
         data, _ = generate_planted_dataset(4, 2, 0.25, rng_seed=3)
         path = tmp_path / "d.txt"
